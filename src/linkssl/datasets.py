@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, canonical_edges
+from .graphs import Graph, canonical_edges, read_edge_pairs
 
 DATA_ROOT_ENV = "LINKSSL_DATA_ROOT"
 
@@ -77,22 +77,6 @@ def dataset_path(name, root=None):
     return data_root(root) / filename
 
 
-def _read_raw_pairs(path):
-    pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two node ids")
-            pairs.append((int(tokens[0]), int(tokens[1])))
-    if not pairs:
-        raise ValueError(f"{path}: no edges found")
-    return np.array(pairs, dtype=np.int64)
-
-
 def _load_id_map(path):
     mapping = {}
     with open(path) as fh:
@@ -122,7 +106,7 @@ def load_dataset(name, root=None):
         raise FileNotFoundError(
             f"dataset file {path} not found; see README for how to obtain "
             f"the benchmark edge lists")
-    raw = _read_raw_pairs(path)
+    raw, _ = read_edge_pairs(path)
 
     idmap_path = path.with_suffix(path.suffix + ".idmap")
     if idmap_path.exists():

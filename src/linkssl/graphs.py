@@ -156,13 +156,14 @@ class EdgeSplit:
         return frozenset(map(tuple, np.concatenate(parts).tolist()))
 
 
-def load_edge_list(path, n_hint=None):
-    """Parse a whitespace-separated "u v" edge-list file into a Graph.
+def read_edge_pairs(path):
+    """Raw (u, v) rows of a whitespace-separated edge-list file, with the
+    1-based line number of each row.
 
-    '#' lines are comments. Self-loops are dropped, duplicate and reversed
-    pairs deduplicated. Node count is max id + 1, or n_hint if larger.
+    '#' lines and blank lines are skipped. Malformed lines raise ValueError
+    naming path:line; ids are kept as written, negatives included.
     """
-    pairs = []
+    pairs, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -173,16 +174,26 @@ def load_edge_list(path, n_hint=None):
                 raise ValueError(f"{path}:{lineno}: expected two node ids, "
                                  f"got {stripped!r}")
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                pairs.append((int(tokens[0]), int(tokens[1])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer node id "
                                  f"in {stripped!r}") from exc
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
-            pairs.append((u, v))
+            linenos.append(lineno)
     if not pairs:
         raise ValueError(f"{path}: no edges found")
-    raw = np.array(pairs, dtype=np.int64)
+    return np.array(pairs, dtype=np.int64), linenos
+
+
+def load_edge_list(path, n_hint=None):
+    """Parse a whitespace-separated "u v" edge-list file into a Graph.
+
+    '#' lines are comments. Self-loops are dropped, duplicate and reversed
+    pairs deduplicated. Node count is max id + 1, or n_hint if larger.
+    """
+    raw, linenos = read_edge_pairs(path)
+    negative = np.flatnonzero(raw.min(axis=1) < 0)
+    if negative.size:
+        raise ValueError(f"{path}:{linenos[negative[0]]}: negative node id")
     edges = canonical_edges(raw)
     n = int(raw.max()) + 1
     if n_hint is not None:
@@ -190,10 +201,10 @@ def load_edge_list(path, n_hint=None):
     return Graph(n, edges)
 
 
-def random_link_split(g, fractions, seed):
-    """Partition edges into train/val/test by uniformly shuffled assignment.
+def split_sizes(m, fractions):
+    """(train, val, test) edge counts of a split of m edges.
 
-    Validation and test sizes are floor(fraction * |E|); the remainder goes
+    Validation and test sizes are floor(fraction * m); the remainder goes
     to train, keeping the message-passing graph maximal.
     """
     f_train, f_val, f_test = fractions
@@ -201,14 +212,18 @@ def random_link_split(g, fractions, seed):
         raise ValueError("fractions must be nonnegative")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
-    m = g.num_edges
     if m < 3:
         raise ValueError("graph needs at least 3 edges to split")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(m)
     n_val = math.floor(f_val * m)
     n_test = math.floor(f_test * m)
-    n_train = m - n_val - n_test
+    return m - n_val - n_test, n_val, n_test
+
+
+def random_link_split(g, fractions, seed):
+    """Partition edges into train/val/test by uniformly shuffled assignment,
+    sized by `split_sizes`."""
+    n_train, n_val, _ = split_sizes(g.num_edges, fractions)
+    order = np.random.default_rng(seed).permutation(g.num_edges)
     shuffled = g.edges[order]
     train_pos = canonical_edges(shuffled[:n_train])
     val_pos = canonical_edges(shuffled[n_train:n_train + n_val])

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .graphs import sample_negative_pairs
 from .models.training import predict_scores
@@ -46,26 +47,10 @@ def hits_at_k(s, k):
     return float(np.mean(s.y_pos > threshold))
 
 
-def _midranks(values):
-    """1-based ranks with ties sharing their average rank."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and (values[order[j + 1]]
-                                       == values[order[i]]):
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def roc_auc(s):
     """Mann-Whitney statistic: P(pos > neg) + 0.5 * P(pos == neg)."""
     n_pos, n_neg = s.y_pos.size, s.y_neg.size
-    ranks = _midranks(np.concatenate([s.y_pos, s.y_neg]))
+    ranks = rankdata(np.concatenate([s.y_pos, s.y_neg]), method="average")
     rank_sum = ranks[:n_pos].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -92,6 +92,8 @@ class GCNEncoder:
         if view.features.n_rows != view.n or (view.features.n_cols
                                               != self.in_dim):
             raise ValueError("feature shape does not match encoder input")
+        if mode not in ("train", "target", "eval"):
+            raise ValueError(f"unknown encoder mode {mode!r}")
         adj = normalized_adjacency(view)
         h = None
         for layer in range(self.cfg.n_layers):
@@ -103,30 +105,17 @@ class GCNEncoder:
             else:
                 xw = ad.matmul(h, w)
             pre = ad.sparse_matmul(adj, xw)
+            gamma = self._tensor_of(self.gammas[layer], weight_source)
+            beta = self._tensor_of(self.betas[layer], weight_source)
             if self.cfg.norm == "batch":
-                if mode == "train":
-                    normed = ad.batch_norm(
-                        pre, self._tensor_of(self.gammas[layer], weight_source),
-                        self._tensor_of(self.betas[layer], weight_source),
-                        self.bn_states[layer], self.cfg.batchnorm_momentum,
-                        training=True)
-                elif mode == "target":
-                    state = {k: v.copy()
-                             for k, v in self.bn_states[layer].items()}
-                    normed = ad.batch_norm(
-                        pre, self._tensor_of(self.gammas[layer], weight_source),
-                        self._tensor_of(self.betas[layer], weight_source),
-                        state, self.cfg.batchnorm_momentum, training=True)
-                else:
-                    normed = ad.batch_norm(
-                        pre, self._tensor_of(self.gammas[layer], weight_source),
-                        self._tensor_of(self.betas[layer], weight_source),
-                        self.bn_states[layer], self.cfg.batchnorm_momentum,
-                        training=False)
+                bn_state = self.bn_states[layer]
+                if mode == "target":
+                    bn_state = {k: v.copy() for k, v in bn_state.items()}
+                normed = ad.batch_norm(pre, gamma, beta, bn_state,
+                                       self.cfg.batchnorm_momentum,
+                                       training=mode != "eval")
             else:
-                normed = ad.layer_norm(
-                    pre, self._tensor_of(self.gammas[layer], weight_source),
-                    self._tensor_of(self.betas[layer], weight_source))
+                normed = ad.layer_norm(pre, gamma, beta)
             h = ad.prelu(normed, self._tensor_of(self.slopes[layer],
                                                  weight_source))
         return h

@@ -61,6 +61,7 @@ def _check_finite(value, epoch, model):
 
 
 def _init_state(model, in_dim, cfg, seed):
+    """Encoder plus the heads `model` trains; "gcn_supervised" gets none."""
     rng = derive_rng(seed, "init")
     encoder = GCNEncoder(in_dim, cfg.encoder, rng)
     d = cfg.encoder.layer_size
@@ -169,29 +170,47 @@ def embed(state, graph):
     return state.encoder.forward(graph, mode="eval").values
 
 
-def _decoder_objective(decoder, z, labels, loss_func):
-    """Binary link loss on Hadamard inputs z (Tensor) with 0/1 labels."""
+def _decoder_objective(decoder, z, labels):
+    """Binary link loss on Hadamard inputs z (Tensor) with 0/1 labels.
+
+    mean softplus(-sign * logit), sign +1 for positives and -1 for
+    negatives: binary cross-entropy on the sigmoid, stable at any logit.
+    Both `loss_func` keys ("bce", "log_sig") select it.
+    """
     logits = decoder.logits(z)
-    if loss_func == "bce":
-        s = ad.sigmoid(logits)
-        y = ad.Tensor(labels.reshape(-1, 1))
-        one_minus_y = ad.Tensor(1.0 - labels.reshape(-1, 1))
-        ones = ad.Tensor(np.ones_like(labels.reshape(-1, 1)))
-        term = ad.add(ad.elementwise_mul(y, ad.log(s)),
-                      ad.elementwise_mul(one_minus_y,
-                                         ad.log(ad.sub(ones, s))))
-        return ad.scalar_mul(ad.tensor_mean(term), -1.0)
-    # log_sig: mean softplus(-sign * logit), sign +1 positives, -1 negatives
     sign = ad.Tensor(np.where(labels.reshape(-1, 1) > 0.5, -1.0, 1.0))
     zeros = ad.Tensor(np.zeros_like(labels.reshape(-1, 1)))
     return ad.tensor_mean(ad.logaddexp(zeros, ad.elementwise_mul(logits,
                                                                  sign)))
 
 
-def _epoch_input_mask(dim, seed, epoch):
-    keep = (derive_rng(seed, "decoder_mask", epoch).random(dim)
-            >= DECODER_MASK_RATE)
-    return keep.astype(np.float64)
+def _decoder_batches(split, cfg, seed, epochs, dim):
+    """Mini-batches of decoder pairs: (epoch, pairs, labels, input mask).
+
+    Each epoch shuffles train_pos; each batch of positives (size clamped to
+    the positive count) is followed by as many fresh negatives, which avoid
+    every known positive. The per-epoch 0/1 input mask over `dim` columns
+    is None unless cfg.mask_input.
+    """
+    train_pos = split.train_pos
+    if len(train_pos) == 0:
+        raise ValueError("decoder training needs at least one positive edge")
+    known = split.all_positive_set()
+    batch = min(cfg.batch_size, len(train_pos))
+    for epoch in range(epochs):
+        order = derive_rng(seed, "decoder_order", epoch).permutation(
+            len(train_pos))
+        mask = None
+        if cfg.mask_input:
+            mask = (derive_rng(seed, "decoder_mask", epoch).random(dim)
+                    >= DECODER_MASK_RATE).astype(np.float64)
+        for bi, start in enumerate(range(0, len(train_pos), batch)):
+            pos = train_pos[order[start:start + batch]]
+            neg = sample_negative_pairs(
+                split.train_graph, len(pos), exclude=known,
+                seed=derive_seed(seed, "decoder_neg", epoch, bi))
+            labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+            yield epoch, np.concatenate([pos, neg]), labels, mask
 
 
 def train_decoder(state, split, cfg, seed):
@@ -202,32 +221,16 @@ def train_decoder(state, split, cfg, seed):
     decoder = Decoder(h.shape[1], state.encoder.cfg.layer_size,
                       derive_rng(seed, "decoder_init"))
     params = decoder.parameters()
-    train_pos = split.train_pos
-    if len(train_pos) == 0:
-        raise ValueError("decoder training needs at least one positive edge")
-    known = split.all_positive_set()
-    batch = min(cfg.batch_size, len(train_pos))
-    for epoch in range(DECODER_EPOCHS):
-        order = derive_rng(seed, "decoder_order", epoch).permutation(
-            len(train_pos))
-        mask = (_epoch_input_mask(h.shape[1], seed, epoch)
-                if cfg.mask_input else None)
-        for bi, start in enumerate(range(0, len(train_pos), batch)):
-            pos = train_pos[order[start:start + batch]]
-            neg = sample_negative_pairs(
-                split.train_graph, len(pos), exclude=known,
-                seed=derive_seed(seed, "decoder_neg", epoch, bi))
-            z = np.concatenate([h[pos[:, 0]] * h[pos[:, 1]],
-                                h[neg[:, 0]] * h[neg[:, 1]]])
-            if mask is not None:
-                z = z * mask
-            labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-            loss = _decoder_objective(decoder, ad.Tensor(z), labels,
-                                      cfg.loss_func)
-            _check_finite(loss.item(), epoch, "decoder")
-            ad.backward(loss)
-            adam_step(params, lr=cfg.pred_lr, weight_decay=cfg.weight_decay)
-            zero_grads(params)
+    for epoch, pairs, labels, mask in _decoder_batches(
+            split, cfg, seed, DECODER_EPOCHS, h.shape[1]):
+        z = h[pairs[:, 0]] * h[pairs[:, 1]]
+        if mask is not None:
+            z = z * mask
+        loss = _decoder_objective(decoder, ad.Tensor(z), labels)
+        _check_finite(loss.item(), epoch, "decoder")
+        ad.backward(loss)
+        adam_step(params, lr=cfg.pred_lr, weight_decay=cfg.weight_decay)
+        zero_grads(params)
     return decoder
 
 
@@ -235,50 +238,26 @@ def train_supervised_gcn(split, cfg, seed):
     """Joint encoder+decoder optimization with the decoder loss; same
     architecture as the frozen pipeline, trained end-to-end."""
     graph = split.train_graph
-    state = _init_state_supervised(graph.features.n_cols, cfg, seed)
+    state = _init_state("gcn_supervised", graph.features.n_cols, cfg, seed)
     decoder = Decoder(cfg.encoder.layer_size, cfg.encoder.layer_size,
                       derive_rng(seed, "decoder_init"))
     enc_params = state.encoder.parameters()
     dec_params = decoder.parameters()
-    train_pos = split.train_pos
-    if len(train_pos) == 0:
-        raise ValueError("supervised training needs at least one positive")
-    known = split.all_positive_set()
-    batch = min(cfg.batch_size, len(train_pos))
-    for epoch in range(cfg.ct_epochs):
-        order = derive_rng(seed, "decoder_order", epoch).permutation(
-            len(train_pos))
-        mask = (_epoch_input_mask(cfg.encoder.layer_size, seed, epoch)
-                if cfg.mask_input else None)
-        for bi, start in enumerate(range(0, len(train_pos), batch)):
-            pos = train_pos[order[start:start + batch]]
-            neg = sample_negative_pairs(
-                graph, len(pos), exclude=known,
-                seed=derive_seed(seed, "decoder_neg", epoch, bi))
-            h = state.encoder.forward(graph, mode="train")
-            pairs = np.concatenate([pos, neg])
-            z = hadamard_pairs(h, pairs)
-            if mask is not None:
-                z = ad.elementwise_mul(z, ad.Tensor(mask.reshape(1, -1)))
-            labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-            loss = _decoder_objective(decoder, z, labels, cfg.loss_func)
-            _check_finite(loss.item(), epoch, "gcn_supervised")
-            ad.backward(loss)
-            adam_step(enc_params, lr=cfg.gnn_lr,
-                      weight_decay=cfg.weight_decay)
-            adam_step(dec_params, lr=cfg.pred_lr,
-                      weight_decay=cfg.weight_decay)
-            zero_grads(enc_params)
-            zero_grads(dec_params)
+    for epoch, pairs, labels, mask in _decoder_batches(
+            split, cfg, seed, cfg.ct_epochs, cfg.encoder.layer_size):
+        h = state.encoder.forward(graph, mode="train")
+        z = hadamard_pairs(h, pairs)
+        if mask is not None:
+            z = ad.elementwise_mul(z, ad.Tensor(mask.reshape(1, -1)))
+        loss = _decoder_objective(decoder, z, labels)
+        _check_finite(loss.item(), epoch, "gcn_supervised")
+        ad.backward(loss)
+        adam_step(enc_params, lr=cfg.gnn_lr, weight_decay=cfg.weight_decay)
+        adam_step(dec_params, lr=cfg.pred_lr, weight_decay=cfg.weight_decay)
+        zero_grads(enc_params)
+        zero_grads(dec_params)
         state.epoch = epoch + 1
     return state, decoder
-
-
-def _init_state_supervised(in_dim, cfg, seed):
-    rng = derive_rng(seed, "init")
-    return TrainState(model="gcn_supervised",
-                      encoder=GCNEncoder(in_dim, cfg.encoder, rng),
-                      seed=seed)
 
 
 def predict_scores(state, decoder, graph, pairs):

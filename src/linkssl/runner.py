@@ -16,14 +16,16 @@ import dataclasses
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .community import get_detector
 from .config import serialize_config
 from .datasets import load_dataset
-from .graphs import random_link_split
+from .graphs import random_link_split, split_sizes
 from .metrics import evaluate_split
 from .models import (train_decoder, train_encoder, train_supervised_gcn)
 from .seeding import derive_seed
@@ -158,47 +160,31 @@ def write_metrics_csv(path, rows, with_aggregate=True):
     return text
 
 
-def _run_seed_job(args):
-    graph, cfg, seed, k = args
-    return run_single(graph, cfg, seed, k=k)
-
-
 def run_experiment(cfg, out_dir=None, graph=None, workers=1, k=HITS_K):
     """All configured seeds; failures are recorded and skipped so the
-    remaining seeds still run. Returns (rows, failures)."""
+    remaining seeds still run. Returns (rows, failures), where each failure
+    is (seed, formatted traceback); a worker's traceback is included."""
     if graph is None:
         graph = load_dataset(cfg.dataset)
     rows, failures = [], []
-    if workers > 1:
-        jobs = [(graph, cfg, seed, k) for seed in cfg.seeds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = []
-            for seed, future in [(s, pool.submit(_run_seed_job, j))
-                                 for (s, j) in zip(cfg.seeds, jobs)]:
-                outcomes.append((seed, future))
-            results = []
-            for seed, future in outcomes:
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # per-seed isolation
-                    failures.append((seed, f"{exc}\n"))
-                    results.append(None)
-    else:
-        results = []
-        for seed in cfg.seeds:
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers))
+            calls = [pool.submit(run_single, graph, cfg, seed, k=k).result
+                     for seed in cfg.seeds]
+        else:
+            calls = [partial(run_single, graph, cfg, seed, k=k)
+                     for seed in cfg.seeds]
+        for seed, call in zip(cfg.seeds, calls):
             try:
-                results.append(run_single(graph, cfg, seed, k=k))
-            except Exception as exc:
-                failures.append((seed, traceback.format_exc()
-                                 if os.environ.get("LINKSSL_DEBUG")
-                                 else str(exc)))
-                results.append(None)
-    for result in results:
-        if result is None:
-            continue
-        rows.append(result.row)
-        if out_dir is not None:
-            write_run_dir(out_dir, cfg, result)
+                result = call()
+            except Exception:  # per-seed isolation
+                failures.append((seed, traceback.format_exc()))
+                continue
+            rows.append(result.row)
+            if out_dir is not None:
+                write_run_dir(out_dir, cfg, result)
     if out_dir is not None and rows:
         write_metrics_csv(
             os.path.join(out_dir, cfg.dataset, cfg.label(), "metrics.csv"),
@@ -211,31 +197,16 @@ TUNING_SEED = 0
 
 def validation_objective(graph, cfg, k=HITS_K):
     """Hits@k on the tuning split's validation positives (seed 0)."""
-    seed = TUNING_SEED
-    block_state = None
-    if cfg.model != "gcn_supervised" and cfg.augmentation.kind == "sbm_oracle":
-        detector = get_detector(cfg.augmentation.detector)
-        block_state = detector(graph, derive_seed(seed, "detection"))
-    split = random_link_split(graph, cfg.split_fractions,
-                              seed=derive_seed(seed, "split"))
-    if len(split.val_pos) == 0:
+    _, n_val, _ = split_sizes(graph.num_edges, cfg.split_fractions)
+    if n_val == 0:
         raise ValueError("tuning requires a non-empty validation split")
+    split, state, decoder, _, _ = _train_stages(graph, cfg, TUNING_SEED)
     # swap val and test so evaluate_split scores the validation positives;
     # the union of known positives (negative exclusion) is unchanged
     val_split = dataclasses.replace(split, test_pos=split.val_pos,
                                     val_pos=split.test_pos)
-    if cfg.model == "gcn_supervised":
-        state, decoder = train_supervised_gcn(split, cfg,
-                                              derive_seed(seed, "train"))
-    else:
-        state = train_encoder(split, cfg.augmentation, cfg.model, cfg,
-                              derive_seed(seed, "train"),
-                              block_state=block_state)
-        decoder = train_decoder(state, split, cfg,
-                                derive_seed(seed, "decoder"))
-    hits, _, _ = evaluate_split(state, decoder, val_split,
-                                k=min(k, len(split.val_pos)),
-                                seed=derive_seed(seed, "evaluate"))
+    hits, _, _ = evaluate_split(state, decoder, val_split, k=min(k, n_val),
+                                seed=derive_seed(TUNING_SEED, "evaluate"))
     return hits
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from .metrics import _midranks
-
 
 def _mean_ranks(scores):
     scores = np.asarray(scores, dtype=np.float64)
@@ -19,7 +17,11 @@ def _mean_ranks(scores):
     n, k = scores.shape
     if n < 2 or k < 2:
         raise ValueError("need at least 2 runs and 2 methods")
-    ranks = np.vstack([_midranks(-row) for row in scores])
+    bad_runs = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad_runs.size:
+        raise ValueError(f"scores must be finite; runs {bad_runs.tolist()} "
+                         f"hold NaN or inf")
+    ranks = stats.rankdata(-scores, method="average", axis=1)
     return ranks.mean(axis=0), n, k
 
 

@@ -352,6 +352,34 @@ def test_validation_objective_trains_and_scores():
     assert 0.0 <= value <= 1.0
 
 
+def test_validation_objective_rejects_empty_validation_before_training(
+        monkeypatch):
+    # 5 edges at (0.7, 0.1, 0.2): floor(0.5) = 0 validation positives
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("training started before the split check")
+
+    monkeypatch.setattr(runner, "train_encoder", must_not_train)
+    monkeypatch.setattr(runner, "train_supervised_gcn", must_not_train)
+    for model in ("grace", "gcn_supervised"):
+        with pytest.raises(ValueError, match="non-empty validation"):
+            runner.validation_objective(g, cheap_cfg(model=model), k=3)
+
+
+def test_parallel_seed_failure_carries_worker_traceback():
+    # two edges cannot be split, so every seed raises inside its worker
+    g = Graph(4, [(0, 1), (2, 3)])
+    rows, failures = runner.run_experiment(cheap_cfg(), graph=g, workers=2,
+                                           k=5)
+    assert rows == []
+    assert [seed for seed, _ in failures] == [1, 2]
+    for _, message in failures:
+        assert "Traceback" in message
+        assert "split_sizes" in message
+        assert "at least 3 edges" in message
+
+
 def planted_partition(n_blocks, size, p_intra, p_inter, seed=0):
     rng = np.random.default_rng(seed)
     n = n_blocks * size

@@ -21,7 +21,7 @@ from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             link_representation, predict_scores,
                             select_link_sets, train_decoder, train_encoder,
                             train_supervised_gcn)
-from linkssl.models.training import DECODER_EPOCHS
+from linkssl.models.training import DECODER_EPOCHS, _decoder_objective
 
 
 class IdentityHead:
@@ -408,6 +408,19 @@ def test_encoder_batchnorm_running_stats_update_only_in_train_mode():
     assert not np.array_equal(enc.bn_states[0]["running_mean"], before)
 
 
+def test_encoder_rejects_unknown_mode():
+    # an unknown mode must not fall through to batch statistics and
+    # silently update the running state
+    g = two_triangles()
+    enc = GCNEncoder(6, EncoderConfig(n_layers=1, layer_size=64,
+                                      norm="batch"),
+                     np.random.default_rng(5))
+    before = enc.bn_states[0]["running_mean"].copy()
+    with pytest.raises(ValueError, match="unknown encoder mode"):
+        enc.forward(g, mode="evaluate")
+    assert np.array_equal(enc.bn_states[0]["running_mean"], before)
+
+
 def test_encoder_end_to_end_grace_grad_check():
     g = two_triangles()
     enc = GCNEncoder(6, EncoderConfig(n_layers=1, layer_size=64,
@@ -583,6 +596,32 @@ def test_train_decoder_loss_funcs_run(loss_func):
     s = predict_scores(state, dec, split.train_graph, split.train_pos)
     assert s.shape == (len(split.train_pos),)
     assert ((s > 0.0) & (s < 1.0)).all()
+
+
+def test_loss_func_keys_select_the_same_decoder_objective():
+    split = _two_cliques_split()
+    h = np.random.default_rng(6).normal(size=(8, 64))
+    state = SimpleNamespace(encoder=StubEncoder(h))
+    bce = train_decoder(state, split, toy_cfg(loss_func="bce"), seed=5)
+    log_sig = train_decoder(state, split, toy_cfg(loss_func="log_sig"),
+                            seed=5)
+    for a, b in zip(bce.parameters(), log_sig.parameters()):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("logit,label", [(40.0, 0.0), (-40.0, 1.0)])
+def test_decoder_objective_stable_when_confidently_wrong(logit, label):
+    # softplus(40) = 40 + log1p(exp(-40)) = 40 to ~4e-18; a log(sigmoid)
+    # clamped at 1e-12 would read -log(1e-12) = 27.63 and have no gradient
+    decoder = Decoder(2, 2, np.random.default_rng(0))
+    for p in decoder.parameters():
+        p.values[...] = 0.0
+    decoder.mlp.b2.values[...] = logit
+    loss = _decoder_objective(decoder, ad.Tensor(np.ones((1, 2))),
+                              np.array([label]))
+    assert abs(loss.item() - 40.0) < 1e-12
+    ad.backward(loss)
+    assert abs(decoder.mlp.b2.grad.item()) > 0.5
 
 
 def test_train_decoder_zero_embeddings_constant_scores():

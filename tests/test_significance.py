@@ -119,3 +119,15 @@ def test_bonferroni_dunn_top_method_always_in_best():
             assert int(np.argmin(ranks.mean(axis=0))) in best
             assert int(np.argmax(ranks.mean(axis=0))) in worst
     assert seen_gate_pass > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(bad):
+    # rank-based statistics cannot order NaN; reject instead of returning
+    # a silent NaN statistic
+    scores = strict_order_matrix()
+    scores[3, 1] = bad
+    with pytest.raises(ValueError, match=r"finite; runs \[3\]"):
+        friedman_test(scores)
+    with pytest.raises(ValueError, match="finite"):
+        bonferroni_dunn_groups(scores)
