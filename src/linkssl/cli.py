@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 from . import report as report_mod
 from . import runner
@@ -79,14 +80,14 @@ def cmd_train(args):
     for seed in cfg.seeds:
         try:
             result = runner.train_single(graph, cfg, seed)
-        except Exception as exc:
-            failures.append((seed, str(exc)))
-            print(f"seed {seed}: FAILED ({exc})", file=sys.stderr)
+        except Exception:
+            failures.append((seed, traceback.format_exc()))
             continue
         runner.write_run_dir(args.out, cfg, result)
         final = result.loss_history[-1][1] if result.loss_history else None
         print(f"seed {seed}: trained {cfg.label()}"
               + (f", final loss {final:.6f}" if final is not None else ""))
+    _report_failures(failures)
     return 1 if failures else 0
 
 

@@ -61,37 +61,56 @@ class FeatureMatrix:
         return eye
 
 
+# largest node count (and id span) whose pair keys u * n + v fit in int64
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
+
+
 def canonical_edges(edges):
     """Sorted (m, 2) int64 array of unordered pairs with u < v, deduplicated."""
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if arr.shape[0] == 0:
-        return arr
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     keep = lo != hi  # drop self-loops
-    stacked = np.stack([lo[keep], hi[keep]], axis=1)
-    if stacked.shape[0] == 0:
-        return stacked
-    return np.unique(stacked, axis=0)
+    lo, hi = lo[keep], hi[keep]
+    if lo.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    # sort and deduplicate as pair keys, offset so every id is nonnegative
+    base = lo.min()
+    width = hi.max() - base + 1
+    if width > MAX_NODES:
+        raise ValueError(f"node ids span {width} values; at most "
+                         f"{MAX_NODES} fit int64 pair keys")
+    keys = _sorted_unique((lo - base) * width + (hi - base))
+    return np.stack([keys // width + base, keys % width + base], axis=1)
 
 
 class Graph:
-    """Immutable undirected simple graph with O(1) expected edge lookup."""
+    """Immutable undirected simple graph.
 
-    __slots__ = ("n", "edges", "features", "_edge_set")
+    Edge identity is `keys`: the sorted int64 array of u * n + v (u < v),
+    one per edge, searched by bisection. Its normalized adjacency is
+    computed on first use and cached.
+    """
+
+    __slots__ = ("n", "edges", "keys", "features", "_norm_adj")
 
     def __init__(self, n, edges, features=None, _skip_canonicalize=False):
         edges = (np.asarray(edges, dtype=np.int64).reshape(-1, 2)
                  if _skip_canonicalize else canonical_edges(edges))
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint outside [0, n)")
+        if n > MAX_NODES:
+            raise ValueError(f"node count {n} exceeds {MAX_NODES}")
         self.n = int(n)
         self.edges = edges
         self.edges.setflags(write=False)
+        # canonical edges are lexicographically sorted, so the keys are too
+        self.keys = edges[:, 0] * self.n + edges[:, 1]
+        self.keys.setflags(write=False)
         self.features = features if features is not None else FeatureMatrix.identity(n)
         if self.features.n_rows != self.n:
             raise ValueError("feature row count must equal n")
-        self._edge_set = frozenset(map(tuple, edges.tolist()))
+        self._norm_adj = None
 
     @property
     def num_edges(self):
@@ -100,10 +119,13 @@ class Graph:
     def contains(self, u, v):
         if u > v:
             u, v = v, u
-        return (u, v) in self._edge_set
+        if not 0 <= u < v < self.n:
+            return False
+        return bool(_member(self.keys, np.int64(u) * self.n + v))
 
     def edge_set(self):
-        return self._edge_set
+        """The edges as a set of (u, v) tuples; built on demand, for tests."""
+        return frozenset(map(tuple, self.edges.tolist()))
 
     def degrees(self):
         deg = np.zeros(self.n, dtype=np.int64)
@@ -148,12 +170,12 @@ class EdgeSplit:
     test_pos: np.ndarray
     seed: int
 
-    def all_positive_set(self):
-        parts = [p for p in (self.train_pos, self.val_pos, self.test_pos)
-                 if p.size]
-        if not parts:
-            return frozenset()
-        return frozenset(map(tuple, np.concatenate(parts).tolist()))
+    def known_graph(self):
+        """The train graph with every known positive (train, val and test)
+        added as an edge: the pairs that sampled negatives must avoid."""
+        return self.train_graph.with_edges(np.concatenate(
+            [self.train_graph.edges, self.train_pos, self.val_pos,
+             self.test_pos]))
 
 
 def read_edge_pairs(path):
@@ -236,16 +258,47 @@ def random_link_split(g, fractions, seed):
 
 
 def normalized_adjacency(g):
-    """Symmetrically normalized propagation matrix D^-1/2 (A + I) D^-1/2."""
-    a_tilde = g.adjacency() + sparse.identity(g.n, format="csr")
-    deg = np.asarray(a_tilde.sum(axis=1)).reshape(-1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d_half = sparse.diags(inv_sqrt)
-    return (d_half @ a_tilde @ d_half).tocsr()
+    """Symmetrically normalized propagation matrix D^-1/2 (A + I) D^-1/2.
+
+    Computed once per graph and cached on it; callers must not modify it.
+    """
+    if g._norm_adj is None:
+        a_tilde = g.adjacency() + sparse.identity(g.n, format="csr")
+        deg = np.asarray(a_tilde.sum(axis=1)).reshape(-1)
+        d_half = sparse.diags(1.0 / np.sqrt(deg))
+        g._norm_adj = (d_half @ a_tilde @ d_half).tocsr()
+    return g._norm_adj
 
 
-def _pair_key(u, v, n):
-    return u * n + v if u < v else v * n + u
+def _member(sorted_keys, keys):
+    """Boolean mask: which of `keys` occur in the sorted array."""
+    if sorted_keys.size == 0:
+        return np.zeros(np.shape(keys), dtype=bool)
+    idx = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(idx, sorted_keys.size - 1)] == keys
+
+
+def _run_starts(sorted_keys):
+    """Boolean mask of the first element of each run of equal keys."""
+    starts = np.ones(sorted_keys.size, dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return starts
+
+
+def _sorted_unique(keys):
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+def _exclude_keys(exclude, n):
+    """Keys of the valid pairs in `exclude` (any iterable of (u, v));
+    self-loops and pairs with an endpoint outside [0, n) are dropped."""
+    pairs = np.asarray(exclude if isinstance(exclude, np.ndarray)
+                       else list(exclude), dtype=np.int64).reshape(-1, 2)
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    valid = (lo != hi) & (lo >= 0) & (hi < n)
+    return lo[valid] * n + hi[valid]
 
 
 def sample_negative_pairs(g, count, exclude=(), seed=0):
@@ -253,20 +306,22 @@ def sample_negative_pairs(g, count, exclude=(), seed=0):
 
     Pairs in g.edges or in `exclude` are never returned. Deterministic
     given the seed. Raises when fewer than `count` admissible pairs exist.
+
+    Rejection sampling draws 2 * max(missing, 16) candidate pairs per
+    round and accepts them in draw order, each if it is not forbidden and
+    not yet chosen; the scan is vectorized per round. When more than half
+    of the admissible pairs are needed, they are enumerated instead.
     """
     count = int(count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     n = g.n
-    forbidden = set()
-    for u, v in g.edges:
-        forbidden.add(_pair_key(int(u), int(v), n))
-    for u, v in exclude:
-        u, v = int(u), int(v)
-        if u != v and 0 <= u < n and 0 <= v < n:
-            forbidden.add(_pair_key(u, v, n))
+    forbidden = g.keys
+    extra = _exclude_keys(exclude, n)
+    if extra.size:
+        forbidden = _sorted_unique(np.concatenate([forbidden, extra]))
     total = n * (n - 1) // 2
-    admissible = total - len(forbidden)
+    admissible = total - forbidden.size
     if count > admissible:
         raise ValueError(f"requested {count} negative pairs but only "
                          f"{admissible} non-edges exist")
@@ -277,26 +332,26 @@ def sample_negative_pairs(g, count, exclude=(), seed=0):
     if count * 2 > admissible:
         # dense regime: enumerate every admissible pair and choose directly
         us, vs = np.triu_indices(n, k=1)
-        keys = us.astype(np.int64) * n + vs
-        mask = np.array([k not in forbidden for k in keys])
+        mask = ~_member(forbidden, us.astype(np.int64) * n + vs)
         pool = np.stack([us[mask], vs[mask]], axis=1).astype(np.int64)
         idx = rng.choice(pool.shape[0], size=count, replace=False)
         return pool[idx]
 
     chosen = []
-    chosen_keys = set()
-    while len(chosen) < count:
-        batch = max(count - len(chosen), 16)
+    missing = count
+    while missing:
+        batch = max(missing, 16)
         u = rng.integers(0, n, size=2 * batch)
         v = rng.integers(0, n, size=2 * batch)
-        for uu, vv in zip(u, v):
-            if uu == vv:
-                continue
-            key = _pair_key(int(uu), int(vv), n)
-            if key in forbidden or key in chosen_keys:
-                continue
-            chosen_keys.add(key)
-            chosen.append((min(uu, vv), max(uu, vv)))
-            if len(chosen) == count:
-                break
-    return np.array(chosen, dtype=np.int64)
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        candidates = np.flatnonzero((u != v) & ~_member(forbidden, keys))
+        # the first draw of each key in the round, in draw order
+        order = np.argsort(keys[candidates], kind="stable")
+        first = _run_starts(keys[candidates[order]])
+        accepted = keys[np.sort(candidates[order[first]])][:missing]
+        chosen.append(accepted)
+        missing -= accepted.size
+        if missing:
+            forbidden = np.sort(np.concatenate([forbidden, accepted]))
+    keys = np.concatenate(chosen)
+    return np.stack([keys // n, keys % n], axis=1)

@@ -83,8 +83,7 @@ def evaluate_split(state, decoder, split, k=50, seed=0, scorer=None):
     test_pos = split.test_pos
     if len(test_pos) == 0:
         raise ValueError("split has no test positives")
-    neg = sample_negative_pairs(split.train_graph, len(test_pos),
-                                exclude=split.all_positive_set(),
+    neg = sample_negative_pairs(split.known_graph(), len(test_pos),
                                 seed=derive_seed(seed, "eval_negatives"))
     if scorer is None:
         def scorer(pairs):

@@ -62,14 +62,15 @@ def select_link_sets(view1, view2, rng_seed, exclude=None):
     """
     if view1.n != view2.n:
         raise ValueError("views must share a node set")
-    common = view1.edge_set() & view2.edge_set()
-    if not common:
+    common = np.intersect1d(view1.keys, view2.keys, assume_unique=True)
+    if not common.size:
         empty = np.empty((0, 2), dtype=np.int64)
         return empty, empty
-    edge_pos = np.array(sorted(common), dtype=np.int64)
-    forbidden = set(view2.edge_set())
+    edge_pos = np.stack([common // view1.n, common % view1.n], axis=1)
+    forbidden = view2.edges
     if exclude is not None:
-        forbidden |= set(map(tuple, exclude))
+        forbidden = np.concatenate([forbidden, np.array(
+            list(exclude), dtype=np.int64).reshape(-1, 2)])
     edge_neg = sample_negative_pairs(view1, len(edge_pos),
                                      seed=rng_seed, exclude=forbidden)
     return edge_pos, edge_neg

@@ -195,7 +195,7 @@ def _decoder_batches(split, cfg, seed, epochs, dim):
     train_pos = split.train_pos
     if len(train_pos) == 0:
         raise ValueError("decoder training needs at least one positive edge")
-    known = split.all_positive_set()
+    known = split.known_graph()
     batch = min(cfg.batch_size, len(train_pos))
     for epoch in range(epochs):
         order = derive_rng(seed, "decoder_order", epoch).permutation(
@@ -207,7 +207,7 @@ def _decoder_batches(split, cfg, seed, epochs, dim):
         for bi, start in enumerate(range(0, len(train_pos), batch)):
             pos = train_pos[order[start:start + batch]]
             neg = sample_negative_pairs(
-                split.train_graph, len(pos), exclude=known,
+                known, len(pos),
                 seed=derive_seed(seed, "decoder_neg", epoch, bi))
             labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
             yield epoch, np.concatenate([pos, neg]), labels, mask

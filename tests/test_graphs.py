@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from linkssl.datasets import (REGISTRY, DatasetInfo, convert_mat,
                               dataset_available, load_dataset,
                               write_edge_list)
-from linkssl.graphs import (FeatureMatrix, Graph, canonical_edges,
+from linkssl.graphs import (MAX_NODES, FeatureMatrix, Graph, canonical_edges,
                             load_edge_list, normalized_adjacency,
                             random_link_split, sample_negative_pairs)
+from linkssl.models.losses import select_link_sets
 
 
 def test_load_edge_list_dedupes_and_drops_self_loops(tmp_path):
@@ -172,6 +173,180 @@ def test_negative_sampling_deterministic():
     a = sample_negative_pairs(g, 12, seed=9)
     b = sample_negative_pairs(g, 12, seed=9)
     assert np.array_equal(a, b)
+
+
+def _reference_sample_negative_pairs(g, count, exclude=(), seed=0):
+    """The sampler as a Python loop over a set of pair keys: the stream the
+    vectorized one must reproduce draw for draw."""
+    def key(u, v):
+        return u * n + v if u < v else v * n + u
+
+    n = g.n
+    forbidden = {key(int(u), int(v)) for u, v in g.edges}
+    for u, v in exclude:
+        u, v = int(u), int(v)
+        if u != v and 0 <= u < n and 0 <= v < n:
+            forbidden.add(key(u, v))
+    admissible = n * (n - 1) // 2 - len(forbidden)
+    if count > admissible:
+        raise ValueError("infeasible")
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    if count * 2 > admissible:
+        us, vs = np.triu_indices(n, k=1)
+        mask = np.array([key(int(u), int(v)) not in forbidden
+                         for u, v in zip(us, vs)])
+        pool = np.stack([us[mask], vs[mask]], axis=1).astype(np.int64)
+        return pool[rng.choice(pool.shape[0], size=count, replace=False)]
+    chosen, chosen_keys = [], set()
+    while len(chosen) < count:
+        batch = max(count - len(chosen), 16)
+        u = rng.integers(0, n, size=2 * batch)
+        v = rng.integers(0, n, size=2 * batch)
+        for uu, vv in zip(u, v):
+            k = key(int(uu), int(vv))
+            if uu == vv or k in forbidden or k in chosen_keys:
+                continue
+            chosen_keys.add(k)
+            chosen.append((min(uu, vv), max(uu, vv)))
+            if len(chosen) == count:
+                break
+    return np.array(chosen, dtype=np.int64)
+
+
+@st.composite
+def graphs_with_exclusions(draw):
+    n = draw(st.integers(2, 24))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    if draw(st.booleans()):
+        # the complement: few non-edges, so rejection runs several rounds
+        absent = {(min(u, v), max(u, v)) for u, v in edges}
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) not in absent]
+    # self-loops, out-of-range ids and duplicates are all ignored
+    wild = st.integers(-2, n + 2)
+    exclude = draw(st.lists(st.tuples(wild, wild), max_size=12))
+    # repeat some pairs, reversed, and some edges of the graph itself
+    exclude += [(v, u) for u, v in exclude[:draw(st.integers(0, 3))]]
+    exclude += edges[:draw(st.integers(0, 3))]
+    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), exclude
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graphs_with_exclusions(), dense=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_negative_sampling_matches_reference_stream(case, dense, seed, data):
+    g, exclude = case
+    excluded = {(min(u, v), max(u, v)) for u, v in exclude
+                if u != v and 0 <= min(u, v) and max(u, v) < g.n}
+    admissible = g.n * (g.n - 1) // 2 - len(g.edge_set() | excluded)
+    # dense: more than half of the admissible pairs are enumerated
+    lo, hi = (admissible // 2 + 1, admissible) if dense else (0, admissible // 2)
+    if lo > hi:
+        return
+    count = data.draw(st.integers(lo, hi))
+    expected = _reference_sample_negative_pairs(g, count, exclude, seed)
+    for given_exclude in (exclude, np.array(exclude, dtype=np.int64)):
+        out = sample_negative_pairs(g, count, exclude=given_exclude,
+                                    seed=seed)
+        assert out.dtype == np.int64 and np.array_equal(out, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 16), data=st.data(), seed=st.integers(0, 2 ** 31))
+def test_select_link_sets_matches_tuple_set_reference(n, data, seed):
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     max_size=2 * n)
+    view1, view2 = Graph(n, data.draw(pairs)), Graph(n, data.draw(pairs))
+    exclude = data.draw(st.one_of(st.none(), pairs.map(set)))
+    forbidden = set(view2.edge_set())
+    forbidden |= exclude or set()
+    common = view1.edge_set() & view2.edge_set()
+    if not common:
+        expected = np.empty((0, 2), dtype=np.int64)
+    else:
+        try:
+            expected = _reference_sample_negative_pairs(
+                view1, len(common), forbidden, seed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                select_link_sets(view1, view2, seed, exclude=exclude)
+            return
+    pos, neg = select_link_sets(view1, view2, seed, exclude=exclude)
+    assert np.array_equal(pos, np.array(sorted(common),
+                                        dtype=np.int64).reshape(-1, 2))
+    assert np.array_equal(neg, expected)
+
+
+def _reference_canonical_edges(edges):
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.sort(arr, axis=1)
+    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+
+
+@st.composite
+def raw_pairs(draw):
+    # a few ids, small or far apart, so pairs repeat, reverse and self-loop
+    ids = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1,
+                        max_size=8))
+    node = st.sampled_from(ids)
+    return draw(st.lists(st.tuples(node, node), max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=raw_pairs())
+def test_canonical_edges_matches_unique_reference(pairs):
+    out = canonical_edges(pairs)
+    expected = _reference_canonical_edges(pairs)
+    assert out.dtype == np.int64 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
+def test_pair_keys_reject_spans_that_overflow_int64():
+    widest = [(0, MAX_NODES - 1)]
+    assert canonical_edges(widest).tolist() == [list(widest[0])]
+    with pytest.raises(ValueError, match="span"):
+        canonical_edges([(-1, MAX_NODES)])
+    assert Graph(MAX_NODES, [(0, MAX_NODES - 1)]).contains(MAX_NODES - 1, 0)
+    with pytest.raises(ValueError, match="node count"):
+        Graph(MAX_NODES + 1, [])
+
+
+def test_contains_rejects_pairs_outside_the_graph():
+    g = Graph(3, [(1, 2)])
+    assert g.contains(2, 1)
+    # 0 * 3 + 5 is the key of (1, 2): range checks come before the lookup
+    assert not g.contains(0, 5) and not g.contains(-1, 1)
+    assert not g.contains(1, 1)
+
+
+def test_graph_keys_sorted_and_read_only():
+    g = Graph(5, [(3, 4), (0, 2), (1, 0), (2, 4)])
+    assert g.keys.tolist() == [1, 2, 14, 19]
+    with pytest.raises(ValueError):
+        g.keys[0] = 7
+
+
+def _uncached_normalized_adjacency(g):
+    a = np.eye(g.n)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    d = 1.0 / np.sqrt(a.sum(axis=1))
+    return d[:, None] * a * d[None, :]
+
+
+def test_normalized_adjacency_cached_per_graph():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+    cached = normalized_adjacency(g)
+    assert normalized_adjacency(g) is cached
+    assert np.allclose(cached.toarray(), _uncached_normalized_adjacency(g))
+    for edges in (g.edges, g.edges[:2]):
+        child = g.with_edges(edges)
+        assert normalized_adjacency(child) is not cached
+        assert np.allclose(normalized_adjacency(child).toarray(),
+                           _uncached_normalized_adjacency(child))
 
 
 def test_identity_features_column_mask_semantics():

@@ -684,3 +684,33 @@ def test_cli_dataset_flag_overrides_config(celegans_root, tmp_path, capsys):
     assert main(["split", "--config", str(path), "--dataset", "Celegans",
                  "--seeds", "1", "--out", str(out)]) == 0
     assert (out / "Celegans" / "splits" / "1" / "train.txt").exists()
+
+
+@pytest.mark.parametrize("seed", [2 ** 32 + 1, -1])
+def test_config_rejects_seeds_that_would_alias(seed):
+    # derive_seed keeps 32 bits: 2**32 + 1 would replay seed 1, -1 seed 2**32-1
+    with pytest.raises(ValueError, match=f"seed {seed} "):
+        ExperimentConfig(seeds=(1, seed))
+
+
+def test_config_accepts_seed_range_edges():
+    assert ExperimentConfig(seeds=(0, 2 ** 32 - 1)).seeds == (0, 2 ** 32 - 1)
+
+
+def test_cli_reports_out_of_range_seed(tmp_path, capsys):
+    rc = main(["split", "--seeds", str(2 ** 32 + 1), "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: seed {2 ** 32 + 1} outside" in capsys.readouterr().err
+
+
+def test_cli_train_failure_reports_traceback(celegans_root, cli_cfg_path,
+                                             tmp_path, monkeypatch, capsys):
+    def boom(graph, cfg, seed):
+        raise RuntimeError("encoder exploded")
+
+    monkeypatch.setattr(runner, "train_single", boom)
+    assert main(["train", "--config", cli_cfg_path, "--seeds", "5",
+                 "--out", str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "seed 5: FAILED (Traceback (most recent call last)" in err
+    assert "in boom" in err and "RuntimeError: encoder exploded" in err

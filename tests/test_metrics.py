@@ -180,7 +180,7 @@ def _clique_pair_split():
 
 def test_evaluate_split_oracle_scorer_is_perfect():
     split = _clique_pair_split()
-    truth = split.all_positive_set()
+    truth = split.known_graph().edge_set()
 
     def scorer(pairs):
         return np.array([1.0 if (min(u, v), max(u, v)) in truth else 0.0
