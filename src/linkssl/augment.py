@@ -24,12 +24,11 @@ the global mean block strength) is a documented approximation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .community import BlockState
-from .graphs import FeatureMatrix, Graph
+from .graphs import FeatureMatrix
 from .sbm import fit_block_counts, sample_sbm
 
 SBM_KINDS = ("sbm", "sbm2", "sbm_oracle")
@@ -212,35 +211,38 @@ def adaptive_mask_features(x, w, rate, cutoff, seed):
     return _apply_column_mask(x, keep)
 
 
+def _block_strengths(g, b):
+    """Internal density of each block: intra_edges(c) / C(size_c, 2), with 0
+    for singleton blocks."""
+    counts = fit_block_counts(g, b)
+    sizes = counts.block_sizes.astype(np.float64)
+    slots = sizes * (sizes - 1.0) / 2.0
+    return np.where(slots > 0, np.diag(counts.counts) / np.maximum(slots, 1.0),
+                    0.0)
+
+
 def community_strength(g, b):
     """Per-node community strength: internal density of the node's block.
 
     strength(c) = intra_edges(c) / C(size_c, 2); singleton blocks get 0.
     """
-    counts = fit_block_counts(g, b)
-    sizes = counts.block_sizes.astype(np.float64)
-    slots = sizes * (sizes - 1.0) / 2.0
-    strengths = np.where(slots > 0, np.diag(counts.counts) / np.maximum(slots, 1.0),
-                         0.0)
-    return CentralityWeights(strengths[b.assignment], "community_strength")
+    return CentralityWeights(_block_strengths(g, b)[b.assignment],
+                             "community_strength")
 
 
 def scom_drop_edges(g, b, rate, cutoff, seed):
     """Community-strength edge dropping: importance = mean endpoint strength,
     plus the global mean block strength as a bonus when both endpoints share
     a block, so intra-community edges survive preferentially."""
+    return _scom_drop_edges(g, b, _block_strengths(g, b), rate, cutoff, seed)
+
+
+def _scom_drop_edges(g, b, block_strengths, rate, cutoff, seed):
     if rate >= 1.0:
         raise ValueError("rate must be < 1")
     if g.num_edges == 0 or rate == 0.0:
         return g
-    w = community_strength(g, b)
-    scores = w.node_scores
-    counts = fit_block_counts(g, b)
-    sizes = counts.block_sizes.astype(np.float64)
-    slots = sizes * (sizes - 1.0) / 2.0
-    block_strengths = np.where(slots > 0,
-                               np.diag(counts.counts) / np.maximum(slots, 1.0),
-                               0.0)
+    scores = block_strengths[b.assignment]
     delta = float(block_strengths.mean())
     u, v = g.edges[:, 0], g.edges[:, 1]
     importance = 0.5 * (scores[u] + scores[v])
@@ -289,9 +291,12 @@ def make_views(g, spec, b=None, seed=0):
         x2 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_2,
                                     spec.cutoff, f2)
     else:  # scom
-        view1 = scom_drop_edges(g, b, spec.drop_edge_rate_1, spec.cutoff, e1)
-        view2 = scom_drop_edges(g, b, spec.drop_edge_rate_2, spec.cutoff, e2)
-        w = community_strength(g, b)
+        strengths = _block_strengths(g, b)
+        view1 = _scom_drop_edges(g, b, strengths, spec.drop_edge_rate_1,
+                                 spec.cutoff, e1)
+        view2 = _scom_drop_edges(g, b, strengths, spec.drop_edge_rate_2,
+                                 spec.cutoff, e2)
+        w = CentralityWeights(strengths[b.assignment], "community_strength")
         x1 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_1,
                                     spec.cutoff, f1)
         x2 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_2,

@@ -158,11 +158,6 @@ def backward(loss):
             node.grad = None  # free intermediate storage; leaves keep theirs
 
 
-def zero_grad(tensors):
-    for t in tensors:
-        t.grad = None
-
-
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (inverse of numpy broadcasting over 2-D)."""
     if grad.shape == shape:

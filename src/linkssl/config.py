@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .augment import ALL_KINDS, AugmentationSpec
+from .augment import AugmentationSpec
 from .models.nets import EncoderConfig
 from .seeding import derive_rng
 
@@ -92,6 +90,48 @@ class ExperimentConfig:
 _BOOLS = {"true": True, "false": False}
 
 
+def _as_bool(s):
+    if s.lower() not in _BOOLS:
+        raise ValueError(f"expected true/false, got {s!r}")
+    return _BOOLS[s.lower()]
+
+
+def _tuple_of(conv):
+    return lambda s: tuple(conv(f) for f in s.split(","))
+
+
+# (file key, section of ExperimentConfig holding the field or None for the
+# config itself, field name, parser), in file order
+_FIELDS = (
+    ("dataset", None, "dataset", str),
+    ("model", None, "model", str),
+    ("augmentation", "augmentation", "kind", str),
+    ("drop_edge_rate_1", "augmentation", "drop_edge_rate_1", float),
+    ("drop_edge_rate_2", "augmentation", "drop_edge_rate_2", float),
+    ("drop_feature_rate_1", "augmentation", "drop_feature_rate_1", float),
+    ("drop_feature_rate_2", "augmentation", "drop_feature_rate_2", float),
+    ("commu_detect", "augmentation", "detector", str),
+    ("cutoff", "augmentation", "cutoff", float),
+    ("n_layers", "encoder", "n_layers", int),
+    ("layer_size", "encoder", "layer_size", int),
+    ("norm", "encoder", "norm", str),
+    ("batchnorm_momentum", "encoder", "batchnorm_momentum", float),
+    ("weight_standardization", "encoder", "weight_standardization", _as_bool),
+    ("ct_epochs", None, "ct_epochs", int),
+    ("batch_size", None, "batch_size", int),
+    ("gnn_lr", None, "gnn_lr", float),
+    ("pred_lr", None, "pred_lr", float),
+    ("proj_hidden", None, "proj_hidden", int),
+    ("loss_func", None, "loss_func", str),
+    ("mask_input", None, "mask_input", _as_bool),
+    ("weight_decay", None, "weight_decay", float),
+    ("tau", None, "tau", float),
+    ("ema_decay", None, "ema_decay", float),
+    ("split_fractions", None, "split_fractions", _tuple_of(float)),
+    ("seeds", None, "seeds", _tuple_of(int)),
+)
+
+
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -104,41 +144,16 @@ def _fmt(value):
 
 def serialize_config(cfg):
     """Flat key=value text; one field per line, stable key order."""
-    aug = cfg.augmentation
-    enc = cfg.encoder
-    pairs = [
-        ("dataset", cfg.dataset),
-        ("model", cfg.model),
-        ("augmentation", aug.kind),
-        ("drop_edge_rate_1", aug.drop_edge_rate_1),
-        ("drop_edge_rate_2", aug.drop_edge_rate_2),
-        ("drop_feature_rate_1", aug.drop_feature_rate_1),
-        ("drop_feature_rate_2", aug.drop_feature_rate_2),
-        ("commu_detect", aug.detector),
-        ("cutoff", aug.cutoff),
-        ("n_layers", enc.n_layers),
-        ("layer_size", enc.layer_size),
-        ("norm", enc.norm),
-        ("batchnorm_momentum", enc.batchnorm_momentum),
-        ("weight_standardization", enc.weight_standardization),
-        ("ct_epochs", cfg.ct_epochs),
-        ("batch_size", cfg.batch_size),
-        ("gnn_lr", cfg.gnn_lr),
-        ("pred_lr", cfg.pred_lr),
-        ("proj_hidden", cfg.proj_hidden),
-        ("loss_func", cfg.loss_func),
-        ("mask_input", cfg.mask_input),
-        ("weight_decay", cfg.weight_decay),
-        ("tau", cfg.tau),
-        ("ema_decay", cfg.ema_decay),
-        ("split_fractions", cfg.split_fractions),
-        ("seeds", cfg.seeds),
-    ]
-    return "".join(f"{k}={_fmt(v)}\n" for k, v in pairs)
+    lines = []
+    for key, section, name, _ in _FIELDS:
+        owner = getattr(cfg, section) if section else cfg
+        lines.append(f"{key}={_fmt(getattr(owner, name))}\n")
+    return "".join(lines)
 
 
 def parse_config(text):
-    """Inverse of serialize_config; '#' comments and blank lines allowed."""
+    """Inverse of serialize_config; '#' comments and blank lines allowed.
+    Absent keys take the dataclass defaults."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -149,56 +164,13 @@ def parse_config(text):
         key, _, value = line.partition("=")
         raw[key.strip()] = value.strip()
 
-    def take(key, conv, default=None):
-        if key not in raw:
-            if default is None:
-                raise KeyError(f"missing config key {key!r}")
-            return default
-        return conv(raw.pop(key))
-
-    def as_bool(s):
-        if s.lower() not in _BOOLS:
-            raise ValueError(f"expected true/false, got {s!r}")
-        return _BOOLS[s.lower()]
-
-    aug = AugmentationSpec(
-        kind=take("augmentation", str, "random"),
-        drop_edge_rate_1=take("drop_edge_rate_1", float, 0.2),
-        drop_edge_rate_2=take("drop_edge_rate_2", float, 0.2),
-        drop_feature_rate_1=take("drop_feature_rate_1", float, 0.1),
-        drop_feature_rate_2=take("drop_feature_rate_2", float, 0.1),
-        detector=take("commu_detect", str, "louvain"),
-        cutoff=take("cutoff", float, 0.9),
-    )
-    enc = EncoderConfig(
-        n_layers=take("n_layers", int, 2),
-        layer_size=take("layer_size", int, 128),
-        norm=take("norm", str, "batch"),
-        batchnorm_momentum=take("batchnorm_momentum", float, 0.9),
-        weight_standardization=take("weight_standardization", as_bool, False),
-    )
+    fields = {None: {}, "augmentation": {}, "encoder": {}}
+    for key, section, name, conv in _FIELDS:
+        if key in raw:
+            fields[section][name] = conv(raw.pop(key))
     cfg = ExperimentConfig(
-        dataset=take("dataset", str, "USAir"),
-        model=take("model", str, "grace"),
-        augmentation=aug,
-        encoder=enc,
-        ct_epochs=take("ct_epochs", int, 500),
-        batch_size=take("batch_size", int, 256),
-        gnn_lr=take("gnn_lr", float, 1e-3),
-        pred_lr=take("pred_lr", float, 1e-3),
-        proj_hidden=take("proj_hidden", int, 256),
-        loss_func=take("loss_func", str, "bce"),
-        mask_input=take("mask_input", as_bool, False),
-        weight_decay=take("weight_decay", float, 1e-5),
-        tau=take("tau", float, 0.5),
-        ema_decay=take("ema_decay", float, 0.99),
-        split_fractions=take(
-            "split_fractions",
-            lambda s: tuple(float(f) for f in s.split(",")), (0.7, 0.1, 0.2)),
-        seeds=take("seeds",
-                   lambda s: tuple(int(f) for f in s.split(",")),
-                   DEFAULT_EVAL_SEEDS),
-    )
+        augmentation=AugmentationSpec(**fields["augmentation"]),
+        encoder=EncoderConfig(**fields["encoder"]), **fields[None])
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")
     return cfg

@@ -3,10 +3,10 @@
 Datasets are plain edge-list text files ("u v" per line, '#' comments)
 living under a root directory given by the LINKSSL_DATA_ROOT environment
 variable or the `root` argument. Arbitrary node ids are remapped to dense
-0-based integers; the mapping persists in a "<name>.idmap" sidecar so
-repeated loads agree. Each registry entry carries the expected node count
-and directed edge count (each undirected edge counted twice), validated
-at load time.
+0-based integers in ascending id order, a pure function of the file, so
+repeated loads agree and nothing is written beside it. Each registry entry
+carries the expected node count and directed edge count (each undirected
+edge counted twice), validated at load time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, canonical_edges, read_edge_pairs
+from .graphs import Graph, read_edge_pairs
 
 DATA_ROOT_ENV = "LINKSSL_DATA_ROOT"
 
@@ -77,25 +77,6 @@ def dataset_path(name, root=None):
     return data_root(root) / filename
 
 
-def _load_id_map(path):
-    mapping = {}
-    with open(path) as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            original, internal = stripped.split()
-            mapping[int(original)] = int(internal)
-    return mapping
-
-
-def _write_id_map(path, mapping):
-    with open(path, "w") as fh:
-        fh.write("# original_id internal_id\n")
-        for original in sorted(mapping):
-            fh.write(f"{original} {mapping[original]}\n")
-
-
 def load_dataset(name, root=None):
     """Load a registered dataset, remapping ids and validating counts."""
     info = REGISTRY.get(name)
@@ -107,19 +88,8 @@ def load_dataset(name, root=None):
             f"dataset file {path} not found; see README for how to obtain "
             f"the benchmark edge lists")
     raw, _ = read_edge_pairs(path)
-
-    idmap_path = path.with_suffix(path.suffix + ".idmap")
-    if idmap_path.exists():
-        mapping = _load_id_map(idmap_path)
-    else:
-        unique = np.unique(raw)
-        mapping = {int(orig): i for i, orig in enumerate(unique)}
-        _write_id_map(idmap_path, mapping)
-    remapped = np.array([(mapping[int(u)], mapping[int(v)]) for u, v in raw],
-                        dtype=np.int64)
-    edges = canonical_edges(remapped)
-    n = max(len(mapping), info.num_nodes)
-    g = Graph(n, edges)
+    ids, remapped = np.unique(raw, return_inverse=True)
+    g = Graph(max(ids.size, info.num_nodes), remapped.reshape(raw.shape))
 
     if g.n != info.num_nodes or g.num_edges != info.num_undirected_edges:
         raise ValueError(

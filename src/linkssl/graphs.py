@@ -9,7 +9,7 @@ byte-level results everywhere downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -301,16 +301,60 @@ def _exclude_keys(exclude, n):
     return lo[valid] * n + hi[valid]
 
 
+_NO_KEYS = np.zeros(0, dtype=np.int64)
+
+
+def _sample_pair_keys(rng, count, rows, cols, unordered, min_draws,
+                      forbidden=_NO_KEYS):
+    """`count` (>= 1) distinct pair keys i * cols + j, uniform without
+    replacement over the pairs (i, j) of [0, rows) x [0, cols) whose keys
+    are not in the sorted `forbidden`; `unordered` pairs are those with
+    i < j (rows == cols).
+
+    Rejection sampling draws max(min_draws, 2 * missing) pairs per round
+    (self-pairs dropped when unordered) and accepts them in draw order, each
+    if it is not forbidden and not yet chosen; the scan is vectorized per
+    round. When more than half of the admissible keys are needed, they are
+    enumerated in sorted order instead and `rng.choice` picks from them.
+    """
+    total = rows * (rows - 1) // 2 if unordered else rows * cols
+    if count * 2 > total - forbidden.size:
+        if unordered:
+            i, j = np.triu_indices(rows, k=1)
+            pool = i.astype(np.int64) * cols + j
+        else:
+            pool = np.arange(total, dtype=np.int64)
+        pool = pool[~_member(forbidden, pool)]
+        return pool[rng.choice(pool.size, size=count, replace=False)]
+
+    chosen = []
+    missing = count
+    while missing:
+        draws = max(min_draws, 2 * missing)
+        i = rng.integers(0, rows, size=draws)
+        j = rng.integers(0, cols, size=draws)
+        if unordered:
+            keep = i != j
+            i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+        keys = i * cols + j
+        keys = keys[~_member(forbidden, keys)]
+        # the first draw of each key in the round, in draw order
+        order = np.argsort(keys, kind="stable")
+        accepted = keys[np.sort(order[_run_starts(keys[order])])][:missing]
+        chosen.append(accepted)
+        missing -= accepted.size
+        if missing:
+            forbidden = np.sort(np.concatenate([forbidden, accepted]))
+    return np.concatenate(chosen)
+
+
 def sample_negative_pairs(g, count, exclude=(), seed=0):
     """Sample `count` distinct unordered non-edges uniformly at random.
 
     Pairs in g.edges or in `exclude` are never returned. Deterministic
     given the seed. Raises when fewer than `count` admissible pairs exist.
-
-    Rejection sampling draws 2 * max(missing, 16) candidate pairs per
-    round and accepts them in draw order, each if it is not forbidden and
-    not yet chosen; the scan is vectorized per round. When more than half
-    of the admissible pairs are needed, they are enumerated instead.
+    Drawn by `_sample_pair_keys`, 2 * max(missing, 16) pairs per rejection
+    round.
     """
     count = int(count)
     if count < 0:
@@ -320,38 +364,13 @@ def sample_negative_pairs(g, count, exclude=(), seed=0):
     extra = _exclude_keys(exclude, n)
     if extra.size:
         forbidden = _sorted_unique(np.concatenate([forbidden, extra]))
-    total = n * (n - 1) // 2
-    admissible = total - forbidden.size
+    admissible = n * (n - 1) // 2 - forbidden.size
     if count > admissible:
         raise ValueError(f"requested {count} negative pairs but only "
                          f"{admissible} non-edges exist")
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
-
-    rng = np.random.default_rng(seed)
-    if count * 2 > admissible:
-        # dense regime: enumerate every admissible pair and choose directly
-        us, vs = np.triu_indices(n, k=1)
-        mask = ~_member(forbidden, us.astype(np.int64) * n + vs)
-        pool = np.stack([us[mask], vs[mask]], axis=1).astype(np.int64)
-        idx = rng.choice(pool.shape[0], size=count, replace=False)
-        return pool[idx]
-
-    chosen = []
-    missing = count
-    while missing:
-        batch = max(missing, 16)
-        u = rng.integers(0, n, size=2 * batch)
-        v = rng.integers(0, n, size=2 * batch)
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
-        candidates = np.flatnonzero((u != v) & ~_member(forbidden, keys))
-        # the first draw of each key in the round, in draw order
-        order = np.argsort(keys[candidates], kind="stable")
-        first = _run_starts(keys[candidates[order]])
-        accepted = keys[np.sort(candidates[order[first]])][:missing]
-        chosen.append(accepted)
-        missing -= accepted.size
-        if missing:
-            forbidden = np.sort(np.concatenate([forbidden, accepted]))
-    keys = np.concatenate(chosen)
+    keys = _sample_pair_keys(np.random.default_rng(seed), count, n, n,
+                             unordered=True, min_draws=32,
+                             forbidden=forbidden)
     return np.stack([keys // n, keys % n], axis=1)

@@ -105,21 +105,32 @@ def add_optim_rows(table):
     return table
 
 
+def _comparable(table, dataset):
+    """(methods, scores, skipped) for one dataset column: the methods with
+    a cell there and their scores as a (runs, methods) matrix, or a reason
+    the column is skipped, with scores None: fewer than two methods, or seed
+    counts that differ or are below two."""
+    methods = [m for m in table.methods if (m, dataset) in table.cells]
+    if len(methods) < 2:
+        return methods, None, "fewer than two methods"
+    counts = {len(table.cells[(m, dataset)].scores) for m in methods}
+    if len(counts) != 1 or min(counts) < 2:
+        return methods, None, "unequal or single-run seed counts"
+    scores = np.column_stack([table.cells[(m, dataset)].scores
+                              for m in methods])
+    return methods, scores, None
+
+
 def annotate(table, alpha=0.05):
     """Bonferroni-Dunn star/cross per dataset over methods sharing a full
     seed count; skipped (no annotations) when fewer than two comparable
     methods or runs exist."""
     table.annotations = {}
     for dataset in table.datasets:
-        methods = [m for m in table.methods if (m, dataset) in table.cells]
-        if len(methods) < 2:
+        methods, scores, skipped = _comparable(table, dataset)
+        if skipped:
             continue
-        counts = {len(table.cells[(m, dataset)].scores) for m in methods}
-        if len(counts) != 1 or counts.pop() < 2:
-            continue
-        matrix = np.column_stack(
-            [table.cells[(m, dataset)].scores for m in methods])
-        best, worst = bonferroni_dunn_groups(matrix, alpha)
+        best, worst = bonferroni_dunn_groups(scores, alpha)
         for j in best:
             key = (methods[j], dataset)
             table.annotations[key] = table.annotations.get(key, "") + "*"
@@ -171,19 +182,12 @@ def stats_summary(rows, alpha=0.05, metric="hits_at_50"):
     table = build_table(rows, metric=metric)
     lines = []
     for dataset in table.datasets:
-        methods = [m for m in table.methods if (m, dataset) in table.cells]
-        if len(methods) < 2:
-            lines.append(f"{dataset}: fewer than two methods, skipped")
+        methods, scores, skipped = _comparable(table, dataset)
+        if skipped:
+            lines.append(f"{dataset}: {skipped}, skipped")
             continue
-        counts = {len(table.cells[(m, dataset)].scores) for m in methods}
-        if len(counts) != 1 or min(counts) < 2:
-            lines.append(f"{dataset}: unequal or single-run seed counts, "
-                         "skipped")
-            continue
-        matrix = np.column_stack(
-            [table.cells[(m, dataset)].scores for m in methods])
-        chi, p = friedman_test(matrix)
-        best, worst = bonferroni_dunn_groups(matrix, alpha)
+        chi, p = friedman_test(scores)
+        best, worst = bonferroni_dunn_groups(scores, alpha)
         names = [f"{m[0]} {m[1]}" for m in methods]
         lines.append(f"{dataset}: friedman chi2={chi:.4f} p={p:.3e}")
         lines.append("  best group: "

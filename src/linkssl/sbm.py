@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import louvain
-from .graphs import Graph
+from .graphs import Graph, _sample_pair_keys
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,20 @@ class BlockEdgeCounts:
         object.__setattr__(self, "counts", c)
         if not np.array_equal(c, c.T):
             raise ValueError("counts must be symmetric")
+        if (c < 0).any():
+            raise ValueError("counts must be nonnegative")
         sizes = np.asarray(self.block_sizes, dtype=np.int64)
         object.__setattr__(self, "block_sizes", sizes)
-        for r in range(self.num_blocks):
-            if c[r, r] > sizes[r] * (sizes[r] - 1) // 2:
-                raise ValueError(f"intra-block count exceeds slots in block {r}")
-            for s in range(r + 1, self.num_blocks):
-                if c[r, s] > sizes[r] * sizes[s]:
-                    raise ValueError(
-                        f"inter-block count exceeds slots for pair ({r},{s})")
+        slots = np.outer(sizes, sizes)
+        np.fill_diagonal(slots, sizes * (sizes - 1) // 2)
+        over = np.argwhere(np.triu(c > slots))
+        if over.size:
+            r, s = over[0]
+            if r == s:
+                raise ValueError(
+                    f"intra-block count exceeds slots in block {r}")
+            raise ValueError(
+                f"inter-block count exceeds slots for pair ({r},{s})")
 
     @property
     def total_edges(self):
@@ -66,69 +71,31 @@ def fit_block_counts(g, b):
                            counts=counts, members=members, n=g.n)
 
 
-def _sample_intra(members, k, rng):
-    """k distinct unordered pairs inside one block, uniform without replacement."""
-    size = len(members)
-    slots = size * (size - 1) // 2
-    if k > slots:
-        raise ValueError("intra-block count exceeds available pairs")
-    if k == 0:
-        return []
-    if k * 2 > slots:
-        us, vs = np.triu_indices(size, k=1)
-        idx = rng.choice(slots, size=k, replace=False)
-        return [(int(members[us[t]]), int(members[vs[t]])) for t in idx]
-    chosen = set()
-    while len(chosen) < k:
-        m = max(16, 2 * (k - len(chosen)))
-        i = rng.integers(0, size, size=m)
-        j = rng.integers(0, size, size=m)
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        for a, b in zip(lo[lo != hi], hi[lo != hi]):
-            chosen.add((int(a), int(b)))
-            if len(chosen) == k:
-                break
-    return [(int(members[i]), int(members[j])) for i, j in sorted(chosen)]
+def _sample_block_pair(c, r, s, rng):
+    """The c.counts[r, s] edges between blocks r and s (inside block r when
+    r == s): distinct node pairs, uniform without replacement.
 
-
-def _sample_inter(members_r, members_s, k, rng):
-    """k distinct pairs across two blocks, uniform without replacement."""
-    a, b = len(members_r), len(members_s)
-    slots = a * b
-    if k > slots:
-        raise ValueError("inter-block count exceeds available pairs")
-    if k == 0:
-        return []
-    if k * 2 > slots:
-        idx = rng.choice(slots, size=k, replace=False)
-        return [(int(members_r[t // b]), int(members_s[t % b])) for t in idx]
-    chosen = set()
-    while len(chosen) < k:
-        m = max(16, 2 * (k - len(chosen)))
-        i = rng.integers(0, a, size=m)
-        j = rng.integers(0, b, size=m)
-        for ii, jj in zip(i, j):
-            chosen.add((int(ii), int(jj)))
-            if len(chosen) == k:
-                break
-    return [(int(members_r[i]), int(members_s[j])) for i, j in sorted(chosen)]
+    Pair keys are lo * size + hi (lo < hi) inside a block and i * size_s + j
+    across two blocks, over block-local indices.
+    """
+    rows, cols = c.members[r], c.members[s]
+    keys = _sample_pair_keys(rng, int(c.counts[r, s]), rows.size, cols.size,
+                             unordered=r == s, min_draws=16)
+    return np.stack([rows[keys // cols.size], cols[keys % cols.size]], axis=1)
 
 
 def sample_sbm(c, seed=0):
     """Sample a simple undirected graph realizing the block-pair counts.
 
     fit_block_counts of the sample under the same partition reproduces c
-    exactly, for every seed.
+    exactly, for every seed. Block pairs are drawn in row-major order of the
+    upper triangle; pairs with no edges draw nothing.
     """
     rng = np.random.default_rng(seed)
-    edges = []
-    for r in range(c.num_blocks):
-        edges.extend(_sample_intra(c.members[r], int(c.counts[r, r]), rng))
-        for s in range(r + 1, c.num_blocks):
-            edges.extend(_sample_inter(c.members[r], c.members[s],
-                                       int(c.counts[r, s]), rng))
-    return Graph(c.n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for r, s in zip(*np.nonzero(np.triu(c.counts))):
+        edges.append(_sample_block_pair(c, r, s, rng))
+    return Graph(c.n, np.concatenate(edges))
 
 
 def sbm_augment(g, detector=louvain, seed=0):

@@ -390,13 +390,17 @@ def test_load_dataset_remaps_and_persists_idmap(tmp_path, monkeypatch):
     monkeypatch.setitem(REGISTRY, "toy", info)
     g = load_dataset("toy", root=tmp_path)
     assert g.n == 3 and g.num_edges == 3
-    sidecar = tmp_path / "toy.txt.idmap"
-    assert sidecar.exists()
-    text = sidecar.read_text()
-    assert "10 0" in text and "20 1" in text and "30 2" in text
-    # reload uses the persisted map
     g2 = load_dataset("toy", root=tmp_path)
     assert g2.edge_set() == g.edge_set()
+    # the id map is recomputed from the file; nothing is written beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.txt"]
+    # ids 10/20/30 map to 0/1/2 in ascending order, not in order of
+    # appearance: a star centred on 10 keeps its centre at 0
+    star = tmp_path / "star"
+    star.mkdir()
+    write_edge_list(star / "toy.txt", [(30, 10), (10, 20)])
+    monkeypatch.setitem(REGISTRY, "toy", DatasetInfo("toy", "toy.txt", 3, 4))
+    assert load_dataset("toy", root=star).edge_set() == {(0, 1), (0, 2)}
 
 
 def test_load_dataset_count_mismatch_raises(tmp_path, monkeypatch):

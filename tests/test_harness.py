@@ -79,6 +79,7 @@ def test_parse_accepts_comments_and_defaults():
     assert cfg.model == "bgrl"
     assert cfg.dataset == "USAir"
     assert cfg.seeds == DEFAULT_EVAL_SEEDS
+    assert parse_config("") == ExperimentConfig()
 
 
 def test_parse_rejects_unknown_key():
@@ -525,6 +526,21 @@ def test_stats_summary_reports_friedman_and_groups():
     assert "friedman chi2=" in text
     assert "best group: m best" in text
     assert "worst group: m worst" in text
+
+
+def test_stats_summary_reports_skipped_datasets():
+    rows = make_rows({("m", "a"): {"A": [0.1, 0.2], "B": [0.1, 0.2, 0.3],
+                                   "C": [0.1], "D": [0.1, 0.2]},
+                      ("m", "b"): {"B": [0.4, 0.5], "C": [0.2],
+                                   "D": [0.3, 0.4]}})
+    lines = report.stats_summary(rows).splitlines()
+    assert lines[0] == "A: fewer than two methods, skipped"
+    assert lines[1] == "B: unequal or single-run seed counts, skipped"
+    assert lines[2] == "C: unequal or single-run seed counts, skipped"
+    assert lines[3].startswith("D: friedman chi2=")
+    # annotate skips the same columns
+    table = report.annotate(report.build_table(rows), alpha=0.5)
+    assert {d for _, d in table.annotations} <= {"D"}
 
 
 # ------------------------------------------------------------------- cli

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkssl.community import BlockState, louvain
 from linkssl.graphs import Graph
@@ -133,3 +135,121 @@ def test_sample_deterministic():
     a = sample_sbm(c, seed=17)
     b2 = sample_sbm(c, seed=17)
     assert a.edge_set() == b2.edge_set()
+
+
+def _reference_sample_intra(members, k, rng):
+    """The per-block tuple-set loop the vectorized sampler must reproduce."""
+    size = len(members)
+    slots = size * (size - 1) // 2
+    if k == 0:
+        return []
+    if k * 2 > slots:
+        us, vs = np.triu_indices(size, k=1)
+        idx = rng.choice(slots, size=k, replace=False)
+        return [(int(members[us[t]]), int(members[vs[t]])) for t in idx]
+    chosen = set()
+    while len(chosen) < k:
+        m = max(16, 2 * (k - len(chosen)))
+        i = rng.integers(0, size, size=m)
+        j = rng.integers(0, size, size=m)
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        for a, b in zip(lo[lo != hi], hi[lo != hi]):
+            chosen.add((int(a), int(b)))
+            if len(chosen) == k:
+                break
+    return [(int(members[i]), int(members[j])) for i, j in sorted(chosen)]
+
+
+def _reference_sample_inter(members_r, members_s, k, rng):
+    a, b = len(members_r), len(members_s)
+    slots = a * b
+    if k == 0:
+        return []
+    if k * 2 > slots:
+        idx = rng.choice(slots, size=k, replace=False)
+        return [(int(members_r[t // b]), int(members_s[t % b])) for t in idx]
+    chosen = set()
+    while len(chosen) < k:
+        m = max(16, 2 * (k - len(chosen)))
+        i = rng.integers(0, a, size=m)
+        j = rng.integers(0, b, size=m)
+        for ii, jj in zip(i, j):
+            chosen.add((int(ii), int(jj)))
+            if len(chosen) == k:
+                break
+    return [(int(members_r[i]), int(members_s[j])) for i, j in sorted(chosen)]
+
+
+def _reference_sample_sbm(c, seed):
+    rng = np.random.default_rng(seed)
+    edges = []
+    for r in range(c.num_blocks):
+        edges.extend(_reference_sample_intra(c.members[r],
+                                             int(c.counts[r, r]), rng))
+        for s in range(r + 1, c.num_blocks):
+            edges.extend(_reference_sample_inter(c.members[r], c.members[s],
+                                                 int(c.counts[r, s]), rng))
+    return Graph(c.n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+@st.composite
+def block_counts(draw):
+    """Random partitions (empty blocks allowed, members in any order) with
+    zero, sparse, dense and full counts for each block pair."""
+    n = draw(st.integers(1, 40))
+    num_blocks = draw(st.integers(1, 6))
+    assignment = np.array(draw(st.lists(st.integers(0, num_blocks - 1),
+                                        min_size=n, max_size=n)))
+    shuffle = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    members = tuple(shuffle.permutation(np.flatnonzero(assignment == r))
+                    for r in range(num_blocks))
+    sizes = np.array([mm.size for mm in members], dtype=np.int64)
+    counts = np.zeros((num_blocks, num_blocks), dtype=np.int64)
+    for r in range(num_blocks):
+        for s in range(r, num_blocks):
+            slots = (int(sizes[r] * (sizes[r] - 1) // 2) if r == s
+                     else int(sizes[r] * sizes[s]))
+            regime = draw(st.sampled_from(["zero", "sparse", "dense", "any"]))
+            lo, hi = {"zero": (0, 0), "sparse": (1, slots // 2),
+                      "dense": (slots // 2 + 1, slots),
+                      "any": (0, slots)}[regime]
+            k = draw(st.integers(lo, hi)) if lo <= hi else 0
+            counts[r, s] = counts[s, r] = k
+    return BlockEdgeCounts(num_blocks=num_blocks, block_sizes=sizes,
+                           counts=counts, members=members, n=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=block_counts(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_matches_reference_stream(c, seed):
+    expected = _reference_sample_sbm(c, seed)
+    out = sample_sbm(c, seed)
+    assert np.array_equal(out.edges, expected.edges)
+    assert out.num_edges == c.total_edges
+
+
+def test_sample_matches_reference_on_louvain_fit():
+    # a sparse graph with many blocks: most block pairs hold no edges
+    rng = np.random.default_rng(5)
+    g = Graph(300, rng.integers(0, 300, size=(450, 2)))
+    c = fit_block_counts(g, louvain(g, seed=0))
+    assert c.num_blocks > 10 and (np.triu(c.counts) == 0).any()
+    for seed in range(10):
+        assert np.array_equal(sample_sbm(c, seed).edges,
+                              _reference_sample_sbm(c, seed).edges)
+
+
+def test_counts_validation_rejects_negative_counts():
+    with pytest.raises(ValueError, match="nonnegative"):
+        BlockEdgeCounts(num_blocks=2, block_sizes=np.array([2, 2]),
+                        counts=np.array([[0, -1], [-1, 0]]),
+                        members=(np.array([0, 1]), np.array([2, 3])), n=4)
+
+
+def test_counts_validation_names_the_first_overfull_pair():
+    members = (np.array([0, 1]), np.array([2, 3]), np.array([4]))
+    with pytest.raises(ValueError, match=r"pair \(0,2\)"):
+        BlockEdgeCounts(num_blocks=3, block_sizes=np.array([2, 2, 1]),
+                        counts=np.array([[1, 0, 3], [0, 2, 0], [3, 0, 0]]),
+                        members=members, n=5)
