@@ -20,9 +20,9 @@ from .graphs import (EdgeSplit, Graph, load_edge_list, normalized_adjacency,
                      random_link_split, sample_negative_pairs)
 from .metrics import ScoreSet, average_precision, evaluate_split, hits_at_k, roc_auc
 from .models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP, TrainState,
-                     bgrl_loss, grace_loss, lbgrl_loss, lgrace_loss,
-                     link_representation, select_link_sets, train_decoder,
-                     train_encoder, train_supervised_gcn)
+                     bgrl_loss, grace_loss, lgrace_loss, link_representation,
+                     select_link_sets, train_decoder, train_encoder,
+                     train_supervised_gcn)
 from .optim import EmaShadow, Parameter, adam_step, ema_update
 from .report import build_table, read_result_rows, render_csv, render_text, stats_summary
 from .runner import (TUNING_SEED, RunResult, random_search, run_experiment,
@@ -43,8 +43,8 @@ __all__ = [
     "sample_negative_pairs", "ScoreSet", "average_precision",
     "evaluate_split", "hits_at_k", "roc_auc", "Decoder", "EncoderConfig",
     "GCNEncoder", "LinkMLP", "TrainState", "bgrl_loss", "grace_loss",
-    "lbgrl_loss", "lgrace_loss", "link_representation", "select_link_sets",
-    "train_decoder", "train_encoder", "train_supervised_gcn", "EmaShadow",
+    "lgrace_loss", "link_representation", "select_link_sets", "train_decoder",
+    "train_encoder", "train_supervised_gcn", "EmaShadow",
     "Parameter", "adam_step", "ema_update", "build_table",
     "read_result_rows", "render_csv", "render_text", "stats_summary",
     "RunResult", "random_search", "run_experiment", "run_single",

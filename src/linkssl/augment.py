@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .community import DETECTORS
 from .graphs import FeatureMatrix
 from .sbm import fit_block_counts, sample_sbm
 
@@ -51,6 +52,9 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
+        if self.detector not in DETECTORS:
+            raise ValueError(f"unknown community detector {self.detector!r}; "
+                             f"choices: {DETECTORS}")
         for name in ("drop_edge_rate_1", "drop_edge_rate_2",
                      "drop_feature_rate_1", "drop_feature_rate_2"):
             rate = getattr(self, name)

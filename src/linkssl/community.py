@@ -15,6 +15,9 @@ import numpy as np
 
 GAIN_TOLERANCE = 1e-7
 
+# the names get_detector resolves
+DETECTORS = ("louvain", "leiden", "infomap", "external")
+
 
 @dataclass(frozen=True)
 class BlockState:
@@ -224,12 +227,13 @@ def get_detector(name, partition_file=None):
     external partition file provides the assignment (the detector interface
     is the degradation path for those algorithms).
     """
+    if name not in DETECTORS:
+        raise KeyError(f"unknown community detector {name!r}; "
+                       f"choices: {DETECTORS}")
     if name == "louvain":
         return louvain
-    if name in ("leiden", "infomap", "external"):
-        if partition_file is None:
-            raise NotImplementedError(
-                f"{name} is not built in; supply a partition file "
-                f"('node_id block_id' lines) to use an external detector")
-        return lambda g, seed=0: load_partition_file(partition_file, g.n)
-    raise KeyError(f"unknown community detector {name!r}")
+    if partition_file is None:
+        raise NotImplementedError(
+            f"{name} is not built in; supply a partition file "
+            f"('node_id block_id' lines) to use an external detector")
+    return lambda g, seed=0: load_partition_file(partition_file, g.n)

@@ -197,9 +197,7 @@ def link_representation(h, edges, mlp, weight_source=None):
     n = h.shape[0]
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint outside the embedding matrix")
-    hu = ad.gather_rows(h, edges[:, 0])
-    hv = ad.gather_rows(h, edges[:, 1])
-    return mlp.forward(ad.elementwise_mul(hu, hv), weight_source=weight_source)
+    return mlp.forward(hadamard_pairs(h, edges), weight_source=weight_source)
 
 
 def hadamard_pairs(h, pairs):

@@ -27,6 +27,10 @@ DECODER_EPOCHS = 100  # fixed decoder budget, not searched
 DECODER_MASK_RATE = 0.1
 
 SELF_SUPERVISED = ("grace", "bgrl", "lgrace", "lbgrl")
+# the paper's two axes: objectives over link rows instead of node rows, and
+# a bootstrapped EMA target instead of contrasted negatives
+LINK_MODELS = ("lgrace", "lbgrl")
+BOOTSTRAPPED = ("bgrl", "lbgrl")
 
 
 @dataclass
@@ -66,22 +70,27 @@ def _init_state(model, in_dim, cfg, seed):
     encoder = GCNEncoder(in_dim, cfg.encoder, rng)
     d = cfg.encoder.layer_size
     state = TrainState(model=model, encoder=encoder, seed=seed)
-    if model == "grace":
+    if model in LINK_MODELS:
+        state.link_mlp = LinkMLP(d, cfg.proj_hidden, rng)
+    elif model in SELF_SUPERVISED and model not in BOOTSTRAPPED:
         state.projector = Projector(d, cfg.proj_hidden, rng)
-    elif model == "bgrl":
+    if model in BOOTSTRAPPED:
         state.predictor = Predictor(d, cfg.proj_hidden, rng)
-    elif model == "lgrace":
-        state.link_mlp = LinkMLP(d, cfg.proj_hidden, rng)
-    elif model == "lbgrl":
-        state.link_mlp = LinkMLP(d, cfg.proj_hidden, rng)
-        state.predictor = Predictor(d, cfg.proj_hidden, rng)
-    if model in ("bgrl", "lbgrl"):
         state.tracked = list(encoder.parameters())
         if state.link_mlp is not None:
             state.tracked.extend(state.link_mlp.parameters())
         state.shadows = {p.name: EmaShadow(p, cfg.ema_decay)
                          for p in state.tracked}
     return state
+
+
+def _rows(h, edges, link_mlp, weight_source=None):
+    """The rows an objective compares: node embeddings as they are, or one
+    link representation per edge when `edges` is given."""
+    if edges is None:
+        return h
+    return link_representation(h, edges, link_mlp,
+                               weight_source=weight_source)
 
 
 def _epoch_views(graph, spec, block_state, seed, epoch):
@@ -94,8 +103,10 @@ def train_encoder(split, spec, model, cfg, seed, block_state=None):
 
     block_state, when the augmentation needs one and none is supplied, is
     detected on the train graph; the oracle variant passes a pre-split
-    detection in from the caller. Epochs whose views share no edge (link
-    models only) are skipped with a warning.
+    detection in from the caller. Each epoch embeds both views, takes node
+    rows (GRACE, BGRL) or shared-link rows (L-GRACE, L-BGRL), and contrasts
+    them (InfoNCE) or bootstraps them (EMA target plus predictor). Epochs
+    whose views share no edge (link models only) are skipped with a warning.
     """
     if model not in SELF_SUPERVISED:
         raise ValueError(f"unknown self-supervised model {model!r}")
@@ -106,53 +117,36 @@ def train_encoder(split, spec, model, cfg, seed, block_state=None):
     state = _init_state(model, graph.features.n_cols, cfg, seed)
     params = state.online_parameters()
 
+    edge_pos = None
     for epoch in range(cfg.ct_epochs):
         v1, v2 = _epoch_views(graph, spec, block_state, seed, epoch)
-        if model == "grace":
-            h1 = state.encoder.forward(v1, mode="train")
-            h2 = state.encoder.forward(v2, mode="train")
-            loss = grace_loss(h1, h2, state.projector, cfg.tau)
-        elif model == "bgrl":
-            h1 = state.encoder.forward(v1, mode="train")
-            h2 = state.encoder.forward(v2, mode="train")
-            shadow = state.shadow_tensors()
-            t1 = state.encoder.forward(v1, mode="target", weight_source=shadow)
-            t2 = state.encoder.forward(v2, mode="target", weight_source=shadow)
-            loss = ad.add(
-                bgrl_loss(state.predictor.forward(h1), t2),
-                bgrl_loss(state.predictor.forward(h2), t1))
-        else:
-            neg_seed = derive_seed(seed, "negatives", epoch)
-            edge_pos, edge_neg = select_link_sets(v1, v2, neg_seed)
+        if model in LINK_MODELS:
+            edge_pos, edge_neg = select_link_sets(
+                v1, v2, derive_seed(seed, "negatives", epoch))
             if len(edge_pos) == 0:
                 warnings.warn(
                     f"epoch {epoch}: views share no edge, skipping")
                 state.loss_history.append((epoch, float("nan")))
                 continue
-            h1 = state.encoder.forward(v1, mode="train")
-            h2 = state.encoder.forward(v2, mode="train")
-            if model == "lgrace":
-                loss = lgrace_loss(
-                    link_representation(h1, edge_pos, state.link_mlp),
-                    link_representation(h2, edge_pos, state.link_mlp),
-                    link_representation(h1, edge_neg, state.link_mlp),
-                    link_representation(h2, edge_neg, state.link_mlp),
-                    cfg.tau)
-            else:
-                shadow = state.shadow_tensors()
-                t1 = state.encoder.forward(v1, mode="target",
-                                           weight_source=shadow)
-                t2 = state.encoder.forward(v2, mode="target",
-                                           weight_source=shadow)
-                z1 = link_representation(h1, edge_pos, state.link_mlp)
-                z2 = link_representation(h2, edge_pos, state.link_mlp)
-                tz1 = link_representation(t1, edge_pos, state.link_mlp,
-                                          weight_source=shadow)
-                tz2 = link_representation(t2, edge_pos, state.link_mlp,
-                                          weight_source=shadow)
-                loss = ad.add(
-                    bgrl_loss(state.predictor.forward(z1), tz2),
-                    bgrl_loss(state.predictor.forward(z2), tz1))
+        h1 = state.encoder.forward(v1, mode="train")
+        h2 = state.encoder.forward(v2, mode="train")
+        z1 = _rows(h1, edge_pos, state.link_mlp)
+        z2 = _rows(h2, edge_pos, state.link_mlp)
+        if model in BOOTSTRAPPED:
+            shadow = state.shadow_tensors()
+            t1 = state.encoder.forward(v1, mode="target", weight_source=shadow)
+            t2 = state.encoder.forward(v2, mode="target", weight_source=shadow)
+            loss = ad.add(
+                bgrl_loss(state.predictor.forward(z1),
+                          _rows(t2, edge_pos, state.link_mlp, shadow)),
+                bgrl_loss(state.predictor.forward(z2),
+                          _rows(t1, edge_pos, state.link_mlp, shadow)))
+        elif model in LINK_MODELS:
+            loss = lgrace_loss(z1, z2,
+                               _rows(h1, edge_neg, state.link_mlp),
+                               _rows(h2, edge_neg, state.link_mlp), cfg.tau)
+        else:
+            loss = grace_loss(z1, z2, state.projector, cfg.tau)
         value = loss.item()
         _check_finite(value, epoch, model)
         ad.backward(loss)

@@ -197,6 +197,8 @@ def test_spec_validation():
         AugmentationSpec(drop_edge_rate_1=0.95)
     with pytest.raises(ValueError):
         AugmentationSpec(cutoff=0.99)
+    with pytest.raises(ValueError, match="'luvain'.*louvain"):
+        AugmentationSpec(detector="luvain")
 
 
 def test_make_views_random_zero_rates_identity():

@@ -1,5 +1,6 @@
 """The traced benchmark patches program names from outside; each one must
-still resolve, or `perfbench/run.py --trace 1` breaks without a test failing.
+still resolve, or `perfbench/run.py --trace 1` breaks without a test failing,
+and the training loop must still call the ones it owns, or their spans read 0.
 
 perfbench/spans.py is loaded by path and only read: no tracer is entered.
 """
@@ -7,6 +8,9 @@ perfbench/spans.py is loaded by path and only read: no tracer is entered.
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +40,42 @@ def test_traced_autodiff_ops_and_methods_resolve():
     assert missing == []
     assert callable(nets.GCNEncoder.forward)
     assert callable(runner.run_experiment)
+
+
+# the traced names in models.training that one epoch of each model calls
+EPOCH_CALLS = {
+    "grace": {"make_views", "grace_loss", "adam_step"},
+    "bgrl": {"make_views", "bgrl_loss", "adam_step", "ema_update"},
+    "lgrace": {"make_views", "select_link_sets", "lgrace_loss", "adam_step"},
+    "lbgrl": {"make_views", "select_link_sets", "bgrl_loss", "adam_step",
+              "ema_update"},
+}
+
+
+@pytest.mark.parametrize("model", sorted(EPOCH_CALLS))
+def test_train_encoder_calls_traced_names(model, monkeypatch):
+    # a refactor that stops calling a traced name would read 0 in its span
+    from linkssl.augment import AugmentationSpec
+    from linkssl.graphs import Graph, random_link_split
+    from linkssl.models import EncoderConfig, training
+
+    called = set()
+    for module, attr, _ in load_spans().FUNCTIONS:
+        if module != "linkssl.models.training":
+            continue
+
+        def spy(*args, _attr=attr, _fn=getattr(training, attr), **kwargs):
+            called.add(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(training, attr, spy)
+    graph = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                      (6, 7), (4, 7), (1, 6)])
+    split = random_link_split(graph, (0.8, 0.1, 0.1), seed=1)
+    spec = AugmentationSpec(drop_edge_rate_1=0.0, drop_edge_rate_2=0.0)
+    cfg = SimpleNamespace(
+        ct_epochs=1, gnn_lr=1e-3, weight_decay=0.0, proj_hidden=64, tau=0.5,
+        ema_decay=0.9, encoder=EncoderConfig(n_layers=1, layer_size=64))
+    state = training.train_encoder(split, spec, model, cfg, seed=2)
+    assert state.epoch == 1
+    assert called == EPOCH_CALLS[model]

@@ -17,11 +17,12 @@ from linkssl.community import louvain
 from linkssl.graphs import FeatureMatrix, Graph, random_link_split
 from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             Predictor, Projector, bgrl_loss, embed,
-                            grace_loss, lbgrl_loss, lgrace_loss,
+                            grace_loss, lgrace_loss,
                             link_representation, predict_scores,
                             select_link_sets, train_decoder, train_encoder,
                             train_supervised_gcn)
-from linkssl.models.training import DECODER_EPOCHS, _decoder_objective
+from linkssl.models.training import (DECODER_EPOCHS, SELF_SUPERVISED,
+                                     _decoder_objective, _init_state)
 
 
 class IdentityHead:
@@ -150,20 +151,14 @@ def test_lgrace_single_link_frozen_minus_one():
         -1.0, abs=1e-12)
 
 
-def test_lgrace_negative_anchor_variant():
-    # anchoring on the i-th same-view negative instead: denominator becomes
-    # exp(cos(neg1, neg2)) = e, so l = 1 - 1 = 0 per direction
-    z1p, z2p, z1n, z2n = _single_link_tensors()
-    loss = lgrace_loss(z1p, z2p, z1n, z2n, 1.0, anchor="negative")
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lgrace_positive_in_denominator_flag():
-    # adding the positive term: denominator = e^0 + e^1, l = 1 - ln(1 + e)
-    z1p, z2p, z1n, z2n = _single_link_tensors()
-    loss = lgrace_loss(z1p, z2p, z1n, z2n, 1.0,
-                       add_positive_to_denominator=True)
-    assert loss.item() == pytest.approx(np.log(1.0 + np.e) - 1.0, abs=1e-12)
+def test_lgrace_with_positives_as_negatives_is_grace():
+    # GRACE is L-GRACE whose negatives are the other positives
+    rng = np.random.default_rng(14)
+    u = ad.Tensor(rng.normal(size=(7, 4)))
+    v = ad.Tensor(rng.normal(size=(7, 4)))
+    link = lgrace_loss(u, v, u, v, 0.5).item()
+    node = grace_loss(u, v, IdentityHead(), 0.5).item()
+    assert abs(link - node) <= 1e-12
 
 
 def test_lgrace_monotone_in_tau():
@@ -212,17 +207,14 @@ def test_lgrace_rejects_bad_inputs():
                     ad.Tensor(np.ones((2, 2))), 1.0)
     with pytest.raises(ValueError):
         lgrace_loss(z1p, z2p, z1n, z2n, -1.0)
-    with pytest.raises(ValueError):
-        lgrace_loss(z1p, z2p, z1n, z2n, 1.0, anchor="other")
 
 
-@pytest.mark.parametrize("anchor", ["positive", "negative"])
-def test_lgrace_loss_grad_check(anchor):
+def test_lgrace_loss_grad_check():
     rng = np.random.default_rng(10)
     tensors = [ad.Tensor(rng.normal(size=(6, 3))) for _ in range(4)]
 
     def f(a, b, c, d):
-        return lgrace_loss(a, b, c, d, 0.5, anchor=anchor)
+        return lgrace_loss(a, b, c, d, 0.5)
 
     assert ad.grad_check(f, tensors) < 1e-4
 
@@ -255,13 +247,15 @@ def test_bgrl_rejects_grad_tracked_target():
 
 
 def test_lbgrl_row_rescale_invariance():
+    # L-BGRL's objective is bgrl_loss over link rows; rescaling one link's
+    # prediction leaves its cosine unchanged
     rng = np.random.default_rng(11)
     pred = rng.normal(size=(4, 3))
     tgt = rng.normal(size=(4, 3))
-    base = lbgrl_loss(ad.Tensor(pred), ad.Tensor(tgt)).item()
+    base = bgrl_loss(ad.Tensor(pred), ad.Tensor(tgt)).item()
     scaled = pred.copy()
     scaled[2] *= 37.5
-    other = lbgrl_loss(ad.Tensor(scaled), ad.Tensor(tgt)).item()
+    other = bgrl_loss(ad.Tensor(scaled), ad.Tensor(tgt)).item()
     assert abs(base - other) <= 1e-12
 
 
@@ -281,10 +275,17 @@ def test_bgrl_loss_grad_check():
 
 
 def test_lbgrl_loss_grad_check():
+    # bgrl_loss over link rows, differentiated into the node embeddings
     rng = np.random.default_rng(13)
-    z = ad.Tensor(rng.normal(size=(6, 3)))
+    h = ad.Tensor(rng.normal(size=(5, 3)))
+    edges = [(0, 1), (1, 2), (0, 4), (3, 4), (2, 3), (1, 4)]
     target = ad.Tensor(rng.normal(size=(6, 3)))
-    assert ad.grad_check(lambda t: lbgrl_loss(t, target), [z]) < 1e-4
+
+    def f(t):
+        return bgrl_loss(link_representation(t, edges, IdentityHead()),
+                         target)
+
+    assert ad.grad_check(f, [h]) < 1e-4
 
 
 # ------------------------------------------------------------ link set pick
@@ -476,14 +477,38 @@ def test_train_encoder_grace_loss_decreases():
     assert state.epoch == 100
 
 
-def test_train_encoder_bit_identical_repeat():
+@pytest.mark.parametrize("model", SELF_SUPERVISED)
+def test_train_encoder_bit_identical_repeat(model):
     split = _toy_split()
     spec = AugmentationSpec()
     runs = []
     for _ in range(2):
-        st = train_encoder(split, spec, "grace", toy_cfg(ct_epochs=5), seed=9)
-        runs.append([p.values.copy() for p in st.online_parameters()])
-    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        st = train_encoder(split, spec, model, toy_cfg(ct_epochs=5), seed=9)
+        runs.append([p.values.copy() for p in st.online_parameters()]
+                    + [s.values.copy() for s in st.shadows.values()]
+                    + [np.array(st.loss_history)])
+    assert len(runs[0]) == len(runs[1])
+    assert all(np.array_equal(a, b, equal_nan=True)
+               for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("model, heads", [
+    ("grace", {"projector"}), ("bgrl", {"predictor"}),
+    ("lgrace", {"link_mlp"}), ("lbgrl", {"link_mlp", "predictor"}),
+    ("gcn_supervised", set())])
+def test_init_state_heads(model, heads):
+    cfg = toy_cfg(model=model)
+    state = _init_state(model, 6, cfg, seed=3)
+    built = {name for name in ("projector", "predictor", "link_mlp")
+             if getattr(state, name) is not None}
+    assert built == heads
+    tracked = []
+    if model in ("bgrl", "lbgrl"):
+        tracked = state.encoder.parameters()
+    if model == "lbgrl":
+        tracked = tracked + state.link_mlp.parameters()
+    assert [id(p) for p in state.tracked] == [id(p) for p in tracked]
+    assert sorted(state.shadows) == sorted(p.name for p in tracked)
 
 
 def test_train_encoder_seed_changes_trajectory():
