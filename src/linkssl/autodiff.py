@@ -17,6 +17,7 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import sparse
 
 EPS = 1e-12
 
@@ -281,27 +282,6 @@ def sigmoid(x):
     return _make(out, (x,), backward_fn, "sigmoid")
 
 
-def log(x):
-    safe = np.maximum(x.values, EPS)
-    out = np.log(safe)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g / safe)
-
-    return _make(out, (x,), backward_fn, "log")
-
-
-def exp(x):
-    out = np.exp(x.values)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * out)
-
-    return _make(out, (x,), backward_fn, "exp")
-
-
 def row_l2_normalize(x):
     """Scale each row to unit L2 norm; rows with norm below EPS divide by EPS."""
     norms = np.sqrt(np.sum(x.values ** 2, axis=1, keepdims=True))
@@ -374,6 +354,46 @@ def logaddexp(a, b):
     return _make(out, (a, b), backward_fn, "logaddexp")
 
 
+def nce_denominator(anchor, other, tau):
+    """InfoNCE log-denominators log sum_{j != i} exp(a_i . o_j / tau), (r, 1).
+
+    Row i contrasts anchor row i against every row of `other` except row i.
+    The softmax over those columns is kept for the backward pass, so the op
+    holds one r x r array; passing the same tensor twice (GRACE's stacked
+    views) makes the score matrix symmetric and its gradient one product.
+    """
+    if anchor.shape != other.shape:
+        raise ValueError(f"nce_denominator needs equal shapes, got "
+                         f"{anchor.shape} and {other.shape}")
+    if anchor.shape[0] < 2:
+        raise ValueError("nce_denominator needs at least 2 rows")
+    a, o = anchor.values, other.values
+    p = a @ o.T  # numpy runs syrk when the two are one array
+    p *= 1.0 / tau
+    np.fill_diagonal(p, -np.inf)
+    m = np.max(p, axis=1, keepdims=True)
+    p -= m
+    np.exp(p, out=p)
+    sums = np.sum(p, axis=1, keepdims=True)
+    p /= sums
+    out = m + np.log(sums)
+    if _tracker is not None:
+        _tracker.record_array(p)
+
+    def backward_fn(g):
+        w = p * (g / tau)
+        if anchor is other:
+            if anchor.requires_grad:
+                anchor._accumulate((w + w.T) @ a)
+            return
+        if anchor.requires_grad:
+            anchor._accumulate(w @ o)
+        if other.requires_grad:
+            other._accumulate(w.T @ a)
+
+    return _make(out, (anchor, other), backward_fn, "nce_denominator")
+
+
 def tensor_sum(x):
     out = np.sum(x.values).reshape(1, 1)
 
@@ -425,9 +445,11 @@ def gather_rows(x, indices):
 
     def backward_fn(g):
         if x.requires_grad:
-            acc = np.zeros(x.shape)
-            np.add.at(acc, idx, g)
-            x._accumulate(acc)
+            # scatter-add as one sparse product: row idx[j] gains g[j]
+            scatter = sparse.csr_matrix(
+                (np.ones(len(idx)), (idx, np.arange(len(idx)))),
+                shape=(x.shape[0], len(idx)))
+            x._accumulate(scatter @ g)
 
     return _make(out, (x,), backward_fn, "gather_rows")
 
@@ -448,21 +470,6 @@ def mask_diagonal(x, fill=-np.inf):
     return _make(out, (x,), backward_fn, "mask_diagonal")
 
 
-def diag_part(x):
-    """Diagonal of a square matrix as an (n, 1) tensor."""
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("diag_part requires a square matrix")
-    out = np.diag(x.values).reshape(-1, 1)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            acc = np.zeros(x.shape)
-            np.fill_diagonal(acc, g[:, 0])
-            x._accumulate(acc)
-
-    return _make(out, (x,), backward_fn, "diag_part")
-
-
 def batch_norm(x, gamma, beta, state, momentum, training):
     """Batch normalization over rows with running statistics.
 
@@ -473,16 +480,17 @@ def batch_norm(x, gamma, beta, state, momentum, training):
     bn_eps = 1e-5
     if training:
         mu = np.mean(x.values, axis=0, keepdims=True)
-        var = np.var(x.values, axis=0, keepdims=True)
+        centred = x.values - mu
+        var = np.mean(centred * centred, axis=0, keepdims=True)
         state["running_mean"] *= momentum
         state["running_mean"] += (1.0 - momentum) * mu
         state["running_var"] *= momentum
         state["running_var"] += (1.0 - momentum) * var
     else:
-        mu = state["running_mean"]
+        centred = x.values - state["running_mean"]
         var = state["running_var"]
     inv_std = 1.0 / np.sqrt(var + bn_eps)
-    xhat = (x.values - mu) * inv_std
+    xhat = np.multiply(centred, inv_std, out=centred)  # no second n x d copy
     out = gamma.values * xhat + beta.values
 
     def backward_fn(g):

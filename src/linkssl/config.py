@@ -17,7 +17,6 @@ from .seeding import derive_rng
 MODELS = ("gcn_supervised", "grace", "bgrl", "lgrace", "lbgrl")
 CT_EPOCH_CHOICES = (100, 500, 1500, 3000)
 LOSS_FUNCS = ("log_sig", "bce")
-DETECTOR_CHOICES = ("louvain", "leiden", "infomap")
 
 DEFAULT_EVAL_SEEDS = tuple(range(1, 11))
 
@@ -191,8 +190,8 @@ class SearchSpace:
     """Uniform sampling ranges for the tuned fields.
 
     Detectors other than louvain need external partition files, so the
-    default search keeps commu_detect fixed; pass detectors=DETECTOR_CHOICES
-    to widen it.
+    default search keeps commu_detect fixed; pass more names from
+    community.DETECTORS as `detectors` to widen it.
     """
 
     budget: int = 25

@@ -2,11 +2,12 @@
 
 The link-level objectives are the node-level ones over link rows: L-GRACE
 is GRACE's InfoNCE with sampled negative links, and L-BGRL uses bgrl_loss
-as it is. Both InfoNCE objectives share one denominator helper. Node-level
-InfoNCE builds n x n score matrices; the link-level variant builds k x k
-ones, where k is the number of links shared by the two views. That is not
-smaller than the node case on dense graphs: on PB (n = 1222) k is about
-7.5k.
+as it is. Both InfoNCE objectives stack their two views' anchors and
+contrasted rows and take every denominator from one masked 2k x 2k score
+matrix (autodiff.nce_denominator), the NT-Xent form of SimCLR that GRACE
+adopts. For GRACE k is the node count; for L-GRACE it is the number of
+links shared by the two views, which is not smaller than the node count on
+dense graphs: on PB (n = 1222) k is about 7.5k.
 """
 
 from __future__ import annotations
@@ -17,19 +18,14 @@ from .. import autodiff as ad
 from ..graphs import sample_negative_pairs
 
 
-def _nce_direction(anchor, cross, same, tau):
-    """One InfoNCE direction: (log-denominator per anchor row, logits).
+def _nce_gap(den, rows1, rows2, tau):
+    """mean(den) - mean(pos) for stacked denominators over both views.
 
-    The denominator sums every anchor x cross score plus the anchor x same
-    scores off the diagonal. `logits` is the anchor x cross matrix at
-    temperature tau.
+    Each direction shares the positive score pos_i = rows1_i . rows2_i / tau,
+    so this is the mean of the two directions' den - pos.
     """
-    scaled = ad.scalar_mul(anchor, 1.0 / tau)
-    logits = ad.matmul(scaled, ad.transpose(cross))
-    same_logits = ad.matmul(scaled, ad.transpose(same))
-    den = ad.logaddexp(ad.logsumexp_rows(logits),
-                       ad.logsumexp_rows(ad.mask_diagonal(same_logits)))
-    return den, logits
+    pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(rows1, rows2)), 1.0 / tau)
+    return ad.sub(ad.tensor_mean(den), ad.tensor_mean(pos))
 
 
 def grace_loss(u_emb, v_emb, projector, tau):
@@ -46,13 +42,8 @@ def grace_loss(u_emb, v_emb, projector, tau):
         raise ValueError("tau must be positive")
     p1 = ad.row_l2_normalize(projector.forward(u_emb))
     p2 = ad.row_l2_normalize(projector.forward(v_emb))
-    den1, logits = _nce_direction(p1, p2, p1, tau)
-    den2, _ = _nce_direction(p2, p1, p2, tau)
-    pos = ad.diag_part(logits)
-    # loss = mean(den1 + den2 - 2 * pos) / 2 since both directions share the
-    # positive score cos(u_i, v_i) / tau
-    gap = ad.sub(ad.add(den1, den2), ad.scalar_mul(pos, 2.0))
-    return ad.scalar_mul(ad.tensor_mean(gap), 0.5)
+    both = ad.concat_rows([p1, p2])
+    return _nce_gap(ad.nce_denominator(both, both, tau), p1, p2, tau)
 
 
 def select_link_sets(view1, view2, rng_seed):
@@ -97,11 +88,9 @@ def lgrace_loss(z1_pos, z2_pos, z1_neg, z2_neg, tau):
     n2p = ad.row_l2_normalize(z2_pos)
     n1n = ad.row_l2_normalize(z1_neg)
     n2n = ad.row_l2_normalize(z2_neg)
-    pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(n1p, n2p)), 1.0 / tau)
-    den1, _ = _nce_direction(n1p, n2n, n1n, tau)
-    den2, _ = _nce_direction(n2p, n1n, n2n, tau)
-    gap = ad.sub(ad.add(den1, den2), ad.scalar_mul(pos, 2.0))
-    return ad.scalar_mul(ad.tensor_mean(gap), 0.5)
+    den = ad.nce_denominator(ad.concat_rows([n1p, n2p]),
+                             ad.concat_rows([n1n, n2n]), tau)
+    return _nce_gap(den, n1p, n2p, tau)
 
 
 def bgrl_loss(online_pred, target_emb):

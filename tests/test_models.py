@@ -219,6 +219,54 @@ def test_lgrace_loss_grad_check():
     assert ad.grad_check(f, tensors) < 1e-4
 
 
+def _per_direction_denominator(anchor, cross, same, tau):
+    """One InfoNCE direction as separate k x k ops: every anchor x cross
+    score plus the anchor x same scores off the diagonal."""
+    scaled = ad.scalar_mul(anchor, 1.0 / tau)
+    logits = ad.matmul(scaled, ad.transpose(cross))
+    same_logits = ad.matmul(scaled, ad.transpose(same))
+    return ad.logaddexp(ad.logsumexp_rows(logits),
+                        ad.logsumexp_rows(ad.mask_diagonal(same_logits)))
+
+
+def _per_direction_nce(z1p, z2p, z1n, z2n, tau):
+    """Both directions' mean(den - pos) / 2, the unstacked reference."""
+    n1p, n2p, n1n, n2n = [ad.row_l2_normalize(z) for z in (z1p, z2p, z1n, z2n)]
+    pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(n1p, n2p)), 1.0 / tau)
+    den1 = _per_direction_denominator(n1p, n2n, n1n, tau)
+    den2 = _per_direction_denominator(n2p, n1n, n2n, tau)
+    gap = ad.sub(ad.add(den1, den2), ad.scalar_mul(pos, 2.0))
+    return ad.scalar_mul(ad.tensor_mean(gap), 0.5)
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.05, 1e-3])
+@pytest.mark.parametrize("model", ["grace", "lgrace"])
+def test_stacked_denominator_matches_per_direction_composition(model, tau):
+    # tau = 1e-3 puts the cosine logits at +/-1000
+    rng = np.random.default_rng(21)
+    vals = [rng.normal(size=(40, 8)) for _ in range(4)]
+
+    def loss_and_grads(fn, arrays):
+        tensors = [ad.Tensor(v, requires_grad=True) for v in arrays]
+        loss = fn(*tensors)
+        ad.backward(loss)
+        return loss.item(), [t.grad for t in tensors]
+
+    if model == "grace":
+        got = loss_and_grads(
+            lambda u, v: grace_loss(u, v, IdentityHead(), tau), vals[:2])
+        want = loss_and_grads(
+            lambda u, v: _per_direction_nce(u, v, u, v, tau), vals[:2])
+    else:
+        got = loss_and_grads(
+            lambda *z: lgrace_loss(*z, tau), vals)
+        want = loss_and_grads(
+            lambda *z: _per_direction_nce(*z, tau), vals)
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+    for g, w in zip(got[1], want[1]):
+        assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+
+
 # ----------------------------------------------------------- bgrl and lbgrl
 
 def test_bgrl_identical_rows_minus_two():
