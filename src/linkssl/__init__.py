@@ -23,7 +23,7 @@ from .models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP, TrainState,
                      bgrl_loss, grace_loss, lgrace_loss, link_representation,
                      select_link_sets, train_decoder, train_encoder,
                      train_supervised_gcn)
-from .optim import EmaShadow, Parameter, adam_step, ema_update
+from .optim import Parameter, adam_step, ema_update
 from .report import build_table, read_result_rows, render_csv, render_text, stats_summary
 from .runner import (TUNING_SEED, RunResult, random_search, run_experiment,
                      run_single, train_single, validation_objective)
@@ -44,8 +44,8 @@ __all__ = [
     "evaluate_split", "hits_at_k", "roc_auc", "Decoder", "EncoderConfig",
     "GCNEncoder", "LinkMLP", "TrainState", "bgrl_loss", "grace_loss",
     "lgrace_loss", "link_representation", "select_link_sets", "train_decoder",
-    "train_encoder", "train_supervised_gcn", "EmaShadow",
-    "Parameter", "adam_step", "ema_update", "build_table",
+    "train_encoder", "train_supervised_gcn", "Parameter", "adam_step",
+    "ema_update", "build_table",
     "read_result_rows", "render_csv", "render_text", "stats_summary",
     "RunResult", "random_search", "run_experiment", "run_single",
     "train_single", "validation_objective", "fit_block_counts", "sample_sbm",

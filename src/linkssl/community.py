@@ -2,8 +2,8 @@
 
 Louvain is implemented from scratch (iterated local moving plus graph
 aggregation, resolution fixed at 1.0). Leiden and Infomap are not
-implemented; their role in the detector choice degrades gracefully to
-partitions supplied through external partition files.
+implemented: `get_detector` resolves them, like "external", only to a
+reader of a supplied partition file.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import read_edge_pairs
+
 GAIN_TOLERANCE = 1e-7
 
-# the names get_detector resolves
+# the names get_detector resolves, and those it runs without a partition file
 DETECTORS = ("louvain", "leiden", "infomap", "external")
+BUILT_IN_DETECTORS = ("louvain",)
 
 
 @dataclass(frozen=True)
@@ -198,20 +201,21 @@ def _weighted_modularity(community, comm_internal, comm_total, two_m):
 
 
 def load_partition_file(path, n):
-    """Read an external "node_id block_id" partition file into a BlockState."""
+    """Read an external "node_id block_id" partition file into a BlockState.
+
+    Rows are parsed by `read_edge_pairs`. Errors name path:line for an
+    out-of-range node, a negative block id, or a node listed twice.
+    """
+    rows, linenos = read_edge_pairs(path)
     raw = np.full(n, -1, dtype=np.int64)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node_id block_id'")
-            node, block = int(tokens[0]), int(tokens[1])
-            if not 0 <= node < n:
-                raise ValueError(f"{path}:{lineno}: node id {node} out of range")
-            raw[node] = block
+    for (node, block), lineno in zip(rows.tolist(), linenos):
+        if not 0 <= node < n:
+            raise ValueError(f"{path}:{lineno}: node id {node} out of range")
+        if block < 0:
+            raise ValueError(f"{path}:{lineno}: negative block id {block}")
+        if raw[node] >= 0:
+            raise ValueError(f"{path}:{lineno}: node {node} listed twice")
+        raw[node] = block
     if np.any(raw < 0):
         missing = int(np.sum(raw < 0))
         raise ValueError(f"{path}: {missing} nodes lack a block assignment")
@@ -223,14 +227,13 @@ def load_partition_file(path, n):
 def get_detector(name, partition_file=None):
     """Resolve a detector name to a callable (graph, seed) -> BlockState.
 
-    Only "louvain" is built in. "leiden" and "infomap" are accepted when an
-    external partition file provides the assignment (the detector interface
-    is the degradation path for those algorithms).
+    Only "louvain" is built in. "leiden", "infomap" and "external" resolve
+    only with a partition file that supplies the assignment.
     """
     if name not in DETECTORS:
         raise KeyError(f"unknown community detector {name!r}; "
                        f"choices: {DETECTORS}")
-    if name == "louvain":
+    if name in BUILT_IN_DETECTORS:
         return louvain
     if partition_file is None:
         raise NotImplementedError(

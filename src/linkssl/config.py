@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationSpec
+from .community import BUILT_IN_DETECTORS
 from .models.nets import EncoderConfig
 from .seeding import derive_rng
 
@@ -68,6 +69,14 @@ class ExperimentConfig:
             raise ValueError("tau must lie in [0.1, 0.9] step 0.1")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
+        aug = self.augmentation
+        if (self.model != "gcn_supervised" and aug.needs_block_state()
+                and aug.detector not in BUILT_IN_DETECTORS):
+            # no config key supplies the partition file the others read
+            raise ValueError(
+                f"commu_detect={aug.detector!r} has no built-in "
+                f"implementation, and augmentation={aug.kind!r} needs "
+                f"detected blocks; use one of {BUILT_IN_DETECTORS}")
         fr = tuple(float(f) for f in self.split_fractions)
         if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError("split_fractions must be 3 values summing to 1")
@@ -189,9 +198,10 @@ def save_config(cfg, path):
 class SearchSpace:
     """Uniform sampling ranges for the tuned fields.
 
-    Detectors other than louvain need external partition files, so the
-    default search keeps commu_detect fixed; pass more names from
-    community.DETECTORS as `detectors` to widen it.
+    The default search keeps commu_detect at the built-in louvain. Other
+    names from community.DETECTORS may be passed as `detectors`, but only
+    trials whose augmentation reads no blocks can use them: a scom or SBM
+    trial that draws one is rejected when its config is built.
     """
 
     budget: int = 25

@@ -3,7 +3,8 @@
 All parameters are float64 and flow through the reverse-mode autodiff ops.
 Encoders exploit identity features: X @ W collapses to W (with masked
 feature columns zeroing the matching rows of W), so the n x n identity is
-never materialized.
+never materialized. Modules read only their own parameters; the
+bootstrapped models' target network is a deep copy of them.
 """
 
 from __future__ import annotations
@@ -80,24 +81,21 @@ class GCNEncoder:
             return ad.elementwise_mul(weight_tensor, mask)
         return ad.matmul(ad.Tensor(x.dense_values), weight_tensor)
 
-    def forward(self, view, mode="train", weight_source=None):
+    def forward(self, view, mode="train"):
         """Embed the view's nodes.
 
-        mode: "train" (batch statistics, running stats updated),
-              "target" (batch statistics, no update; used by EMA targets),
+        mode: "train" (batch statistics, running stats updated) or
               "eval" (running statistics).
-        weight_source: optional dict name -> Tensor overriding parameters
-              (constant EMA shadows for target-side encoding).
         """
         if view.features.n_rows != view.n or (view.features.n_cols
                                               != self.in_dim):
             raise ValueError("feature shape does not match encoder input")
-        if mode not in ("train", "target", "eval"):
+        if mode not in ("train", "eval"):
             raise ValueError(f"unknown encoder mode {mode!r}")
         adj = normalized_adjacency(view)
         h = None
         for layer in range(self.cfg.n_layers):
-            w = self._tensor_of(self.weights[layer], weight_source)
+            w = self.weights[layer].tensor
             if self.cfg.weight_standardization:
                 w = ad.standardize_cols(w)
             if layer == 0:
@@ -105,26 +103,16 @@ class GCNEncoder:
             else:
                 xw = ad.matmul(h, w)
             pre = ad.sparse_matmul(adj, xw)
-            gamma = self._tensor_of(self.gammas[layer], weight_source)
-            beta = self._tensor_of(self.betas[layer], weight_source)
+            gamma = self.gammas[layer].tensor
+            beta = self.betas[layer].tensor
             if self.cfg.norm == "batch":
-                bn_state = self.bn_states[layer]
-                if mode == "target":
-                    bn_state = {k: v.copy() for k, v in bn_state.items()}
-                normed = ad.batch_norm(pre, gamma, beta, bn_state,
+                normed = ad.batch_norm(pre, gamma, beta, self.bn_states[layer],
                                        self.cfg.batchnorm_momentum,
-                                       training=mode != "eval")
+                                       training=mode == "train")
             else:
                 normed = ad.layer_norm(pre, gamma, beta)
-            h = ad.prelu(normed, self._tensor_of(self.slopes[layer],
-                                                 weight_source))
+            h = ad.prelu(normed, self.slopes[layer].tensor)
         return h
-
-    @staticmethod
-    def _tensor_of(param, weight_source):
-        if weight_source is None:
-            return param.tensor
-        return weight_source[param.name]
 
 
 class MLP:
@@ -140,14 +128,9 @@ class MLP:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, x, weight_source=None):
-        def tensor_of(p):
-            return p.tensor if weight_source is None else weight_source[p.name]
-
-        hidden = ad.relu(ad.add(ad.matmul(x, tensor_of(self.w1)),
-                                tensor_of(self.b1)))
-        return ad.add(ad.matmul(hidden, tensor_of(self.w2)),
-                      tensor_of(self.b2))
+    def forward(self, x):
+        hidden = ad.relu(ad.add(ad.matmul(x, self.w1.tensor), self.b1.tensor))
+        return ad.add(ad.matmul(hidden, self.w2.tensor), self.b2.tensor)
 
 
 class Projector(MLP):
@@ -191,13 +174,13 @@ class Decoder:
         return ad.sigmoid(self.logits(z))
 
 
-def link_representation(h, edges, mlp, weight_source=None):
+def link_representation(h, edges, mlp):
     """Row per edge: MLP(h_u * h_v). Symmetric in (u, v)."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = h.shape[0]
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint outside the embedding matrix")
-    return mlp.forward(hadamard_pairs(h, edges), weight_source=weight_source)
+    return mlp.forward(hadamard_pairs(h, edges))
 
 
 def hadamard_pairs(h, pairs):

@@ -1,6 +1,10 @@
 """Training loops: the four self-supervised encoders, the frozen-encoder
 decoder stage, and the jointly trained supervised GCN.
 
+BGRL and L-BGRL bootstrap against a target network: a deep copy of the
+online encoder (and, for L-BGRL, of the link MLP) whose tensors never
+require grad and which each epoch moves toward the online weights by EMA.
+
 Every random draw is addressed through the seed lineage (init, per-epoch
 augmentation, per-epoch/per-batch negatives, decoder shuffling/masking), so
 one (config, seed) pair maps to one bit-exact parameter trajectory.
@@ -8,6 +12,7 @@ one (config, seed) pair maps to one bit-exact parameter trajectory.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,7 +22,7 @@ from .. import autodiff as ad
 from ..augment import make_views
 from ..community import get_detector
 from ..graphs import sample_negative_pairs
-from ..optim import EmaShadow, adam_step, ema_update, zero_grads
+from ..optim import adam_step, ema_update, zero_grads
 from ..seeding import derive_rng, derive_seed
 from .losses import bgrl_loss, grace_loss, lgrace_loss, select_link_sets
 from .nets import (Decoder, GCNEncoder, LinkMLP, Predictor, Projector,
@@ -40,22 +45,20 @@ class TrainState:
     projector: Projector | None = None
     predictor: Predictor | None = None
     link_mlp: LinkMLP | None = None
-    shadows: dict = field(default_factory=dict)
-    tracked: list = field(default_factory=list)
+    target_encoder: GCNEncoder | None = None
+    target_link_mlp: LinkMLP | None = None
+    tracked: list = field(default_factory=list)  # (target, online) pairs
     epoch: int = 0
     seed: int = 0
     loss_history: list = field(default_factory=list)
 
     def online_parameters(self):
-        params = list(self.encoder.parameters())
-        for head in (self.projector, self.predictor, self.link_mlp):
-            if head is not None:
-                params.extend(head.parameters())
-        return params
+        return _parameters(self.encoder, self.projector, self.predictor,
+                           self.link_mlp)
 
-    def shadow_tensors(self):
-        return {name: shadow.as_tensor()
-                for name, shadow in self.shadows.items()}
+
+def _parameters(*modules):
+    return [p for m in modules if m is not None for p in m.parameters()]
 
 
 def _check_finite(value, epoch, model):
@@ -76,21 +79,23 @@ def _init_state(model, in_dim, cfg, seed):
         state.projector = Projector(d, cfg.proj_hidden, rng)
     if model in BOOTSTRAPPED:
         state.predictor = Predictor(d, cfg.proj_hidden, rng)
-        state.tracked = list(encoder.parameters())
-        if state.link_mlp is not None:
-            state.tracked.extend(state.link_mlp.parameters())
-        state.shadows = {p.name: EmaShadow(p, cfg.ema_decay)
-                         for p in state.tracked}
+        state.target_encoder, state.target_link_mlp = copy.deepcopy(
+            (encoder, state.link_mlp))
+        targets = _parameters(state.target_encoder, state.target_link_mlp)
+        for p in targets:
+            p.tensor.requires_grad = False
+            p.tensor.grad = None
+        state.tracked = list(zip(targets,
+                                 _parameters(encoder, state.link_mlp)))
     return state
 
 
-def _rows(h, edges, link_mlp, weight_source=None):
+def _rows(h, edges, link_mlp):
     """The rows an objective compares: node embeddings as they are, or one
     link representation per edge when `edges` is given."""
     if edges is None:
         return h
-    return link_representation(h, edges, link_mlp,
-                               weight_source=weight_source)
+    return link_representation(h, edges, link_mlp)
 
 
 def _epoch_views(graph, spec, block_state, seed, epoch):
@@ -105,7 +110,7 @@ def train_encoder(split, spec, model, cfg, seed, block_state=None):
     detected on the train graph; the oracle variant passes a pre-split
     detection in from the caller. Each epoch embeds both views, takes node
     rows (GRACE, BGRL) or shared-link rows (L-GRACE, L-BGRL), and contrasts
-    them (InfoNCE) or bootstraps them (EMA target plus predictor). Epochs
+    them (InfoNCE) or bootstraps them (target copy plus predictor). Epochs
     whose views share no edge (link models only) are skipped with a warning.
     """
     if model not in SELF_SUPERVISED:
@@ -133,14 +138,12 @@ def train_encoder(split, spec, model, cfg, seed, block_state=None):
         z1 = _rows(h1, edge_pos, state.link_mlp)
         z2 = _rows(h2, edge_pos, state.link_mlp)
         if model in BOOTSTRAPPED:
-            shadow = state.shadow_tensors()
-            t1 = state.encoder.forward(v1, mode="target", weight_source=shadow)
-            t2 = state.encoder.forward(v2, mode="target", weight_source=shadow)
-            loss = ad.add(
-                bgrl_loss(state.predictor.forward(z1),
-                          _rows(t2, edge_pos, state.link_mlp, shadow)),
-                bgrl_loss(state.predictor.forward(z2),
-                          _rows(t1, edge_pos, state.link_mlp, shadow)))
+            t1 = _rows(state.target_encoder.forward(v1, mode="train"),
+                       edge_pos, state.target_link_mlp)
+            t2 = _rows(state.target_encoder.forward(v2, mode="train"),
+                       edge_pos, state.target_link_mlp)
+            loss = ad.add(bgrl_loss(state.predictor.forward(z1), t2),
+                          bgrl_loss(state.predictor.forward(z2), t1))
         elif model in LINK_MODELS:
             loss = lgrace_loss(z1, z2,
                                _rows(h1, edge_neg, state.link_mlp),
@@ -152,8 +155,8 @@ def train_encoder(split, spec, model, cfg, seed, block_state=None):
         ad.backward(loss)
         adam_step(params, lr=cfg.gnn_lr, weight_decay=cfg.weight_decay)
         zero_grads(params)
-        for p in state.tracked:
-            ema_update(state.shadows[p.name], p)
+        for target, online in state.tracked:
+            ema_update(target, online, cfg.ema_decay)
         state.loss_history.append((epoch, value))
         state.epoch = epoch + 1
     return state

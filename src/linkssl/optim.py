@@ -1,4 +1,5 @@
-"""Parameters, the Adam optimizer with decoupled weight decay, and EMA shadows."""
+"""Parameters, the Adam optimizer with decoupled weight decay, and the EMA
+update that moves a frozen target copy toward its online parameters."""
 
 from __future__ import annotations
 
@@ -71,27 +72,14 @@ def adam_step(params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
         p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-class EmaShadow:
-    """Exponential moving average of a tracked parameter (the target weights).
+def ema_update(target, online, decay):
+    """target <- decay * target + (1 - decay) * online, in place.
 
-    Shadows never join the backward graph; reading them produces constant
-    tensors, so no gradient can reach the target side.
+    `target` is the frozen copy of the online parameter `online`; its tensor
+    never requires grad, so no gradient reaches the target side.
     """
-
-    __slots__ = ("values", "decay")
-
-    def __init__(self, param, decay=0.99):
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must lie in [0, 1]")
-        self.values = param.values.copy()
-        self.decay = decay
-
-    def as_tensor(self):
-        return Tensor(self.values.copy(), requires_grad=False)
-
-
-def ema_update(shadow, online):
-    """shadow <- decay * shadow + (1 - decay) * online."""
-    d = shadow.decay
-    shadow.values *= d
-    shadow.values += (1.0 - d) * online.values
+    if not 0.0 <= decay <= 1.0:
+        raise ValueError("decay must lie in [0, 1]")
+    values = target.tensor.values
+    values *= decay
+    values += (1.0 - decay) * online.values

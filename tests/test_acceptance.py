@@ -148,7 +148,7 @@ class _Head:
     def __init__(self, w1, b1, w2, b2):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
-    def forward(self, x, weight_source=None):
+    def forward(self, x):
         hidden = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
         return ad.add(ad.matmul(hidden, self.w2), self.b2)
 

@@ -1,6 +1,7 @@
 """Gradient checks and frozen-value oracles for the autodiff core."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -10,13 +11,18 @@ from scipy import sparse
 
 import linkssl.autodiff as ad
 from linkssl.autodiff import Tensor, backward, grad_check
-from linkssl.optim import EmaShadow, Parameter, adam_step, ema_update
-
-RNG = np.random.default_rng(7)
+from linkssl.optim import Parameter, adam_step, ema_update
 
 
-def leaf(shape, scale=1.0):
-    return Tensor(RNG.normal(size=shape) * scale, requires_grad=True)
+@pytest.fixture
+def rng(request):
+    """A generator seeded by the test's own id, so a test draws the same
+    inputs in a `-k` subset as in the full run."""
+    return np.random.default_rng(zlib.crc32(request.node.name.encode()))
+
+
+def leaf(rng, shape, scale=1.0):
+    return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
 
 
 # --- frozen forward values -------------------------------------------------
@@ -131,37 +137,37 @@ OP_CASES = [
 
 
 @pytest.mark.parametrize("name,fn,shapes", OP_CASES, ids=[c[0] for c in OP_CASES])
-def test_op_gradient(name, fn, shapes):
-    inputs = [leaf(s) for s in shapes]
+def test_op_gradient(name, fn, shapes, rng):
+    inputs = [leaf(rng, s) for s in shapes]
     assert grad_check(fn, inputs) < 1e-6
 
 
-def test_prelu_gradient():
-    x = leaf((4, 3))
+def test_prelu_gradient(rng):
+    x = leaf(rng, (4, 3))
     slope = Tensor([[0.3]], requires_grad=True)
     fn = lambda a, s: ad.tensor_sum(ad.sigmoid(ad.prelu(a, s)))
     assert grad_check(fn, [x, slope]) < 1e-6
 
 
-def test_sparse_matmul_gradient():
+def test_sparse_matmul_gradient(rng):
     adj = sparse.random(5, 5, density=0.5, random_state=3, format="csr")
-    x = leaf((5, 3))
+    x = leaf(rng, (5, 3))
     fn = lambda a: ad.tensor_sum(ad.sigmoid(ad.sparse_matmul(adj, a)))
     assert grad_check(fn, [x]) < 1e-6
 
 
-def test_layer_norm_gradient():
-    x = leaf((4, 6))
-    gamma = Tensor(RNG.uniform(0.5, 1.5, size=(1, 6)), requires_grad=True)
-    beta = leaf((1, 6), scale=0.1)
+def test_layer_norm_gradient(rng):
+    x = leaf(rng, (4, 6))
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=(1, 6)), requires_grad=True)
+    beta = leaf(rng, (1, 6), scale=0.1)
     fn = lambda a, g, b: ad.tensor_sum(ad.sigmoid(ad.layer_norm(a, g, b)))
     assert grad_check(fn, [x, gamma, beta]) < 1e-6
 
 
-def test_batch_norm_gradient_training_mode():
-    x = leaf((6, 4))
-    gamma = Tensor(RNG.uniform(0.5, 1.5, size=(1, 4)), requires_grad=True)
-    beta = leaf((1, 4), scale=0.1)
+def test_batch_norm_gradient_training_mode(rng):
+    x = leaf(rng, (6, 4))
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=(1, 4)), requires_grad=True)
+    beta = leaf(rng, (1, 4), scale=0.1)
 
     def fn(a, g, b):
         state = {"running_mean": np.zeros((1, 4)),
@@ -211,11 +217,12 @@ def test_nce_denominator_two_rows_is_the_other_score():
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_nce_denominator_repeated_backward_leaves_cache_intact(symmetric):
+def test_nce_denominator_repeated_backward_leaves_cache_intact(symmetric,
+                                                               rng):
     # the op keeps its softmax for backward; a backward that wrote into it
     # would make the second pass add a different gradient
-    a = leaf((6, 3))
-    o = a if symmetric else leaf((6, 3))
+    a = leaf(rng, (6, 3))
+    o = a if symmetric else leaf(rng, (6, 3))
     loss = ad.tensor_sum(ad.sigmoid(ad.nce_denominator(a, o, 0.3)))
     backward(loss)
     first = [a.grad.copy(), o.grad.copy()]
@@ -224,19 +231,19 @@ def test_nce_denominator_repeated_backward_leaves_cache_intact(symmetric):
     assert np.array_equal(o.grad, 2.0 * first[1])
 
 
-def test_nce_denominator_tracker_sees_score_cache():
+def test_nce_denominator_tracker_sees_score_cache(rng):
     with ad.track_allocations() as tracker:
-        ad.nce_denominator(leaf((7, 3)), leaf((7, 3)), 0.5)
+        ad.nce_denominator(leaf(rng, (7, 3)), leaf(rng, (7, 3)), 0.5)
     assert (7, 7) in tracker.shapes
 
 
-def test_nce_denominator_rejects_bad_shapes():
+def test_nce_denominator_rejects_bad_shapes(rng):
     with pytest.raises(ValueError, match="equal shapes"):
-        ad.nce_denominator(leaf((4, 3)), leaf((5, 3)), 0.5)
+        ad.nce_denominator(leaf(rng, (4, 3)), leaf(rng, (5, 3)), 0.5)
     with pytest.raises(ValueError, match="equal shapes"):
-        ad.nce_denominator(leaf((4, 3)), leaf((4, 2)), 0.5)
+        ad.nce_denominator(leaf(rng, (4, 3)), leaf(rng, (4, 2)), 0.5)
     with pytest.raises(ValueError, match="at least 2 rows"):
-        ad.nce_denominator(leaf((1, 3)), leaf((1, 3)), 0.5)
+        ad.nce_denominator(leaf(rng, (1, 3)), leaf(rng, (1, 3)), 0.5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -286,10 +293,10 @@ def test_batch_norm_forward_equals_np_var_reference(n, d, scale, training,
     assert np.array_equal(out.values, want)
 
 
-def test_quadratic_form_grad_check_is_tight():
+def test_quadratic_form_grad_check_is_tight(rng):
     # Quadratic forms are exact under central differences up to roundoff.
-    A = Tensor(RNG.normal(size=(3, 3)))
-    x = leaf((3, 1))
+    A = Tensor(rng.normal(size=(3, 3)))
+    x = leaf(rng, (3, 1))
     fn = lambda v: ad.tensor_sum(ad.elementwise_mul(v, ad.matmul(A, v)))
     assert grad_check(fn, [x]) < 1e-9
 
@@ -332,34 +339,54 @@ def test_adam_decoupled_decay_scales_by_one_minus_lr_wd():
     assert p.values[0, 0] == pytest.approx(2.0 * (1.0 - 1e-4), rel=1e-12)
 
 
+def _frozen_copy(p):
+    # the target side of an EMA pair, as the bootstrapped models build it
+    target = Parameter(p.values.copy(), name=p.name)
+    target.tensor.requires_grad = False
+    target.tensor.grad = None
+    return target
+
+
 def test_ema_decay_one_freezes_shadow():
     p = Parameter(np.array([[1.0]]))
-    shadow = EmaShadow(p, decay=1.0)
+    target = _frozen_copy(p)
     p.tensor.values[:] = 5.0
-    ema_update(shadow, p)
-    assert shadow.values[0, 0] == 1.0
+    ema_update(target, p, 1.0)
+    assert target.values[0, 0] == 1.0
 
 
 def test_ema_decay_zero_copies_online():
     p = Parameter(np.array([[1.0]]))
-    shadow = EmaShadow(p, decay=0.0)
+    target = _frozen_copy(p)
     p.tensor.values[:] = 5.0
-    ema_update(shadow, p)
-    assert shadow.values[0, 0] == 5.0
+    ema_update(target, p, 0.0)
+    assert target.values[0, 0] == 5.0
 
 
 def test_ema_geometric_convergence():
     p = Parameter(np.array([[1.0]]))
-    shadow = EmaShadow(p, decay=0.99)
-    shadow.values[:] = 0.0
+    target = _frozen_copy(p)
+    target.tensor.values[:] = 0.0
     for t in range(1, 51):
-        ema_update(shadow, p)
-        assert shadow.values[0, 0] == pytest.approx(1.0 - 0.99 ** t, rel=1e-9)
+        ema_update(target, p, 0.99)
+        assert target.values[0, 0] == pytest.approx(1.0 - 0.99 ** t, rel=1e-9)
 
 
 def test_ema_shadow_tensor_never_requires_grad():
     p = Parameter(np.ones((2, 2)))
-    shadow = EmaShadow(p, decay=0.9)
-    t = shadow.as_tensor()
-    assert not t.requires_grad
-    assert t._backward_fn is None
+    target = _frozen_copy(p)
+    ema_update(target, p, 0.9)
+    backward(ad.tensor_sum(ad.elementwise_mul(p.tensor, target.tensor)))
+    assert not target.tensor.requires_grad
+    assert target.tensor._backward_fn is None
+    assert target.tensor.grad is None
+
+
+def test_ema_update_rejects_decay_outside_unit_interval():
+    p = Parameter(np.ones((2, 2)))
+    target = _frozen_copy(p)
+    target.tensor.values[:] = 0.0
+    for decay in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="decay"):
+            ema_update(target, p, decay)
+    assert np.all(target.values == 0.0)

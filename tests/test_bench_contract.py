@@ -52,12 +52,27 @@ EPOCH_CALLS = {
 }
 
 
+def _one_epoch(training, model):
+    from linkssl.augment import AugmentationSpec
+    from linkssl.graphs import Graph, random_link_split
+    from linkssl.models import EncoderConfig
+
+    graph = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                      (6, 7), (4, 7), (1, 6)])
+    split = random_link_split(graph, (0.8, 0.1, 0.1), seed=1)
+    spec = AugmentationSpec(drop_edge_rate_1=0.0, drop_edge_rate_2=0.0)
+    cfg = SimpleNamespace(
+        ct_epochs=1, gnn_lr=1e-3, weight_decay=0.0, proj_hidden=64, tau=0.5,
+        ema_decay=0.9, encoder=EncoderConfig(n_layers=1, layer_size=64))
+    state = training.train_encoder(split, spec, model, cfg, seed=2)
+    assert state.epoch == 1
+    return state
+
+
 @pytest.mark.parametrize("model", sorted(EPOCH_CALLS))
 def test_train_encoder_calls_traced_names(model, monkeypatch):
     # a refactor that stops calling a traced name would read 0 in its span
-    from linkssl.augment import AugmentationSpec
-    from linkssl.graphs import Graph, random_link_split
-    from linkssl.models import EncoderConfig, training
+    from linkssl.models import training
 
     called = set()
     for module, attr, _ in load_spans().FUNCTIONS:
@@ -69,13 +84,36 @@ def test_train_encoder_calls_traced_names(model, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(training, attr, spy)
-    graph = Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
-                      (6, 7), (4, 7), (1, 6)])
-    split = random_link_split(graph, (0.8, 0.1, 0.1), seed=1)
-    spec = AugmentationSpec(drop_edge_rate_1=0.0, drop_edge_rate_2=0.0)
-    cfg = SimpleNamespace(
-        ct_epochs=1, gnn_lr=1e-3, weight_decay=0.0, proj_hidden=64, tau=0.5,
-        ema_decay=0.9, encoder=EncoderConfig(n_layers=1, layer_size=64))
-    state = training.train_encoder(split, spec, model, cfg, seed=2)
-    assert state.epoch == 1
+    _one_epoch(training, model)
     assert called == EPOCH_CALLS[model]
+
+
+# per epoch of a 1-layer encoder: EMA moves 4 encoder parameters (W, PReLU
+# slope, gamma, beta), plus the link MLP's 4 for lbgrl; the bootstrapped
+# models embed each view with the online encoder and with its target copy
+EPOCH_COUNTS = {"grace": (0, 2), "lgrace": (0, 2), "bgrl": (4, 4),
+                "lbgrl": (8, 4)}
+
+
+@pytest.mark.parametrize("model", sorted(EPOCH_COUNTS))
+def test_epoch_call_counts_match_bench_history(model, monkeypatch):
+    # optim.ema_update.calls and models.nets.encoder_forward.calls count
+    # these calls; keeping them per parameter and per view keeps traced
+    # runs comparable with earlier benches
+    from linkssl.models import nets, training
+
+    counts = {"ema_update": 0, "forward": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "ema_update",
+                        counted("ema_update", training.ema_update))
+    monkeypatch.setattr(nets.GCNEncoder, "forward",
+                        counted("forward", nets.GCNEncoder.forward))
+    state = _one_epoch(training, model)
+    assert (counts["ema_update"], counts["forward"]) == EPOCH_COUNTS[model]
+    assert counts["ema_update"] == len(state.tracked)

@@ -137,6 +137,38 @@ def test_partition_file_missing_node_rejected(tmp_path):
         load_partition_file(p, 3)
 
 
+def test_partition_file_non_integer_token_names_path_line(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("0 0\n1 x\n2 1\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: non-integer"):
+        load_partition_file(p, 3)
+
+
+def test_partition_file_negative_block_id_names_path_line(tmp_path):
+    p = tmp_path / "neg.txt"
+    p.write_text("# node block\n0 -1\n1 0\n")
+    with pytest.raises(ValueError, match=r"neg\.txt:2: negative block id -1"):
+        load_partition_file(p, 2)
+
+
+def test_partition_file_repeated_node_names_path_line(tmp_path):
+    # a second line for node 1 must not silently overwrite the first
+    p = tmp_path / "dup.txt"
+    p.write_text("0 0\n1 0\n2 1\n1 1\n")
+    with pytest.raises(ValueError, match=r"dup\.txt:4: node 1 listed twice"):
+        load_partition_file(p, 3)
+
+
+def test_partition_file_out_of_range_and_malformed_lines(tmp_path):
+    p = tmp_path / "range.txt"
+    p.write_text("0 0\n\n3 0\n")
+    with pytest.raises(ValueError, match=r"range\.txt:3: node id 3 out of"):
+        load_partition_file(p, 3)
+    p.write_text("0 0 0\n")
+    with pytest.raises(ValueError, match=r"range\.txt:1: expected two"):
+        load_partition_file(p, 1)
+
+
 def test_get_detector_resolution():
     assert get_detector("louvain") is louvain
     with pytest.raises(NotImplementedError):

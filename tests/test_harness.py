@@ -112,6 +112,40 @@ def test_config_validation_rejects(overrides):
         ExperimentConfig(**overrides)
 
 
+@pytest.mark.parametrize("kind", ["scom", "sbm", "sbm2", "sbm_oracle"])
+@pytest.mark.parametrize("detector", ["leiden", "infomap", "external"])
+def test_config_rejects_block_augmentation_without_built_in_detector(
+        kind, detector):
+    # no key supplies a partition file, so every seed would fail in training
+    with pytest.raises(ValueError, match=f"commu_detect={detector!r}"):
+        parse_config(f"augmentation={kind}\ncommu_detect={detector}\n")
+    with pytest.raises(ValueError, match=detector):
+        cheap_cfg(model="lbgrl",
+                  augmentation=AugmentationSpec(kind=kind, detector=detector))
+    assert parse_config(f"augmentation={kind}\n").augmentation.kind == kind
+
+
+@pytest.mark.parametrize("detector", ["leiden", "infomap", "external"])
+def test_config_without_block_augmentation_ignores_detector(detector):
+    # these configs never read the detector, so they still build
+    for kind in ("random", "deg", "evc", "pr"):
+        cfg = parse_config(f"augmentation={kind}\ncommu_detect={detector}\n")
+        assert cfg.augmentation.detector == detector
+    cfg = parse_config(
+        f"model=gcn_supervised\naugmentation=sbm\ncommu_detect={detector}\n")
+    assert cfg.augmentation.detector == detector
+
+
+def test_search_space_rejects_block_trials_with_partition_detectors():
+    base = cheap_cfg(augmentation=AugmentationSpec(kind="sbm"))
+    space = SearchSpace(budget=3, detectors=("leiden",))
+    with pytest.raises(ValueError, match="commu_detect='leiden'"):
+        space.trials(base, seed=0)
+    random_base = cheap_cfg(augmentation=AugmentationSpec(kind="random"))
+    assert all(t.augmentation.detector == "leiden"
+               for t in space.trials(random_base, seed=0))
+
+
 def test_config_label():
     cfg = cheap_cfg(model="lgrace",
                     augmentation=AugmentationSpec(kind="sbm2"))

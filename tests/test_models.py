@@ -28,7 +28,7 @@ from linkssl.models.training import (DECODER_EPOCHS, SELF_SUPERVISED,
 class IdentityHead:
     """Stands in for a projector/MLP when the raw rows are wanted."""
 
-    def forward(self, x, weight_source=None):
+    def forward(self, x):
         return x
 
 
@@ -39,7 +39,7 @@ class TensorHead:
     def __init__(self, w1, b1, w2, b2):
         self.ws = (w1, b1, w2, b2)
 
-    def forward(self, x, weight_source=None):
+    def forward(self, x):
         w1, b1, w2, b2 = self.ws
         return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2),
                       b2)
@@ -414,8 +414,8 @@ def test_encoder_permutation_equivariance(norm):
                    features=FeatureMatrix.dense(feats[perm]))
     enc = GCNEncoder(5, EncoderConfig(n_layers=2, layer_size=64, norm=norm),
                      np.random.default_rng(2))
-    h = enc.forward(g, mode="target").values
-    h_perm = enc.forward(g_perm, mode="target").values
+    h = enc.forward(g, mode="train").values
+    h_perm = enc.forward(g_perm, mode="train").values
     assert np.allclose(h[perm], h_perm, atol=1e-10)
 
 
@@ -428,8 +428,8 @@ def test_encoder_identity_features_match_materialized():
     g_dense = g.with_features(FeatureMatrix.dense(masked.materialize()))
     enc = GCNEncoder(6, EncoderConfig(n_layers=2, layer_size=64),
                      np.random.default_rng(3))
-    h_id = enc.forward(g_id, mode="target").values
-    h_dense = enc.forward(g_dense, mode="target").values
+    h_id = enc.forward(g_id, mode="train").values
+    h_dense = enc.forward(g_dense, mode="train").values
     assert np.allclose(h_id, h_dense, atol=1e-12)
 
 
@@ -438,10 +438,10 @@ def test_encoder_weight_standardization_column_scale_invariance():
     enc = GCNEncoder(6, EncoderConfig(n_layers=1, layer_size=64,
                                       weight_standardization=True),
                      np.random.default_rng(4))
-    base = enc.forward(g, mode="target").values
+    base = enc.forward(g, mode="train").values
     enc.weights[0].tensor.values[:, 7] *= 4.0
     enc.weights[0].tensor.values[:, 12] += 3.0
-    again = enc.forward(g, mode="target").values
+    again = enc.forward(g, mode="train").values
     assert np.allclose(base, again, atol=1e-10)
 
 
@@ -450,11 +450,13 @@ def test_encoder_batchnorm_running_stats_update_only_in_train_mode():
     enc = GCNEncoder(6, EncoderConfig(n_layers=1, layer_size=64,
                                       norm="batch"),
                      np.random.default_rng(5))
-    before = enc.bn_states[0]["running_mean"].copy()
-    enc.forward(g, mode="target")
-    assert np.array_equal(enc.bn_states[0]["running_mean"], before)
+    before = {k: v.copy() for k, v in enc.bn_states[0].items()}
+    enc.forward(g, mode="eval")
+    for key, value in before.items():
+        assert np.array_equal(enc.bn_states[0][key], value), key
     enc.forward(g, mode="train")
-    assert not np.array_equal(enc.bn_states[0]["running_mean"], before)
+    for key, value in before.items():
+        assert not np.array_equal(enc.bn_states[0][key], value), key
 
 
 def test_encoder_rejects_unknown_mode():
@@ -465,8 +467,9 @@ def test_encoder_rejects_unknown_mode():
                                       norm="batch"),
                      np.random.default_rng(5))
     before = enc.bn_states[0]["running_mean"].copy()
-    with pytest.raises(ValueError, match="unknown encoder mode"):
-        enc.forward(g, mode="evaluate")
+    for mode in ("evaluate", "target"):
+        with pytest.raises(ValueError, match="unknown encoder mode"):
+            enc.forward(g, mode=mode)
     assert np.array_equal(enc.bn_states[0]["running_mean"], before)
 
 
@@ -481,8 +484,8 @@ def test_encoder_end_to_end_grace_grad_check():
                proj.w1.tensor, proj.b1.tensor]
 
     def f(*_):
-        h1 = enc.forward(g, mode="target")
-        h2 = enc.forward(g, mode="target")
+        h1 = enc.forward(g, mode="train")
+        h2 = enc.forward(g, mode="train")
         return grace_loss(h1, h2, proj, 0.5)
 
     assert ad.grad_check(f, checked) < 1e-4
@@ -533,7 +536,7 @@ def test_train_encoder_bit_identical_repeat(model):
     for _ in range(2):
         st = train_encoder(split, spec, model, toy_cfg(ct_epochs=5), seed=9)
         runs.append([p.values.copy() for p in st.online_parameters()]
-                    + [s.values.copy() for s in st.shadows.values()]
+                    + [t.values.copy() for t, _ in st.tracked]
                     + [np.array(st.loss_history)])
     assert len(runs[0]) == len(runs[1])
     assert all(np.array_equal(a, b, equal_nan=True)
@@ -550,13 +553,48 @@ def test_init_state_heads(model, heads):
     built = {name for name in ("projector", "predictor", "link_mlp")
              if getattr(state, name) is not None}
     assert built == heads
-    tracked = []
+    online, target = [], []
     if model in ("bgrl", "lbgrl"):
-        tracked = state.encoder.parameters()
+        online = state.encoder.parameters()
+        target = state.target_encoder.parameters()
     if model == "lbgrl":
-        tracked = tracked + state.link_mlp.parameters()
-    assert [id(p) for p in state.tracked] == [id(p) for p in tracked]
-    assert sorted(state.shadows) == sorted(p.name for p in tracked)
+        online = online + state.link_mlp.parameters()
+        target = target + state.target_link_mlp.parameters()
+    assert [id(o) for _, o in state.tracked] == [id(p) for p in online]
+    assert [id(t) for t, _ in state.tracked] == [id(p) for p in target]
+    assert [t.name for t in target] == [p.name for p in online]
+    assert (state.target_link_mlp is not None) == (model == "lbgrl")
+    if model not in ("bgrl", "lbgrl"):
+        assert state.target_encoder is None
+
+
+def _module_arrays(encoder, link_mlp):
+    arrays = [bn[k] for bn in encoder.bn_states for k in bn]
+    for p in encoder.parameters() + (
+            link_mlp.parameters() if link_mlp is not None else []):
+        arrays += [a for a in (p.values, p.grad, p.adam_m, p.adam_v)
+                   if a is not None]
+    return arrays
+
+
+@pytest.mark.parametrize("model", ["bgrl", "lbgrl"])
+@pytest.mark.parametrize("norm", ["batch", "layer"])
+def test_target_is_a_frozen_copy_sharing_no_array(model, norm):
+    state = train_encoder(_toy_split(), AugmentationSpec(), model,
+                          toy_cfg(model=model, ct_epochs=2, norm=norm),
+                          seed=4)
+    online = _module_arrays(state.encoder, state.link_mlp)
+    target = _module_arrays(state.target_encoder, state.target_link_mlp)
+    assert len(target) > 0
+    assert not any(np.shares_memory(t, o) for t in target for o in online)
+    copies = state.target_encoder.parameters()
+    if model == "lbgrl":
+        copies = copies + state.target_link_mlp.parameters()
+    assert [t for t, _ in state.tracked] == copies
+    for t in copies:
+        assert not t.tensor.requires_grad
+        assert t.tensor.grad is None
+        assert t.tensor._backward_fn is None
 
 
 def test_train_encoder_seed_changes_trajectory():
@@ -573,22 +611,20 @@ def test_train_encoder_seed_changes_trajectory():
 @pytest.mark.parametrize("model", ["bgrl", "lbgrl"])
 def test_ema_target_replay(model):
     # determinism lets the 1-, 2- and 3-epoch runs expose the online
-    # trajectory; the final shadows must equal the EMA recursion over it
+    # trajectory; the final target must equal the EMA recursion over it
     split = _toy_split()
     spec = AugmentationSpec(drop_edge_rate_1=0.1, drop_edge_rate_2=0.1)
     cfgs = {t: toy_cfg(model=model, ct_epochs=t) for t in (0, 1, 2, 3)}
     states = {t: train_encoder(split, spec, model, cfgs[t], seed=6)
               for t in (0, 1, 2, 3)}
     final = states[3]
-    for i, param in enumerate(final.tracked):
-        name = param.name
-        shadow = states[0].tracked[i].values.copy()
-        decay = final.shadows[name].decay
+    decay = cfgs[3].ema_decay
+    for i, (target, _) in enumerate(final.tracked):
+        shadow = states[0].tracked[i][1].values.copy()
         for t in (1, 2, 3):
-            online_t = next(p for p in states[t].tracked if p.name == name)
             shadow *= decay
-            shadow += (1.0 - decay) * online_t.values
-        assert np.array_equal(final.shadows[name].values, shadow), name
+            shadow += (1.0 - decay) * states[t].tracked[i][1].values
+        assert np.array_equal(target.values, shadow), target.name
 
 
 def test_train_encoder_skips_empty_intersection_epochs():
@@ -634,7 +670,7 @@ class StubEncoder:
         self._h = h
         self.cfg = EncoderConfig(layer_size=layer_size)
 
-    def forward(self, graph, mode="train", weight_source=None):
+    def forward(self, graph, mode="train"):
         return ad.Tensor(self._h)
 
 
