@@ -2,23 +2,26 @@
 
 Kinds:
   random       edge dropping + feature masking, uniform rates
-  deg/evc/pr   adaptive dropping/masking steered by degree, eigenvector,
-               or PageRank centrality (log-scaled importance, normalized
-               deviation from the max, capped by `cutoff`)
-  scom         community-strength steered dropping (intra-block edges get
-               an importance bonus) with strength-steered feature masking
+  deg/evc/pr   dropping/masking steered by degree, eigenvector or PageRank
+               centrality (edge importance = mean log1p endpoint centrality)
+  scom         dropping/masking steered by community strength (edge
+               importance = mean endpoint block strength, plus an
+               intra-block bonus)
   sbm          view 1 = input graph unchanged, view 2 = fresh microcanonical
                SBM sample respecting the supplied block state
   sbm2         both views are fresh SBM samples
   sbm_oracle   same view structure as sbm; the block state is expected to
                come from detection on the full pre-split graph
 
-The adaptive probability scheme is reconstructed from the centrality-guided
-augmentation convention: p = min((s_max - s) / (s_max - s_mean) * rate,
-cutoff), which removes low-importance items more aggressively. As the
-community-strength scheme is only qualitatively described in its source,
-the variant here (mean endpoint strength plus an intra-block bonus equal to
-the global mean block strength) is a documented approximation.
+The non-SBM kinds differ only in their importance scores. One scheme,
+reconstructed from the centrality-guided augmentation convention, turns
+scores s into per-edge and per-feature-column drop probabilities:
+p = min((s_max - s) / (s_max - s_mean) * rate, cutoff), which removes
+low-importance items more aggressively. `random` has no scores, and a flat
+surface (max equals mean) falls back to the uniform rate with a warning.
+As the community-strength scheme is only qualitatively described in its
+source, its scores here (mean endpoint strength plus an intra-block bonus
+equal to the global mean block strength) are a documented approximation.
 """
 
 from __future__ import annotations
@@ -67,41 +70,21 @@ class AugmentationSpec:
         return self.kind in SBM_KINDS or self.kind == "scom"
 
 
-@dataclass(frozen=True)
-class CentralityWeights:
-    node_scores: np.ndarray
-    kind: str  # degree | eigenvector | pagerank | community_strength
-
-    def __post_init__(self):
-        scores = np.asarray(self.node_scores, dtype=np.float64)
-        object.__setattr__(self, "node_scores", scores)
-        if not np.all(np.isfinite(scores)) or np.any(scores < 0):
-            raise ValueError("centrality scores must be finite and nonnegative")
-
-
-def drop_edges_random(g, rate, seed):
-    """Remove each edge independently with probability `rate`."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must lie in [0, 1)")
-    if rate == 0.0 or g.num_edges == 0:
+def drop_edges(g, p, seed):
+    """Remove edge i with probability p (a scalar rate or one per edge)."""
+    if g.num_edges == 0 or np.ndim(p) == 0 and p == 0.0:
         return g
-    rng = np.random.default_rng(seed)
-    keep = rng.random(g.num_edges) >= rate
+    keep = np.random.default_rng(seed).random(g.num_edges) >= p
     return g.with_edges(g.edges[keep])
 
 
-def mask_features_random(x, rate, seed):
-    """Zero whole feature dimensions, each kept with probability 1 - rate."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must lie in [0, 1)")
-    if rate == 0.0:
+def mask_features(x, p, seed):
+    """Zero feature column j with probability p (a scalar rate or one per
+    column); identity features record the zeroed columns in column_mask."""
+    if np.ndim(p) == 0 and p == 0.0:
         return x
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(x.n_cols) >= rate).astype(np.float64)
-    return _apply_column_mask(x, keep)
-
-
-def _apply_column_mask(x, keep):
+    keep = (np.random.default_rng(seed).random(x.n_cols) >= p).astype(
+        np.float64)
     if x.kind == "identity":
         mask = keep if x.column_mask is None else x.column_mask * keep
         return FeatureMatrix(kind="identity", n_rows=x.n_rows, n_cols=x.n_cols,
@@ -114,7 +97,7 @@ def centrality(g, kind):
     (power iteration, tol 1e-8, at most 1000 iterations, unit L2 norm), or
     PageRank with damping 0.85 summing to 1."""
     if kind == "degree":
-        return CentralityWeights(g.degrees().astype(np.float64), "degree")
+        return g.degrees().astype(np.float64)
     if kind == "eigenvector":
         adj = g.adjacency()
         shift = 1e-12
@@ -126,7 +109,7 @@ def centrality(g, kind):
                 raise RuntimeError("eigenvector iteration collapsed to zero")
             nxt /= norm
             if np.linalg.norm(nxt - x) < 1e-8:
-                return CentralityWeights(np.maximum(nxt, 0.0), "eigenvector")
+                return np.maximum(nxt, 0.0)
             x = nxt
         raise RuntimeError("eigenvector centrality did not converge "
                            "within 1000 iterations")
@@ -142,77 +125,10 @@ def centrality(g, kind):
             lost = p[dangling].sum()
             nxt = damping * (spread + lost / g.n) + (1.0 - damping) / g.n
             if np.abs(nxt - p).sum() < 1e-8:
-                return CentralityWeights(nxt / nxt.sum(), "pagerank")
+                return nxt / nxt.sum()
             p = nxt
         raise RuntimeError("pagerank did not converge within 1000 iterations")
     raise KeyError(f"unknown centrality kind {kind!r}")
-
-
-def _probabilities_from_importance(importance, rate, cutoff):
-    """min((s_max - s) / (s_max - s_mean) * rate, cutoff), or None when the
-    importance surface is degenerate (caller falls back to uniform)."""
-    s_max = importance.max()
-    s_mean = importance.mean()
-    span = s_max - s_mean
-    if span <= 1e-12:
-        return None
-    return np.minimum((s_max - importance) / span * rate, cutoff)
-
-
-def _edge_importance_from_centrality(g, w):
-    c = w.node_scores
-    return 0.5 * (np.log1p(c[g.edges[:, 0]]) + np.log1p(c[g.edges[:, 1]]))
-
-
-def adaptive_drop_edges(g, w, rate, cutoff, seed):
-    """Drop edges with probability decreasing in endpoint importance.
-
-    Edge importance is the mean log-scaled endpoint centrality. A degenerate
-    importance surface (max equals mean) falls back to uniform dropping.
-    """
-    if rate >= 1.0:
-        raise ValueError("rate must be < 1")
-    if g.num_edges == 0 or rate == 0.0:
-        return g
-    importance = _edge_importance_from_centrality(g, w)
-    probs = _probabilities_from_importance(importance, rate, cutoff)
-    if probs is None:
-        warnings.warn("degenerate edge importance; uniform edge dropping")
-        return drop_edges_random(g, rate, seed)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(g.num_edges) >= probs
-    return g.with_edges(g.edges[keep])
-
-
-def _dimension_importance(x, node_scores):
-    """Centrality-weighted frequency of nonzero entries per feature column.
-
-    For identity features this reduces to the node's own centrality, so the
-    implicit representation needs no materialization.
-    """
-    if x.kind == "identity":
-        importance = node_scores.copy()
-        if x.column_mask is not None:
-            importance = importance * x.column_mask
-        return importance
-    nonzero = (x.dense_values != 0.0).astype(np.float64)
-    return nonzero.T @ node_scores
-
-
-def adaptive_mask_features(x, w, rate, cutoff, seed):
-    """Mask feature dimensions with probability decreasing in importance."""
-    if rate >= 1.0:
-        raise ValueError("rate must be < 1")
-    if rate == 0.0:
-        return x
-    importance = _dimension_importance(x, w.node_scores)
-    probs = _probabilities_from_importance(importance, rate, cutoff)
-    if probs is None:
-        warnings.warn("degenerate feature importance; uniform feature masking")
-        return mask_features_random(x, rate, seed)
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(x.n_cols) >= probs).astype(np.float64)
-    return _apply_column_mask(x, keep)
 
 
 def _block_strengths(g, b):
@@ -225,39 +141,52 @@ def _block_strengths(g, b):
                     0.0)
 
 
-def community_strength(g, b):
-    """Per-node community strength: internal density of the node's block.
+def _importance(g, spec, b):
+    """(per-edge, per-feature-column) importances for spec.kind, or None
+    for `random`.
 
-    strength(c) = intra_edges(c) / C(size_c, 2); singleton blocks get 0.
+    Node scores are the kind's centrality, or for `scom` the strength of the
+    node's block. A feature column's importance is the score-weighted count
+    of its nonzero entries, which for identity features is the node's own
+    score (times its column mask), so nothing is materialized.
     """
-    return CentralityWeights(_block_strengths(g, b)[b.assignment],
-                             "community_strength")
-
-
-def scom_drop_edges(g, b, rate, cutoff, seed):
-    """Community-strength edge dropping: importance = mean endpoint strength,
-    plus the global mean block strength as a bonus when both endpoints share
-    a block, so intra-community edges survive preferentially."""
-    return _scom_drop_edges(g, b, _block_strengths(g, b), rate, cutoff, seed)
-
-
-def _scom_drop_edges(g, b, block_strengths, rate, cutoff, seed):
-    if rate >= 1.0:
-        raise ValueError("rate must be < 1")
-    if g.num_edges == 0 or rate == 0.0:
-        return g
-    scores = block_strengths[b.assignment]
-    delta = float(block_strengths.mean())
+    if spec.kind == "random":
+        return None
     u, v = g.edges[:, 0], g.edges[:, 1]
-    importance = 0.5 * (scores[u] + scores[v])
-    importance = importance + delta * (b.assignment[u] == b.assignment[v])
-    probs = _probabilities_from_importance(importance, rate, cutoff)
-    if probs is None:
-        warnings.warn("degenerate community importance; uniform edge dropping")
-        return drop_edges_random(g, rate, seed)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(g.num_edges) >= probs
-    return g.with_edges(g.edges[keep])
+    if spec.kind == "scom":
+        strengths = _block_strengths(g, b)
+        scores = strengths[b.assignment]
+        same_block = b.assignment[u] == b.assignment[v]
+        edges = 0.5 * (scores[u] + scores[v])
+        edges = edges + float(strengths.mean()) * same_block
+    else:
+        scores = centrality(g, CENTRALITY_BY_KIND[spec.kind])
+        edges = 0.5 * (np.log1p(scores[u]) + np.log1p(scores[v]))
+    if not np.all(np.isfinite(scores)) or np.any(scores < 0):
+        raise ValueError("node scores must be finite and nonnegative")
+    x = g.features
+    if x.kind == "identity":
+        columns = scores if x.column_mask is None else scores * x.column_mask
+    else:
+        columns = (x.dense_values != 0.0).astype(np.float64).T @ scores
+    return edges, columns
+
+
+def drop_probabilities(importance, rate, cutoff, what):
+    """min((s_max - s) / (s_max - s_mean) * rate, cutoff) per item, or the
+    uniform `rate` when there is no importance (`random`), nothing to drop,
+    or a flat surface. Only the flat surface warns; `what` names it."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("rate must lie in [0, 1)")
+    if importance is None or rate == 0.0 or importance.size == 0:
+        return rate
+    s_max = importance.max()
+    span = s_max - importance.mean()
+    if span <= 1e-12:
+        action = "feature masking" if what == "feature" else "edge dropping"
+        warnings.warn(f"degenerate {what} importance; uniform {action}")
+        return rate
+    return np.minimum((s_max - importance) / span * rate, cutoff)
 
 
 def _sub_seeds(seed, count):
@@ -281,28 +210,14 @@ def make_views(g, spec, b=None, seed=0):
         return view1, view2
 
     e1, e2, f1, f2 = _sub_seeds(seed, 4)
-    if spec.kind == "random":
-        view1 = drop_edges_random(g, spec.drop_edge_rate_1, e1)
-        view2 = drop_edges_random(g, spec.drop_edge_rate_2, e2)
-        x1 = mask_features_random(g.features, spec.drop_feature_rate_1, f1)
-        x2 = mask_features_random(g.features, spec.drop_feature_rate_2, f2)
-    elif spec.kind in ADAPTIVE_KINDS:
-        w = centrality(g, CENTRALITY_BY_KIND[spec.kind])
-        view1 = adaptive_drop_edges(g, w, spec.drop_edge_rate_1, spec.cutoff, e1)
-        view2 = adaptive_drop_edges(g, w, spec.drop_edge_rate_2, spec.cutoff, e2)
-        x1 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_1,
-                                    spec.cutoff, f1)
-        x2 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_2,
-                                    spec.cutoff, f2)
-    else:  # scom
-        strengths = _block_strengths(g, b)
-        view1 = _scom_drop_edges(g, b, strengths, spec.drop_edge_rate_1,
-                                 spec.cutoff, e1)
-        view2 = _scom_drop_edges(g, b, strengths, spec.drop_edge_rate_2,
-                                 spec.cutoff, e2)
-        w = CentralityWeights(strengths[b.assignment], "community_strength")
-        x1 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_1,
-                                    spec.cutoff, f1)
-        x2 = adaptive_mask_features(g.features, w, spec.drop_feature_rate_2,
-                                    spec.cutoff, f2)
-    return view1.with_features(x1), view2.with_features(x2)
+    edge_imp, column_imp = _importance(g, spec, b) or (None, None)
+    edge_what = "community" if spec.kind == "scom" else "edge"
+    views = [drop_edges(g, drop_probabilities(edge_imp, rate, spec.cutoff,
+                                              edge_what), s)
+             for rate, s in ((spec.drop_edge_rate_1, e1),
+                             (spec.drop_edge_rate_2, e2))]
+    masks = [mask_features(g.features, drop_probabilities(
+                 column_imp, rate, spec.cutoff, "feature"), s)
+             for rate, s in ((spec.drop_feature_rate_1, f1),
+                             (spec.drop_feature_rate_2, f2))]
+    return tuple(v.with_features(x) for v, x in zip(views, masks))

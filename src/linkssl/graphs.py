@@ -193,13 +193,16 @@ def read_edge_pairs(path):
                 continue
             tokens = stripped.split()
             if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two node ids, "
+                raise ValueError(f"{path}:{lineno}: expected two integers, "
                                  f"got {stripped!r}")
-            try:
-                pairs.append((int(tokens[0]), int(tokens[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id "
-                                 f"in {stripped!r}") from exc
+            row = []
+            for token in tokens:
+                try:
+                    row.append(int(token))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-integer token "
+                                     f"{token!r} in {stripped!r}") from exc
+            pairs.append(row)
             linenos.append(lineno)
     if not pairs:
         raise ValueError(f"{path}: no edges found")

@@ -46,21 +46,23 @@ def grace_loss(u_emb, v_emb, projector, tau):
     return _nce_gap(ad.nce_denominator(both, both, tau), p1, p2, tau)
 
 
-def select_link_sets(view1, view2, rng_seed):
-    """Positive links = edges surviving in both views; negatives are sampled
-    uniformly among pairs absent from either view, one per positive,
-    resampled each call.
+def select_link_sets(view1, view2, rng_seed=None):
+    """Positive links = edges surviving in both views; with an `rng_seed`,
+    negatives are sampled uniformly among pairs absent from either view, one
+    per positive, resampled each call.
 
-    Returns (edge_pos, edge_neg) as (k, 2) arrays; both empty when the
-    views share no edge (callers skip such epochs).
+    Returns (edge_pos, edge_neg) as (k, 2) arrays, both empty when the views
+    share no edge (callers skip such epochs); edge_neg is None when no seed
+    is given (L-BGRL reads no negatives).
     """
     if view1.n != view2.n:
         raise ValueError("views must share a node set")
     common = np.intersect1d(view1.keys, view2.keys, assume_unique=True)
-    if not common.size:
-        empty = np.empty((0, 2), dtype=np.int64)
-        return empty, empty
     edge_pos = np.stack([common // view1.n, common % view1.n], axis=1)
+    if rng_seed is None:
+        return edge_pos, None
+    if not common.size:  # no positives, so no negatives either
+        return edge_pos, edge_pos
     edge_neg = sample_negative_pairs(view1, len(edge_pos),
                                      seed=rng_seed, exclude=view2.edges)
     return edge_pos, edge_neg

@@ -85,6 +85,7 @@ def _init_state(model, in_dim, cfg, seed):
         for p in targets:
             p.tensor.requires_grad = False
             p.tensor.grad = None
+            p.adam_m = p.adam_v = None
         state.tracked = list(zip(targets,
                                  _parameters(encoder, state.link_mlp)))
     return state
@@ -126,8 +127,9 @@ def train_encoder(split, spec, model, cfg, seed, block_state=None):
     for epoch in range(cfg.ct_epochs):
         v1, v2 = _epoch_views(graph, spec, block_state, seed, epoch)
         if model in LINK_MODELS:
-            edge_pos, edge_neg = select_link_sets(
-                v1, v2, derive_seed(seed, "negatives", epoch))
+            negatives = (None if model in BOOTSTRAPPED
+                         else derive_seed(seed, "negatives", epoch))
+            edge_pos, edge_neg = select_link_sets(v1, v2, negatives)
             if len(edge_pos) == 0:
                 warnings.warn(
                     f"epoch {epoch}: views share no edge, skipping")

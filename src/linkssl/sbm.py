@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import louvain
 from .graphs import Graph, _sample_pair_keys
 
 
@@ -97,15 +96,3 @@ def sample_sbm(c, seed=0):
         edges.append(_sample_block_pair(c, r, s, rng))
     return Graph(c.n, np.concatenate(edges))
 
-
-def sbm_augment(g, detector=louvain, seed=0):
-    """Detect blocks, fit counts, and sample a fresh graph; features carried."""
-    if g.num_edges == 0:
-        raise ValueError("sbm augmentation requires at least one edge")
-    seq = np.random.SeedSequence(seed)
-    detect_seed, sample_seed = (int(s.generate_state(1)[0])
-                                for s in seq.spawn(2))
-    b = detector(g, detect_seed)
-    counts = fit_block_counts(g, b)
-    sampled = sample_sbm(counts, sample_seed)
-    return sampled.with_features(g.features)

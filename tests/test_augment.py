@@ -1,5 +1,6 @@
 """Augmentation family: centralities, adaptive schemes, and view generation."""
 
+import hashlib
 import math
 import warnings
 
@@ -7,12 +8,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from linkssl.augment import (AugmentationSpec, CentralityWeights,
-                             adaptive_drop_edges, adaptive_mask_features,
-                             centrality, community_strength,
-                             drop_edges_random, make_views,
-                             mask_features_random, scom_drop_edges,
-                             _probabilities_from_importance)
+from linkssl.augment import (ALL_KINDS, AugmentationSpec, centrality,
+                             drop_edges, drop_probabilities, make_views,
+                             mask_features, _importance)
 from linkssl.community import BlockState, louvain
 from linkssl.graphs import FeatureMatrix, Graph
 
@@ -30,30 +28,30 @@ def big_random_graph(n=142, m=10000, seed=1):
 
 def test_drop_edges_rate_zero_is_identity():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert drop_edges_random(g, 0.0, seed=0) is g
+    assert drop_edges(g, 0.0, seed=0) is g
 
 
 def test_drop_edges_binomial_survival():
     g = big_random_graph()
-    survived = drop_edges_random(g, 0.5, seed=3).num_edges
+    survived = drop_edges(g, 0.5, seed=3).num_edges
     assert abs(survived - 5000) < 3 * 50  # sigma = sqrt(1e4 * 0.25) = 50
 
 
 def test_drop_edges_deterministic():
     g = big_random_graph(n=30, m=200)
-    a = drop_edges_random(g, 0.3, seed=9)
-    b = drop_edges_random(g, 0.3, seed=9)
+    a = drop_edges(g, 0.3, seed=9)
+    b = drop_edges(g, 0.3, seed=9)
     assert a.edge_set() == b.edge_set()
 
 
 def test_mask_features_rate_zero_identity():
     x = FeatureMatrix.identity(5)
-    assert mask_features_random(x, 0.0, seed=0) is x
+    assert mask_features(x, 0.0, seed=0) is x
 
 
 def test_mask_features_zeroes_whole_columns():
     x = FeatureMatrix.dense(np.ones((4, 6)))
-    masked = mask_features_random(x, 0.5, seed=2)
+    masked = mask_features(x, 0.5, seed=2)
     dense = masked.materialize()
     col_sums = dense.sum(axis=0)
     assert set(col_sums.tolist()) <= {0.0, 4.0}
@@ -63,7 +61,7 @@ def test_mask_features_zeroes_whole_columns():
 def test_mask_features_binomial_column_count():
     x = FeatureMatrix.identity(400)
     survivors = [
-        int(np.sum(mask_features_random(x, 0.3, seed=s).column_mask))
+        int(np.sum(mask_features(x, 0.3, seed=s).column_mask))
         for s in range(50)
     ]
     expected = 400 * 0.7
@@ -73,24 +71,24 @@ def test_mask_features_binomial_column_count():
 
 def test_degree_centrality_path():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert centrality(g, "degree").node_scores.tolist() == [1.0, 2.0, 1.0]
+    assert centrality(g, "degree").tolist() == [1.0, 2.0, 1.0]
 
 
 def test_eigenvector_centrality_k4_uniform():
     g = Graph(4, k(4))
-    scores = centrality(g, "eigenvector").node_scores
+    scores = centrality(g, "eigenvector")
     assert np.allclose(scores, 0.5, atol=1e-7)
 
 
 def test_pagerank_single_edge_symmetric():
     g = Graph(2, [(0, 1)])
-    scores = centrality(g, "pagerank").node_scores
+    scores = centrality(g, "pagerank")
     assert np.allclose(scores, [0.5, 0.5], atol=1e-9)
 
 
 def test_eigenvector_matches_networkx():
     g = big_random_graph(n=25, m=80, seed=4)
-    ours = centrality(g, "eigenvector").node_scores
+    ours = centrality(g, "eigenvector")
     nxg = nx.Graph(list(map(tuple, g.edges.tolist())))
     nxg.add_nodes_from(range(25))
     theirs = nx.eigenvector_centrality(nxg, max_iter=5000, tol=1e-10)
@@ -101,7 +99,7 @@ def test_eigenvector_matches_networkx():
 
 def test_pagerank_matches_networkx():
     g = big_random_graph(n=25, m=80, seed=5)
-    ours = centrality(g, "pagerank").node_scores
+    ours = centrality(g, "pagerank")
     nxg = nx.Graph(list(map(tuple, g.edges.tolist())))
     nxg.add_nodes_from(range(25))
     theirs = nx.pagerank(nxg, alpha=0.85, tol=1e-10)
@@ -111,7 +109,7 @@ def test_pagerank_matches_networkx():
 
 def test_probability_scheme_monotone_decreasing_then_clamped():
     importance = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    probs = _probabilities_from_importance(importance, rate=0.4, cutoff=0.5)
+    probs = drop_probabilities(importance, 0.4, 0.5, "edge")
     assert np.all(np.diff(probs) <= 1e-12)
     assert probs.max() <= 0.5
     assert probs[-1] == pytest.approx(0.0)  # max importance never exceeds rate scale
@@ -119,10 +117,11 @@ def test_probability_scheme_monotone_decreasing_then_clamped():
 
 def test_adaptive_drop_uniform_fallback_matches_random():
     g = Graph(6, k(6))  # regular graph: all importances equal
-    w = centrality(g, "degree")
+    edges, _ = _importance(g, AugmentationSpec(kind="deg"), None)
     with pytest.warns(UserWarning, match="degenerate"):
-        adapted = adaptive_drop_edges(g, w, 0.4, 0.9, seed=12)
-    uniform = drop_edges_random(g, 0.4, seed=12)
+        probs = drop_probabilities(edges, 0.4, 0.9, "edge")
+    adapted = drop_edges(g, probs, seed=12)
+    uniform = drop_edges(g, 0.4, seed=12)
     assert adapted.edge_set() == uniform.edge_set()
 
 
@@ -131,10 +130,8 @@ def test_adaptive_drop_prefers_removing_low_importance_bridge():
     # bridge has minimum endpoint degree, hence the highest removal odds
     edges = k(6) + k(6, offset=8) + [(5, 6), (6, 7), (7, 8)]
     g = Graph(14, edges)
-    w = centrality(g, "degree")
-    from linkssl.augment import _edge_importance_from_centrality
-    importance = _edge_importance_from_centrality(g, w)
-    probs = _probabilities_from_importance(importance, 0.5, 0.9)
+    importance, _ = _importance(g, AugmentationSpec(kind="deg"), None)
+    probs = drop_probabilities(importance, 0.5, 0.9, "edge")
     bridge_idx = [i for i, (u, v) in enumerate(g.edges.tolist())
                   if (u, v) == (6, 7)][0]
     assert probs[bridge_idx] == probs.max()
@@ -142,19 +139,19 @@ def test_adaptive_drop_prefers_removing_low_importance_bridge():
 
 def test_adaptive_mask_identity_importance_is_centrality():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    w = centrality(g, "degree")
-    from linkssl.augment import _dimension_importance
-    imp = _dimension_importance(FeatureMatrix.identity(4), w.node_scores)
+    _, imp = _importance(g, AugmentationSpec(kind="deg"), None)
+    assert g.features.kind == "identity"
     assert imp.tolist() == [3.0, 1.0, 1.0, 1.0]
 
 
 def test_adaptive_mask_protects_high_centrality_columns():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    w = centrality(g, "degree")
     x = FeatureMatrix.identity(5)
+    _, imp = _importance(g, AugmentationSpec(kind="deg"), None)
+    probs = drop_probabilities(imp, 0.5, 0.9, "feature")
     hub_masked = leaf_masked = 0
     for s in range(400):
-        masked = adaptive_mask_features(x, w, 0.5, 0.9, seed=s)
+        masked = mask_features(x, probs, seed=s)
         hub_masked += masked.column_mask[0] == 0.0
         leaf_masked += masked.column_mask[1] == 0.0
     assert hub_masked < leaf_masked
@@ -163,20 +160,23 @@ def test_adaptive_mask_protects_high_centrality_columns():
 def test_community_strength_values():
     g = Graph(7, k(3) + [(3, 4), (4, 5)] )
     b = BlockState(np.array([0, 0, 0, 1, 1, 1, 2]), 3, "external")
-    w = community_strength(g, b)
-    assert w.node_scores[0] == pytest.approx(1.0)       # triangle block
-    assert w.node_scores[3] == pytest.approx(2.0 / 3.0)  # 2 edges of 3 slots
-    assert w.node_scores[6] == 0.0                        # singleton block
+    # under identity features a column's importance is its node's strength
+    _, strength = _importance(g, AugmentationSpec(kind="scom"), b)
+    assert strength[0] == pytest.approx(1.0)       # triangle block
+    assert strength[3] == pytest.approx(2.0 / 3.0)  # 2 edges of 3 slots
+    assert strength[6] == 0.0                        # singleton block
 
 
 def test_scom_intra_block_edges_survive_preferentially():
     edges = k(4) + k(4, offset=4) + [(0, 4)]
     g = Graph(8, edges)
     b = BlockState(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2, "external")
+    importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
+    probs = drop_probabilities(importance, 0.5, 0.9, "community")
     survived_bridge = survived_intra = 0
     trials = 500
     for s in range(trials):
-        out = scom_drop_edges(g, b, rate=0.5, cutoff=0.9, seed=s)
+        out = drop_edges(g, probs, seed=s)
         survived_bridge += out.contains(0, 4)
         survived_intra += out.contains(0, 1)
     assert survived_bridge < survived_intra
@@ -185,9 +185,11 @@ def test_scom_intra_block_edges_survive_preferentially():
 def test_scom_single_block_uniform_fallback():
     g = Graph(5, k(5))
     b = BlockState(np.zeros(5, dtype=int), 1, "external")
+    importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     with pytest.warns(UserWarning, match="degenerate"):
-        out = scom_drop_edges(g, b, rate=0.4, cutoff=0.9, seed=7)
-    assert out.edge_set() == drop_edges_random(g, 0.4, seed=7).edge_set()
+        probs = drop_probabilities(importance, 0.4, 0.9, "community")
+    out = drop_edges(g, probs, seed=7)
+    assert out.edge_set() == drop_edges(g, 0.4, seed=7).edge_set()
 
 
 def test_spec_validation():
@@ -268,3 +270,49 @@ def test_make_views_never_adds_self_loops_or_new_nodes():
         for v in (v1, v2):
             assert v.n == g.n
             assert all(u != w for u, w in v.edges.tolist())
+
+
+def _fingerprint_graphs():
+    rng = np.random.default_rng(21)
+    us, vs = np.triu_indices(16, k=1)
+    pick = rng.choice(len(us), size=40, replace=False)
+    sparse = np.stack([us[pick], vs[pick]], axis=1)
+    dense = rng.random((16, 5)) * (rng.random((16, 5)) < 0.6)
+    mask = (rng.random(16) < 0.7).astype(np.float64)
+    masked = FeatureMatrix(kind="identity", n_rows=16, n_cols=16,
+                           column_mask=mask)
+    return [Graph(16, sparse),
+            Graph(16, sparse, features=FeatureMatrix.dense(dense)),
+            Graph(16, sparse, features=masked),
+            Graph(8, np.stack(np.triu_indices(8, k=1), axis=1)),  # flat
+            Graph(8, np.zeros((0, 2), dtype=np.int64))]
+
+
+def test_make_views_fingerprint_is_frozen():
+    # every kind over identity, masked-identity and dense features, a
+    # complete graph (flat importance surfaces) and an edgeless graph, with
+    # zero, default and extreme rates under two cutoffs: edges, column
+    # masks, dense values and the warnings raised, in order
+    digest = hashlib.sha256()
+    caught = []
+    rate_sets = [(0.2, 0.2, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
+                 (0.9, 0.5, 0.9, 0.3)]
+    for g in _fingerprint_graphs():
+        b = BlockState(np.arange(g.n) % 3, 3, "external")
+        for kind in ALL_KINDS:
+            for rates in rate_sets:
+                for cutoff in (0.9, 0.7):
+                    spec = AugmentationSpec(kind, *rates, cutoff=cutoff)
+                    with warnings.catch_warnings(record=True) as w:
+                        warnings.simplefilter("always")
+                        views = make_views(g, spec, b=b, seed=5)
+                    caught += [str(x.message) for x in w]
+                    for v in views:
+                        x = v.features
+                        digest.update(v.edges.astype(np.int64).tobytes())
+                        digest.update(x.kind.encode())
+                        for a in (x.column_mask, x.dense_values):
+                            digest.update(b"-" if a is None else a.tobytes())
+    digest.update("\n".join(caught).encode())
+    # the per-kind droppers and maskers this scheme replaced gave this value
+    assert (digest.hexdigest()[:16], len(caught)) == ("dab65253edd92723", 88)

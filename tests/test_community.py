@@ -144,6 +144,20 @@ def test_partition_file_non_integer_token_names_path_line(tmp_path):
         load_partition_file(p, 3)
 
 
+def test_partition_file_malformed_messages_name_the_token(tmp_path):
+    # the bad token here is a block id, so the message must not call it a
+    # node id
+    p = tmp_path / "bad.txt"
+    p.write_text("0 0\n1 x\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: non-integer") as exc:
+        load_partition_file(p, 2)
+    assert "'x'" in str(exc.value) and "node id" not in str(exc.value)
+    p.write_text("0 0 1\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:1: expected two") as exc:
+        load_partition_file(p, 1)
+    assert "node id" not in str(exc.value)
+
+
 def test_partition_file_negative_block_id_names_path_line(tmp_path):
     p = tmp_path / "neg.txt"
     p.write_text("# node block\n0 -1\n1 0\n")

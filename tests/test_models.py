@@ -377,6 +377,35 @@ def test_select_link_sets_resamples_negatives():
     assert set(map(tuple, neg_a)) != set(map(tuple, neg_b))
 
 
+def test_select_link_sets_without_seed_draws_no_negatives():
+    g = two_triangles()
+    pos, neg = select_link_sets(g, g)
+    assert set(map(tuple, pos)) == g.edge_set() and neg is None
+    pos, neg = select_link_sets(Graph(4, np.array([(0, 1)])),
+                                Graph(4, np.array([(2, 3)])))
+    assert pos.shape == (0, 2) and neg is None
+
+
+@pytest.mark.parametrize("model, draws", [("lbgrl", 0), ("lgrace", 1)])
+def test_only_lgrace_samples_link_negatives(monkeypatch, model, draws):
+    # L-BGRL bootstraps its shared links against the target and reads no
+    # negatives, so its epoch must not pay for drawing them
+    from linkssl.models import losses
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sample_negative_pairs(*args, **kwargs)
+
+    sample_negative_pairs = losses.sample_negative_pairs
+    monkeypatch.setattr(losses, "sample_negative_pairs", spy)
+    spec = AugmentationSpec(drop_edge_rate_1=0.0, drop_edge_rate_2=0.0)
+    state = train_encoder(_toy_split(), spec, model,
+                          toy_cfg(model=model, ct_epochs=1), seed=2)
+    assert state.epoch == 1
+    assert len(calls) == draws
+
+
 # ------------------------------------------------------------------ encoder
 
 def test_encoder_zero_weights_give_zero_embeddings():
@@ -595,6 +624,18 @@ def test_target_is_a_frozen_copy_sharing_no_array(model, norm):
         assert not t.tensor.requires_grad
         assert t.tensor.grad is None
         assert t.tensor._backward_fn is None
+
+
+@pytest.mark.parametrize("model", ["bgrl", "lbgrl"])
+def test_target_parameters_hold_no_adam_moments(model):
+    # the target moves by EMA only; Adam moments copied from the online
+    # parameters would be dead arrays
+    state = train_encoder(_toy_split(), AugmentationSpec(), model,
+                          toy_cfg(model=model, ct_epochs=2), seed=4)
+    assert state.tracked
+    for target, online in state.tracked:
+        assert target.adam_m is None and target.adam_v is None
+        assert online.adam_m is not None and online.adam_v is not None
 
 
 def test_train_encoder_seed_changes_trajectory():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkssl.augment import AugmentationSpec, make_views
 from linkssl.community import BlockState, louvain
 from linkssl.graphs import Graph
-from linkssl.sbm import BlockEdgeCounts, fit_block_counts, sample_sbm, sbm_augment
+from linkssl.sbm import BlockEdgeCounts, fit_block_counts, sample_sbm
 
 
 def triangle():
@@ -96,10 +97,16 @@ def test_sample_uniform_over_admissible_pairs():
         assert abs(count - trials * p) < 3 * sigma, (edge, count)
 
 
+def sbm_views(g, seed, kind="sbm2", b=None):
+    """make_views' SBM views under a Louvain partition of g."""
+    b = louvain(g, seed=0) if b is None else b
+    return make_views(g, AugmentationSpec(kind=kind), b=b, seed=seed)
+
+
 def test_sbm_augment_forced_on_two_triangles():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    out = sbm_augment(g, seed=0)
-    assert out.edge_set() == g.edge_set()
+    for out in sbm_views(g, seed=0):
+        assert out.edge_set() == g.edge_set()
 
 
 def test_sbm_augment_preserves_edge_count():
@@ -108,14 +115,17 @@ def test_sbm_augment_preserves_edge_count():
     idx = rng.choice(len(pool), size=40, replace=False)
     g = Graph(15, [pool[i] for i in idx])
     for seed in range(10):
-        assert sbm_augment(g, seed=seed).num_edges == g.num_edges
+        for out in sbm_views(g, seed=seed):
+            assert out.num_edges == g.num_edges
 
 
 def test_sbm_augment_usually_changes_the_graph():
     clique_a = [(u, v) for u in range(10) for v in range(u + 1, 10)]
     clique_b = [(u + 10, v + 10) for u, v in clique_a]
     g = Graph(20, clique_a + clique_b + [(0, 10)])
-    changed = sum(sbm_augment(g, seed=s).edge_set() != g.edge_set()
+    b = louvain(g, seed=0)
+    assert b.num_blocks == 2
+    changed = sum(sbm_views(g, s, "sbm", b)[1].edge_set() != g.edge_set()
                   for s in range(1000))
     # blocks = the two cliques, so the only free slot is the bridge:
     # P(change) = 99/100 exactly; allow a 3 sigma binomial band around 990
@@ -125,8 +135,8 @@ def test_sbm_augment_usually_changes_the_graph():
 
 def test_sbm_augment_carries_features():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    out = sbm_augment(g, seed=1)
-    assert out.features is g.features
+    for out in sbm_views(g, seed=1):
+        assert out.features is g.features
 
 
 def test_sample_deterministic():
