@@ -7,6 +7,16 @@ graph once in reverse topological order and accumulates gradients into
 leaf tensors. Gradients persist across backward calls until zeroed, so
 calling backward twice doubles them.
 
+Gradient ownership: a backward_fn hands each array it builds to at most
+one _accumulate call and keeps no reference to it, so the first
+contribution a tensor receives becomes its grad without a copy and later
+ones are added into it in place. `add` is the one op whose upstream
+gradient can reach two parents unchanged; it copies for the second.
+
+The per-element kernels (prelu, batch_norm, row_l2_normalize) are
+branch-free: they use min/max and arithmetic on masks rather than
+np.where over data-dependent signs, and write into arrays they own.
+
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
 """
@@ -109,7 +119,7 @@ class Tensor:
 
     def _accumulate(self, contribution):
         if self.grad is None:
-            self.grad = contribution.copy()
+            self.grad = contribution  # owned: see "Gradient ownership"
         else:
             self.grad += contribution
 
@@ -206,7 +216,10 @@ def add(a, b):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            if gb is a.grad:
+                gb = g.copy()  # `a` has just adopted g
+            b._accumulate(gb)
 
     return _make(out, (a, b), backward_fn, "add")
 
@@ -259,15 +272,22 @@ def relu(x):
 def prelu(x, slope):
     """PReLU with a learnable (1, 1) slope tensor for the negative part."""
     s = slope.values[0, 0]
-    neg = x.values < 0.0
-    out = np.where(neg, s * x.values, x.values)
+    out = np.minimum(x.values, 0.0)
+    out *= s
+    out += np.maximum(x.values, 0.0)
 
     def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * np.where(neg, s, 1.0))
         if slope.requires_grad:
-            slope._accumulate(np.sum(g * np.where(neg, x.values, 0.0),
-                                     keepdims=True).reshape(1, 1))
+            # fmin maps NaN to 0 like the negative-part mask does
+            work = np.fmin(x.values, 0.0)
+            work *= g
+            slope._accumulate(np.sum(work, keepdims=True).reshape(1, 1))
+        if x.requires_grad:
+            neg = x.values < 0.0
+            dx = np.multiply(neg, s)
+            dx += ~neg
+            dx *= g
+            x._accumulate(dx)
 
     return _make(out, (x, slope), backward_fn, "prelu")
 
@@ -293,9 +313,14 @@ def row_l2_normalize(x):
             return
         # d(x/n)/dx applied to g is g/n - out*(out.g)/n; drop the curvature
         # term on degenerate rows where the denominator is the EPS floor.
-        correction = out * np.sum(out * g, axis=1, keepdims=True)
-        correction = np.where(norms > EPS, correction, 0.0)
-        x._accumulate((g - correction) / denom)
+        work = np.multiply(out, g)
+        np.multiply(out, np.sum(work, axis=1, keepdims=True), out=work)
+        degenerate = ~(norms[:, 0] > EPS)
+        if degenerate.any():
+            work[degenerate] = 0.0
+        np.subtract(g, work, out=work)
+        work /= denom
+        x._accumulate(work)
 
     return _make(out, (x,), backward_fn, "row_l2_normalize")
 
@@ -491,24 +516,33 @@ def batch_norm(x, gamma, beta, state, momentum, training):
         var = state["running_var"]
     inv_std = 1.0 / np.sqrt(var + bn_eps)
     xhat = np.multiply(centred, inv_std, out=centred)  # no second n x d copy
-    out = gamma.values * xhat + beta.values
+    out = xhat * gamma.values
+    out += beta.values
 
     def backward_fn(g):
+        work = None
         if gamma.requires_grad:
-            gamma._accumulate(np.sum(g * xhat, axis=0, keepdims=True))
+            work = np.multiply(g, xhat)
+            gamma._accumulate(np.sum(work, axis=0, keepdims=True))
         if beta.requires_grad:
             beta._accumulate(np.sum(g, axis=0, keepdims=True))
-        if x.requires_grad:
-            if training:
-                n = x.shape[0]
-                dxhat = g * gamma.values
-                dx = (inv_std / n) * (n * dxhat
-                                      - np.sum(dxhat, axis=0, keepdims=True)
-                                      - xhat * np.sum(dxhat * xhat, axis=0,
-                                                      keepdims=True))
-                x._accumulate(dx)
-            else:
-                x._accumulate(g * gamma.values * inv_std)
+        if not x.requires_grad:
+            return
+        dxhat = g * gamma.values
+        if training:
+            # (inv_std / n) * (n dxhat - sum(dxhat) - xhat sum(dxhat xhat))
+            n = x.shape[0]
+            work = np.multiply(dxhat, xhat, out=work)
+            sum_dxhat_xhat = np.sum(work, axis=0, keepdims=True)
+            sum_dxhat = np.sum(dxhat, axis=0, keepdims=True)
+            dxhat *= n
+            dxhat -= sum_dxhat
+            np.multiply(xhat, sum_dxhat_xhat, out=work)
+            dxhat -= work
+            dxhat *= inv_std / n
+        else:
+            dxhat *= inv_std
+        x._accumulate(dxhat)
 
     return _make(out, (x, gamma, beta), backward_fn, "batch_norm")
 

@@ -54,6 +54,7 @@ def adam_step(params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
 
     Decoupled weight decay is applied first (p <- p - lr * wd * p), then the
     bias-corrected Adam update using each parameter's accumulated gradient.
+    Each parameter uses one work array and one denominator array.
     """
     beta1, beta2 = betas
     for p in params:
@@ -63,13 +64,21 @@ def adam_step(params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
         if g is None:
             g = np.zeros(p.shape)
         p.step_count += 1
+        work = np.multiply(g, 1.0 - beta1)
         p.adam_m *= beta1
-        p.adam_m += (1.0 - beta1) * g
+        p.adam_m += work
+        np.multiply(g, g, out=work)
+        work *= 1.0 - beta2
         p.adam_v *= beta2
-        p.adam_v += (1.0 - beta2) * (g * g)
-        m_hat = p.adam_m / (1.0 - beta1 ** p.step_count)
-        v_hat = p.adam_v / (1.0 - beta2 ** p.step_count)
-        p.tensor.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.adam_v += work
+        # lr * m_hat / (sqrt(v_hat) + eps)
+        denom = np.divide(p.adam_v, 1.0 - beta2 ** p.step_count)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(p.adam_m, 1.0 - beta1 ** p.step_count, out=work)
+        work *= lr
+        work /= denom
+        p.tensor.values -= work
 
 
 def ema_update(target, online, decay):

@@ -12,6 +12,7 @@ Layout under the output directory:
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 import traceback
@@ -237,11 +238,13 @@ def random_search(space, base_cfg, seed, graph=None, objective=None,
     best_cfg = trial_log[best_idx][1]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "search_log.csv"), "w") as fh:
-            fh.write("trial,score,error,config\n")
+        with open(os.path.join(out_dir, "search_log.csv"), "w",
+                  newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("trial", "score", "error", "config"))
             for idx, cfg, score, err in trial_log:
                 flat = serialize_config(cfg).replace("\n", ";")
-                fh.write(f"{idx},{score!r},{err},{flat}\n")
+                writer.writerow((idx, repr(score), err, flat))
         with open(os.path.join(out_dir, "best_config.txt"), "w") as fh:
             fh.write(serialize_config(best_cfg))
     return best_cfg, trial_log

@@ -149,6 +149,15 @@ def test_prelu_gradient(rng):
     assert grad_check(fn, [x, slope]) < 1e-6
 
 
+@pytest.mark.parametrize("s", [-0.5, 1.7])
+def test_prelu_gradient_outside_unit_slope(s, rng):
+    # the kernel may not assume a slope in [0, 1]
+    x = leaf(rng, (4, 3))
+    slope = Tensor([[s]], requires_grad=True)
+    fn = lambda a, s: ad.tensor_sum(ad.sigmoid(ad.prelu(a, s)))
+    assert grad_check(fn, [x, slope]) < 1e-6
+
+
 def test_sparse_matmul_gradient(rng):
     adj = sparse.random(5, 5, density=0.5, random_state=3, format="csr")
     x = leaf(rng, (5, 3))
@@ -299,6 +308,156 @@ def test_quadratic_form_grad_check_is_tight(rng):
     x = leaf(rng, (3, 1))
     fn = lambda v: ad.tensor_sum(ad.elementwise_mul(v, ad.matmul(A, v)))
     assert grad_check(fn, [x]) < 1e-9
+
+
+# --- kernels pinned to their np.where formulas ------------------------------
+#
+# The per-element kernels are computed branch-free and in place; each must
+# give exactly what the straightforward formula written out here gives.
+
+
+def _upstream(out, rng):
+    """Loss sum(out * w) for a fixed random w, so the op's upstream gradient
+    is exactly w; returns (loss, w)."""
+    w = rng.normal(size=out.shape)
+    return ad.tensor_sum(ad.elementwise_mul(out, Tensor(w))), w
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.3, 1.7])
+def test_prelu_matches_where_formula(s, rng):
+    xv = rng.normal(size=(6, 5))
+    xv[0, :2] = 0.0
+    xv[1, :2] = -0.0
+    x = Tensor(xv.copy(), requires_grad=True)
+    slope = Tensor([[s]], requires_grad=True)
+    out = ad.prelu(x, slope)
+    loss, g = _upstream(out, rng)
+    backward(loss)
+    neg = xv < 0.0
+    assert np.array_equal(out.values, np.where(neg, s * xv, xv))
+    assert np.array_equal(x.grad, g * np.where(neg, s, 1.0))
+    assert np.array_equal(
+        slope.grad, np.sum(g * np.where(neg, xv, 0.0), keepdims=True))
+
+
+def test_row_l2_normalize_matches_where_formula_on_degenerate_rows(rng):
+    xv = rng.normal(size=(5, 4))
+    xv[2] = 0.0
+    xv[3] *= 1e-14  # below the EPS floor, but not zero
+    x = Tensor(xv.copy(), requires_grad=True)
+    out = ad.row_l2_normalize(x)
+    loss, g = _upstream(out, rng)
+    backward(loss)
+    norms = np.sqrt(np.sum(xv ** 2, axis=1, keepdims=True))
+    denom = np.maximum(norms, ad.EPS)
+    want = xv / denom
+    correction = want * np.sum(want * g, axis=1, keepdims=True)
+    correction = np.where(norms > ad.EPS, correction, 0.0)
+    assert np.array_equal(out.values, want)
+    assert np.array_equal(x.grad, (g - correction) / denom)
+    assert np.array_equal(x.grad[2], g[2] / ad.EPS)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_matches_formula(training, rng):
+    n, d, momentum = 7, 4, 0.9
+    xv = rng.normal(loc=1.0, size=(n, d))
+    gv = rng.uniform(0.5, 1.5, size=(1, d))
+    bv = rng.normal(size=(1, d))
+    state = {"running_mean": rng.normal(size=(1, d)),
+             "running_var": rng.uniform(0.5, 2.0, size=(1, d))}
+    running = {k: v.copy() for k, v in state.items()}
+    x, gamma, beta = (Tensor(v.copy(), requires_grad=True)
+                      for v in (xv, gv, bv))
+    out = ad.batch_norm(x, gamma, beta, state, momentum, training)
+    loss, g = _upstream(out, rng)
+    backward(loss)
+    if training:
+        mu = np.mean(xv, axis=0, keepdims=True)
+        centred = xv - mu
+        var = np.mean(centred * centred, axis=0, keepdims=True)
+    else:
+        centred = xv - running["running_mean"]
+        var = running["running_var"]
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centred * inv_std
+    dxhat = g * gv
+    if training:
+        want_dx = (inv_std / n) * (n * dxhat
+                                   - np.sum(dxhat, axis=0, keepdims=True)
+                                   - xhat * np.sum(dxhat * xhat, axis=0,
+                                                   keepdims=True))
+    else:
+        want_dx = g * gv * inv_std
+    assert np.array_equal(out.values, gv * xhat + bv)
+    assert np.array_equal(x.grad, want_dx)
+    assert np.array_equal(gamma.grad, np.sum(g * xhat, axis=0, keepdims=True))
+    assert np.array_equal(beta.grad, np.sum(g, axis=0, keepdims=True))
+
+
+def test_adam_step_matches_formula_over_three_steps(rng):
+    lr, wd, (beta1, beta2), eps = 0.01, 0.05, (0.9, 0.999), 1e-8
+    p = Parameter(rng.normal(size=(4, 3)))
+    values = p.values.copy()
+    m, v = np.zeros((4, 3)), np.zeros((4, 3))
+    for t in range(1, 4):
+        g = rng.normal(size=(4, 3))
+        p.tensor.grad = g.copy()
+        adam_step([p], lr=lr, weight_decay=wd)
+        values *= 1.0 - lr * wd
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(p.adam_m, m)
+        assert np.array_equal(p.adam_v, v)
+        assert np.array_equal(p.values, values)
+    assert p.step_count == 3
+
+
+# --- gradient ownership ------------------------------------------------------
+#
+# A tensor's first gradient contribution becomes its grad without a copy;
+# these check that no two tensors, and no later contribution, share it.
+
+
+def test_add_gives_each_parent_its_own_gradient(rng):
+    a, b = leaf(rng, (3, 4)), leaf(rng, (3, 4))
+    loss, g = _upstream(ad.add(a, b), rng)
+    backward(loss)
+    assert a.grad is not b.grad
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, g) and np.array_equal(b.grad, g)
+    backward(loss)
+    assert np.array_equal(a.grad, 2.0 * g)
+    assert np.array_equal(b.grad, 2.0 * g)
+
+
+def _shared_and_split(build, shape, rng):
+    """Gradients of one leaf used twice by `build`, against the sum of the
+    gradients of two independent copies, after one and two backwards."""
+    xv = rng.normal(size=shape)
+    # small integer upstream gradients keep every sum exact
+    w = rng.integers(-4, 5, size=build(Tensor(xv), Tensor(xv)).shape)
+    x = Tensor(xv.copy(), requires_grad=True)
+    x1, x2 = (Tensor(xv.copy(), requires_grad=True) for _ in range(2))
+    shared = ad.tensor_sum(ad.elementwise_mul(build(x, x), Tensor(w)))
+    split = ad.tensor_sum(ad.elementwise_mul(build(x1, x2), Tensor(w)))
+    for times in (1, 2):
+        backward(shared)
+        backward(split)
+        assert np.array_equal(x.grad, x1.grad + x2.grad), times
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, q: ad.add(p, q),
+    lambda p, q: ad.concat_rows([p, q]),
+    lambda p, q: ad.add(ad.transpose(p), ad.transpose(q)),
+    lambda p, q: ad.concat_rows([ad.transpose(p), ad.transpose(q)]),
+], ids=["add", "concat_rows", "transpose", "concat_of_transposes"])
+def test_shared_leaf_gradient_equals_copies(build, rng):
+    _shared_and_split(build, (3, 4), rng)
 
 
 # --- allocation tracking -----------------------------------------------------

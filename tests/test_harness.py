@@ -1,6 +1,7 @@
 """Config persistence, search sampling, the seeded runner, report
 rendering, and the command-line interface."""
 
+import csv
 import dataclasses
 import os
 import re
@@ -379,6 +380,29 @@ def test_random_search_partial_failures_score_neg_inf():
     scores = [s for _, _, s, _ in log]
     assert scores[0] == scores[2] == float("-inf")
     assert best.tau == max(log[i][1].tau for i in (1, 3))
+
+
+def test_random_search_log_is_valid_csv_with_failing_trials(tmp_path):
+    # the config column always holds commas; an error message may hold
+    # commas and newlines too
+    calls = []
+
+    def sometimes(cfg):
+        calls.append(cfg)
+        if len(calls) % 2:
+            raise ValueError("a, b\nc")
+        return cfg.tau
+
+    _, log = runner.random_search(SearchSpace(budget=4), cheap_cfg(), seed=3,
+                                  objective=sometimes, out_dir=tmp_path)
+    with open(tmp_path / "search_log.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["trial", "score", "error", "config"]
+    assert len(rows) == 1 + len(log)
+    assert all(len(row) == 4 for row in rows)
+    assert [row[2] for row in rows[1:]] == ["a, b\nc", "", "a, b\nc", ""]
+    assert [float(row[1]) for row in rows[1:]] == [s for _, _, s, _ in log]
+    assert "seeds=1,2" in rows[1][3]
 
 
 def test_validation_objective_trains_and_scores():
