@@ -10,8 +10,8 @@ Kinds:
   sbm          view 1 = input graph unchanged, view 2 = fresh microcanonical
                SBM sample respecting the supplied block state
   sbm2         both views are fresh SBM samples
-  sbm_oracle   same view structure as sbm; the block state is expected to
-               come from detection on the full pre-split graph
+  sbm_oracle   same view structure as sbm; the blocks are detected on the
+               known graph, which holds every edge of the full graph
 
 The non-SBM kinds differ only in their importance scores. One scheme,
 reconstructed from the centrality-guided augmentation convention, turns
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import DETECTORS
 from .graphs import FeatureMatrix
 from .sbm import fit_block_counts, sample_sbm
 
@@ -55,16 +54,16 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if self.detector not in DETECTORS:
+        if self.detector != "louvain":
             raise ValueError(f"unknown community detector {self.detector!r}; "
-                             f"choices: {DETECTORS}")
+                             f"only 'louvain' is built in")
         for name in ("drop_edge_rate_1", "drop_edge_rate_2",
                      "drop_feature_rate_1", "drop_feature_rate_2"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 0.9:
                 raise ValueError(f"{name}={rate} outside [0, 0.9]")
-        if self.cutoff > 0.95:
-            raise ValueError("cutoff must be <= 0.95")
+        if not 0.0 <= self.cutoff <= 0.95:
+            raise ValueError(f"cutoff={self.cutoff} outside [0, 0.95]")
 
     def needs_block_state(self):
         return self.kind in SBM_KINDS or self.kind == "scom"

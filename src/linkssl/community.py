@@ -1,9 +1,8 @@
 """Community detection producing the block state for SBM-style augmentation.
 
-Louvain is implemented from scratch (iterated local moving plus graph
-aggregation, resolution fixed at 1.0). Leiden and Infomap are not
-implemented: `get_detector` resolves them, like "external", only to a
-reader of a supplied partition file.
+Louvain is the one detector: implemented from scratch (iterated local
+moving plus graph aggregation, resolution fixed at 1.0) and run by
+`train_encoder` on the graph the augmentation's blocks describe.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import read_edge_pairs
-
 GAIN_TOLERANCE = 1e-7
-
-# the names get_detector resolves, and those it runs without a partition file
-DETECTORS = ("louvain", "leiden", "infomap", "external")
-BUILT_IN_DETECTORS = ("louvain",)
 
 
 @dataclass(frozen=True)
@@ -28,7 +21,7 @@ class BlockState:
 
     assignment: np.ndarray
     num_blocks: int
-    source: str  # "louvain" | "external"
+    source: str  # "louvain"; "external" marks a partition the caller built
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64)
@@ -199,44 +192,3 @@ def _weighted_modularity(community, comm_internal, comm_total, two_m):
         q += 2.0 * comm_internal[c] / two_m - (comm_total[c] / two_m) ** 2
     return q
 
-
-def load_partition_file(path, n):
-    """Read an external "node_id block_id" partition file into a BlockState.
-
-    Rows are parsed by `read_edge_pairs`. Errors name path:line for an
-    out-of-range node, a negative block id, or a node listed twice.
-    """
-    rows, linenos = read_edge_pairs(path)
-    raw = np.full(n, -1, dtype=np.int64)
-    for (node, block), lineno in zip(rows.tolist(), linenos):
-        if not 0 <= node < n:
-            raise ValueError(f"{path}:{lineno}: node id {node} out of range")
-        if block < 0:
-            raise ValueError(f"{path}:{lineno}: negative block id {block}")
-        if raw[node] >= 0:
-            raise ValueError(f"{path}:{lineno}: node {node} listed twice")
-        raw[node] = block
-    if np.any(raw < 0):
-        missing = int(np.sum(raw < 0))
-        raise ValueError(f"{path}: {missing} nodes lack a block assignment")
-    assignment, num_blocks = relabel_dense(raw)
-    return BlockState(assignment=assignment, num_blocks=num_blocks,
-                      source="external")
-
-
-def get_detector(name, partition_file=None):
-    """Resolve a detector name to a callable (graph, seed) -> BlockState.
-
-    Only "louvain" is built in. "leiden", "infomap" and "external" resolve
-    only with a partition file that supplies the assignment.
-    """
-    if name not in DETECTORS:
-        raise KeyError(f"unknown community detector {name!r}; "
-                       f"choices: {DETECTORS}")
-    if name in BUILT_IN_DETECTORS:
-        return louvain
-    if partition_file is None:
-        raise NotImplementedError(
-            f"{name} is not built in; supply a partition file "
-            f"('node_id block_id' lines) to use an external detector")
-    return lambda g, seed=0: load_partition_file(partition_file, g.n)

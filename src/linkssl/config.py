@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationSpec
-from .community import BUILT_IN_DETECTORS
 from .models.nets import EncoderConfig
 from .seeding import derive_rng
 
@@ -69,14 +68,6 @@ class ExperimentConfig:
             raise ValueError("tau must lie in [0.1, 0.9] step 0.1")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
-        aug = self.augmentation
-        if (self.model != "gcn_supervised" and aug.needs_block_state()
-                and aug.detector not in BUILT_IN_DETECTORS):
-            # no config key supplies the partition file the others read
-            raise ValueError(
-                f"commu_detect={aug.detector!r} has no built-in "
-                f"implementation, and augmentation={aug.kind!r} needs "
-                f"detected blocks; use one of {BUILT_IN_DETECTORS}")
         fr = tuple(float(f) for f in self.split_fractions)
         if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError("split_fractions must be 3 values summing to 1")
@@ -196,16 +187,13 @@ def save_config(cfg, path):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Uniform sampling ranges for the tuned fields.
-
-    The default search keeps commu_detect at the built-in louvain. Other
-    names from community.DETECTORS may be passed as `detectors`, but only
-    trials whose augmentation reads no blocks can use them: a scom or SBM
-    trial that draws one is rejected when its config is built.
-    """
+    """Uniform sampling ranges for the tuned fields."""
 
     budget: int = 25
-    detectors: tuple = ("louvain",)
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"search budget {self.budget} must be >= 1")
 
     def sample(self, base, rng):
         """One uniformly sampled trial config refining `base`."""
@@ -218,7 +206,6 @@ class SearchSpace:
             drop_edge_rate_2=round(grid(0.0, 0.9, 0.1), 1),
             drop_feature_rate_1=round(grid(0.0, 0.9, 0.1), 1),
             drop_feature_rate_2=round(grid(0.0, 0.9, 0.1), 1),
-            detector=str(rng.choice(list(self.detectors))),
         )
         enc = EncoderConfig(
             n_layers=int(rng.integers(1, 5)),

@@ -23,7 +23,6 @@ from functools import partial
 
 import numpy as np
 
-from .community import get_detector
 from .config import serialize_config
 from .datasets import load_dataset
 from .graphs import random_link_split, split_sizes
@@ -43,6 +42,7 @@ class RunResult:
     loss_history: list
     parameters: dict = field(default_factory=dict)
     lineage: list = field(default_factory=list)
+    detected_blocks: int | None = None
 
 
 def format_row(row):
@@ -53,20 +53,13 @@ def format_row(row):
 
 def _train_stages(graph, cfg, seed):
     """split -> (self-supervised encoder) -> decoder for one seed.
-    Oracle-SBM detection runs on the full pre-split graph; every other
-    random stage derives its own sub-seed from `seed`."""
-    block_state = None
-    detector_edges = None
+    Every random stage derives its own sub-seed from `seed`; the lineage
+    lists them, led by the community detection's when the encoder ran one.
+    """
     lineage = [("split", derive_seed(seed, "split")),
                ("train", derive_seed(seed, "train")),
                ("decoder", derive_seed(seed, "decoder")),
                ("evaluate", derive_seed(seed, "evaluate"))]
-    if cfg.model != "gcn_supervised" and cfg.augmentation.kind == "sbm_oracle":
-        detector = get_detector(cfg.augmentation.detector)
-        detection_seed = derive_seed(seed, "detection")
-        lineage.insert(0, ("detection", detection_seed))
-        block_state = detector(graph, detection_seed)
-        detector_edges = graph.num_edges
     split = random_link_split(graph, cfg.split_fractions,
                               seed=derive_seed(seed, "split"))
     if cfg.model == "gcn_supervised":
@@ -74,42 +67,39 @@ def _train_stages(graph, cfg, seed):
                                               derive_seed(seed, "train"))
     else:
         state = train_encoder(split, cfg.augmentation, cfg.model, cfg,
-                              derive_seed(seed, "train"),
-                              block_state=block_state)
+                              derive_seed(seed, "train"))
         decoder = train_decoder(state, split, cfg,
                                 derive_seed(seed, "decoder"))
-    return split, state, decoder, detector_edges, lineage
+    if state.detection_seed is not None:
+        lineage.insert(0, ("detection", state.detection_seed))
+    return split, state, decoder, lineage
 
 
-def _param_dump(state, decoder):
-    return {p.name: p.values.copy()
-            for p in state.encoder.parameters() + decoder.parameters()}
+def _result(seed, row, state, decoder, lineage):
+    return RunResult(seed=seed, row=row, detector_edges=state.detector_edges,
+                     loss_history=list(state.loss_history),
+                     parameters={p.name: p.values.copy()
+                                 for p in state.encoder.parameters()
+                                 + decoder.parameters()},
+                     lineage=lineage, detected_blocks=state.detected_blocks)
 
 
 def run_single(graph, cfg, seed, k=HITS_K):
     """One seed end to end: training stages plus held-out evaluation."""
-    split, state, decoder, detector_edges, lineage = _train_stages(
-        graph, cfg, seed)
+    split, state, decoder, lineage = _train_stages(graph, cfg, seed)
     hits, ap, auc = evaluate_split(state, decoder, split, k=k,
                                    seed=derive_seed(seed, "evaluate"))
     row = {"dataset": cfg.dataset, "model": cfg.model,
            "augmentation": cfg.augmentation.kind, "seed": seed,
            "hits_at_50": hits, "ap": ap, "auc": auc}
-    return RunResult(seed=seed, row=row, detector_edges=detector_edges,
-                     loss_history=list(state.loss_history),
-                     parameters=_param_dump(state, decoder),
-                     lineage=lineage)
+    return _result(seed, row, state, decoder, lineage)
 
 
 def train_single(graph, cfg, seed):
     """Training stages only; the result carries checkpoints and the loss
     curve but no metrics row."""
-    _, state, decoder, detector_edges, lineage = _train_stages(
-        graph, cfg, seed)
-    return RunResult(seed=seed, row=None, detector_edges=detector_edges,
-                     loss_history=list(state.loss_history),
-                     parameters=_param_dump(state, decoder),
-                     lineage=lineage)
+    _, state, decoder, lineage = _train_stages(graph, cfg, seed)
+    return _result(seed, None, state, decoder, lineage)
 
 
 def write_run_dir(out_dir, cfg, result):
@@ -133,6 +123,7 @@ def write_run_dir(out_dir, cfg, result):
             fh.write(f"lineage {label} {sub_seed}\n")
         if result.detector_edges is not None:
             fh.write(f"detector_input_edges {result.detector_edges}\n")
+            fh.write(f"detected_blocks {result.detected_blocks}\n")
 
 
 def _aggregate_rows(rows):
@@ -201,7 +192,7 @@ def validation_objective(graph, cfg, k=HITS_K):
     _, n_val, _ = split_sizes(graph.num_edges, cfg.split_fractions)
     if n_val == 0:
         raise ValueError("tuning requires a non-empty validation split")
-    split, state, decoder, _, _ = _train_stages(graph, cfg, TUNING_SEED)
+    split, state, decoder, _ = _train_stages(graph, cfg, TUNING_SEED)
     # swap val and test so evaluate_split scores the validation positives;
     # the union of known positives (negative exclusion) is unchanged
     val_split = dataclasses.replace(split, test_pos=split.val_pos,

@@ -199,6 +199,9 @@ def test_spec_validation():
         AugmentationSpec(drop_edge_rate_1=0.95)
     with pytest.raises(ValueError):
         AugmentationSpec(cutoff=0.99)
+    with pytest.raises(ValueError, match=r"cutoff=-0\.5 outside \[0, 0\.95\]"):
+        AugmentationSpec(kind="deg", cutoff=-0.5)
+    assert AugmentationSpec(cutoff=0.0).cutoff == 0.0
     with pytest.raises(ValueError, match="'luvain'.*louvain"):
         AugmentationSpec(detector="luvain")
 

@@ -5,8 +5,7 @@ import pytest
 
 import networkx as nx
 
-from linkssl.community import (BlockState, get_detector, load_partition_file,
-                               louvain, modularity, relabel_dense)
+from linkssl.community import BlockState, louvain, modularity, relabel_dense
 from linkssl.graphs import Graph
 
 
@@ -119,82 +118,3 @@ def test_louvain_edgeless_graph_warns_singletons():
 def test_block_state_validates_dense_ids():
     with pytest.raises(ValueError):
         BlockState(np.array([0, 2]), 2, "external")  # id 1 missing
-
-
-def test_partition_file_roundtrip(tmp_path):
-    p = tmp_path / "partition.txt"
-    p.write_text("# node block\n0 7\n1 7\n2 9\n3 9\n")
-    state = load_partition_file(p, 4)
-    assert state.num_blocks == 2
-    assert state.source == "external"
-    assert list(state.assignment) == [0, 0, 1, 1]
-
-
-def test_partition_file_missing_node_rejected(tmp_path):
-    p = tmp_path / "partial.txt"
-    p.write_text("0 0\n1 0\n")
-    with pytest.raises(ValueError, match="lack"):
-        load_partition_file(p, 3)
-
-
-def test_partition_file_non_integer_token_names_path_line(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("0 0\n1 x\n2 1\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:2: non-integer"):
-        load_partition_file(p, 3)
-
-
-def test_partition_file_malformed_messages_name_the_token(tmp_path):
-    # the bad token here is a block id, so the message must not call it a
-    # node id
-    p = tmp_path / "bad.txt"
-    p.write_text("0 0\n1 x\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:2: non-integer") as exc:
-        load_partition_file(p, 2)
-    assert "'x'" in str(exc.value) and "node id" not in str(exc.value)
-    p.write_text("0 0 1\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:1: expected two") as exc:
-        load_partition_file(p, 1)
-    assert "node id" not in str(exc.value)
-
-
-def test_partition_file_negative_block_id_names_path_line(tmp_path):
-    p = tmp_path / "neg.txt"
-    p.write_text("# node block\n0 -1\n1 0\n")
-    with pytest.raises(ValueError, match=r"neg\.txt:2: negative block id -1"):
-        load_partition_file(p, 2)
-
-
-def test_partition_file_repeated_node_names_path_line(tmp_path):
-    # a second line for node 1 must not silently overwrite the first
-    p = tmp_path / "dup.txt"
-    p.write_text("0 0\n1 0\n2 1\n1 1\n")
-    with pytest.raises(ValueError, match=r"dup\.txt:4: node 1 listed twice"):
-        load_partition_file(p, 3)
-
-
-def test_partition_file_out_of_range_and_malformed_lines(tmp_path):
-    p = tmp_path / "range.txt"
-    p.write_text("0 0\n\n3 0\n")
-    with pytest.raises(ValueError, match=r"range\.txt:3: node id 3 out of"):
-        load_partition_file(p, 3)
-    p.write_text("0 0 0\n")
-    with pytest.raises(ValueError, match=r"range\.txt:1: expected two"):
-        load_partition_file(p, 1)
-
-
-def test_get_detector_resolution():
-    assert get_detector("louvain") is louvain
-    with pytest.raises(NotImplementedError):
-        get_detector("leiden")
-    with pytest.raises(KeyError):
-        get_detector("mystery")
-
-
-def test_get_detector_external_partition(tmp_path):
-    p = tmp_path / "b.txt"
-    p.write_text("0 0\n1 0\n2 1\n3 1\n4 1\n5 1\n")
-    detector = get_detector("infomap", partition_file=p)
-    state = detector(two_triangles(), seed=0)
-    assert state.num_blocks == 2
-    assert list(state.assignment) == [0, 0, 1, 1, 1, 1]

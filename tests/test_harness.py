@@ -3,6 +3,7 @@ rendering, and the command-line interface."""
 
 import csv
 import dataclasses
+import hashlib
 import os
 import re
 
@@ -12,12 +13,13 @@ import pytest
 from linkssl import report, runner
 from linkssl.augment import ALL_KINDS, AugmentationSpec
 from linkssl.cli import main
+from linkssl.community import louvain
 from linkssl.config import (CT_EPOCH_CHOICES, DEFAULT_EVAL_SEEDS,
                             ExperimentConfig, LOSS_FUNCS, SearchSpace,
                             load_config, parse_config, save_config,
                             serialize_config)
 from linkssl.datasets import DATA_ROOT_ENV, REGISTRY
-from linkssl.graphs import Graph
+from linkssl.graphs import Graph, random_link_split
 from linkssl.models.nets import EncoderConfig
 from linkssl.seeding import derive_rng, derive_seed, lineage_record
 
@@ -113,38 +115,17 @@ def test_config_validation_rejects(overrides):
         ExperimentConfig(**overrides)
 
 
-@pytest.mark.parametrize("kind", ["scom", "sbm", "sbm2", "sbm_oracle"])
 @pytest.mark.parametrize("detector", ["leiden", "infomap", "external"])
-def test_config_rejects_block_augmentation_without_built_in_detector(
-        kind, detector):
-    # no key supplies a partition file, so every seed would fail in training
-    with pytest.raises(ValueError, match=f"commu_detect={detector!r}"):
-        parse_config(f"augmentation={kind}\ncommu_detect={detector}\n")
+def test_config_rejects_detectors_that_are_not_built_in(detector):
+    # Louvain is the only detector, so no kind accepts another name, not
+    # even those that never read blocks
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError,
+                           match=f"{detector!r}; only 'louvain' is built in"):
+            parse_config(f"augmentation={kind}\ncommu_detect={detector}\n")
     with pytest.raises(ValueError, match=detector):
-        cheap_cfg(model="lbgrl",
-                  augmentation=AugmentationSpec(kind=kind, detector=detector))
-    assert parse_config(f"augmentation={kind}\n").augmentation.kind == kind
-
-
-@pytest.mark.parametrize("detector", ["leiden", "infomap", "external"])
-def test_config_without_block_augmentation_ignores_detector(detector):
-    # these configs never read the detector, so they still build
-    for kind in ("random", "deg", "evc", "pr"):
-        cfg = parse_config(f"augmentation={kind}\ncommu_detect={detector}\n")
-        assert cfg.augmentation.detector == detector
-    cfg = parse_config(
-        f"model=gcn_supervised\naugmentation=sbm\ncommu_detect={detector}\n")
-    assert cfg.augmentation.detector == detector
-
-
-def test_search_space_rejects_block_trials_with_partition_detectors():
-    base = cheap_cfg(augmentation=AugmentationSpec(kind="sbm"))
-    space = SearchSpace(budget=3, detectors=("leiden",))
-    with pytest.raises(ValueError, match="commu_detect='leiden'"):
-        space.trials(base, seed=0)
-    random_base = cheap_cfg(augmentation=AugmentationSpec(kind="random"))
-    assert all(t.augmentation.detector == "leiden"
-               for t in space.trials(random_base, seed=0))
+        parse_config(f"model=gcn_supervised\naugmentation=sbm\n"
+                     f"commu_detect={detector}\n")
 
 
 def test_config_label():
@@ -192,6 +173,21 @@ def test_trials_are_seed_deterministic():
 
 def test_budget_one_returns_single_trial():
     assert len(SearchSpace(budget=1).trials(ExperimentConfig(), seed=0)) == 1
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_search_space_rejects_budget_below_one(budget):
+    with pytest.raises(ValueError, match=f"budget {budget} "):
+        SearchSpace(budget=budget)
+
+
+def test_search_trial_stream_is_pinned():
+    # frozen digest of every serialized trial of three seeded searches
+    base = ExperimentConfig(augmentation=AugmentationSpec(kind="sbm"))
+    text = "".join(serialize_config(c) for s in (0, 1, 7)
+                   for c in SearchSpace().trials(base, s))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest[:16] == "56f43248869e2fd2"
 
 
 # --------------------------------------------------------------- seeding
@@ -300,6 +296,23 @@ def test_oracle_sbm_detection_runs_before_split(tmp_path):
     run_txt = (tmp_path / "toy" / "grace_sbm_oracle" / "1"
                / "run.txt").read_text()
     assert f"detector_input_edges {g.num_edges}" in run_txt
+
+
+def test_run_txt_records_block_detection_on_the_train_graph(tmp_path):
+    g = clique_graph()
+    cfg = cheap_cfg(augmentation=AugmentationSpec(kind="sbm"), seeds=(1,))
+    runner.run_experiment(cfg, out_dir=tmp_path, graph=g, k=5)
+    train_seed = derive_seed(1, "train")
+    train_graph = random_link_split(g, cfg.split_fractions,
+                                    seed=derive_seed(1, "split")).train_graph
+    detection_seed = derive_seed(train_seed, "detection")
+    blocks = louvain(train_graph, detection_seed)
+    lines = (tmp_path / "toy" / "grace_sbm" / "1"
+             / "run.txt").read_text().splitlines()
+    assert lines[0] == f"lineage detection {detection_seed}"
+    assert f"lineage train {train_seed}" in lines
+    assert f"detector_input_edges {train_graph.num_edges}" in lines
+    assert f"detected_blocks {blocks.num_blocks}" in lines
 
 
 def test_train_single_skips_metrics(tmp_path):
@@ -730,6 +743,11 @@ def test_cli_search_writes_best_config(celegans_root, cli_cfg_path,
     assert best.tau == pytest.approx(
         max(float(line.split("tau=")[1].split(";")[0])
             for line in log_lines[1:]))
+
+
+def test_cli_search_rejects_budget_below_one(tmp_path, capsys):
+    assert main(["search", "--budget", "0", "--out", str(tmp_path)]) == 1
+    assert "error: search budget 0 must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_stats_on_empty_directory_fails(tmp_path, capsys):

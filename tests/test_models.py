@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from linkssl import autodiff as ad
+from linkssl import community, runner
 from linkssl.augment import AugmentationSpec
 from linkssl.community import louvain
+from linkssl.config import ExperimentConfig
 from linkssl.graphs import FeatureMatrix, Graph, random_link_split
 from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             Predictor, Projector, bgrl_loss, embed,
@@ -689,13 +691,44 @@ def test_train_encoder_detects_blocks_when_needed():
     assert state.epoch == 5
 
 
-def test_train_encoder_accepts_oracle_block_state():
+@pytest.fixture
+def louvain_calls(monkeypatch):
+    """Edge counts of the graphs community.louvain is called on."""
+    calls = []
+
+    def spy(g, seed=0):
+        calls.append(g.num_edges)
+        return louvain(g, seed)
+
+    monkeypatch.setattr(community, "louvain", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["sbm_oracle", "sbm", "sbm2", "scom",
+                                  "random", "deg", "evc", "pr"])
+def test_train_encoder_detects_blocks_once_on_the_right_graph(kind,
+                                                             louvain_calls):
     split = _toy_split()
-    blocks = louvain(two_triangles(), seed=0)
-    spec = AugmentationSpec(kind="sbm_oracle")
-    state = train_encoder(split, spec, "grace", toy_cfg(ct_epochs=5), seed=2,
-                          block_state=blocks)
-    assert state.epoch == 5
+    state = train_encoder(split, AugmentationSpec(kind=kind), "grace",
+                          toy_cfg(ct_epochs=2), seed=2)
+    if kind == "sbm_oracle":
+        expected = [split.known_graph().num_edges]
+    elif kind in ("sbm", "sbm2", "scom"):
+        expected = [split.train_graph.num_edges]
+    else:
+        expected = []
+    assert louvain_calls == expected
+    assert state.detector_edges == (expected[0] if expected else None)
+
+
+def test_supervised_gcn_never_detects_blocks(louvain_calls):
+    cfg = ExperimentConfig(
+        model="gcn_supervised", augmentation=AugmentationSpec(kind="sbm"),
+        encoder=EncoderConfig(n_layers=1, layer_size=64, norm="layer"),
+        ct_epochs=100, proj_hidden=64, seeds=(1,))
+    result = runner.train_single(two_triangles(), cfg, seed=1)
+    assert louvain_calls == []
+    assert result.detector_edges is None
 
 
 def test_train_encoder_rejects_unknown_model():
