@@ -17,6 +17,12 @@ The per-element kernels (prelu, batch_norm, row_l2_normalize) are
 branch-free: they use min/max and arithmetic on masks rather than
 np.where over data-dependent signs, and write into arrays they own.
 
+Graph lifetime: a graph lives as long as its output, the loss. Each node
+holds its parents and the arrays its backward rule reads, and backward()
+frees only intermediate grads, so the graph stays whole and backward on
+the same loss can run again. The training steps pass each loss straight
+into the call that differentiates it, so no graph outlives its step.
+
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
 """
@@ -37,7 +43,9 @@ class AllocationTracker:
 
     Used to verify memory-scaling claims: `shapes` lists every allocation,
     `peak_live_bytes` tracks the high-water mark of simultaneously live
-    tensor storage (auxiliary op caches included).
+    tensor storage (auxiliary op caches included). Each array counts as
+    live until the tensor that holds it, or whose backward keeps it, is
+    collected.
     """
 
     def __init__(self):
@@ -45,18 +53,15 @@ class AllocationTracker:
         self.live_bytes = 0
         self.peak_live_bytes = 0
 
-    def record_array(self, arr):
+    def record_array(self, arr, owner):
         self.shapes.append(arr.shape)
         self.live_bytes += arr.nbytes
         if self.live_bytes > self.peak_live_bytes:
             self.peak_live_bytes = self.live_bytes
+        weakref.finalize(owner, self._release, arr.nbytes)
 
     def _release(self, nbytes):
         self.live_bytes -= nbytes
-
-    def record_tensor(self, t):
-        self.record_array(t.values)
-        weakref.finalize(t, self._release, t.values.nbytes)
 
     def max_dim(self):
         return max((max(s) for s in self.shapes), default=0)
@@ -103,7 +108,7 @@ class Tensor:
         self._backward_fn = _backward_fn
         self._op = _op
         if _tracker is not None:
-            _tracker.record_tensor(self)
+            _tracker.record_array(self.values, self)
 
     @property
     def shape(self):
@@ -351,14 +356,15 @@ def logsumexp_rows(x):
         out = np.where(np.isfinite(m), finite_m + np.log(sums), m)
     softmax = np.exp(x.values - np.where(np.isfinite(out), out, 0.0))
     softmax[~np.isfinite(out)[:, 0]] = 0.0
-    if _tracker is not None:
-        _tracker.record_array(softmax)
 
     def backward_fn(g):
         if x.requires_grad:
             x._accumulate(g * softmax)
 
-    return _make(out, (x,), backward_fn, "logsumexp_rows")
+    result = _make(out, (x,), backward_fn, "logsumexp_rows")
+    if _tracker is not None:
+        _tracker.record_array(softmax, result)
+    return result
 
 
 def logaddexp(a, b):
@@ -402,8 +408,6 @@ def nce_denominator(anchor, other, tau):
     sums = np.sum(p, axis=1, keepdims=True)
     p /= sums
     out = m + np.log(sums)
-    if _tracker is not None:
-        _tracker.record_array(p)
 
     def backward_fn(g):
         w = p * (g / tau)
@@ -416,7 +420,10 @@ def nce_denominator(anchor, other, tau):
         if other.requires_grad:
             other._accumulate(w.T @ a)
 
-    return _make(out, (anchor, other), backward_fn, "nce_denominator")
+    result = _make(out, (anchor, other), backward_fn, "nce_denominator")
+    if _tracker is not None:
+        _tracker.record_array(p, result)
+    return result
 
 
 def tensor_sum(x):

@@ -13,6 +13,7 @@ one (config, seed) pair maps to one bit-exact parameter trajectory.
 from __future__ import annotations
 
 import copy
+import ctypes
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ SELF_SUPERVISED = ("grace", "bgrl", "lgrace", "lbgrl")
 # a bootstrapped EMA target instead of contrasted negatives
 LINK_MODELS = ("lgrace", "lbgrl")
 BOOTSTRAPPED = ("bgrl", "lbgrl")
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 
 @dataclass
@@ -66,10 +69,38 @@ def _parameters(*modules):
     return [p for m in modules if m is not None for p in m.parameters()]
 
 
-def _check_finite(value, epoch, model):
+def _descend(loss, epoch, model, weight_decay, *groups):
+    """Check `loss`, backpropagate, step Adam on each (params, lr) group and
+    zero their grads; returns the loss value. Callers pass the loss as an
+    expression, so its graph dies when this returns."""
+    value = loss.item()
     if not np.isfinite(value):
         raise RuntimeError(
             f"{model} training diverged: loss={value} at epoch {epoch}")
+    ad.backward(loss)
+    for params, lr in groups:
+        adam_step(params, lr=lr, weight_decay=weight_decay)
+    zero_grads(p for params, _ in groups for p in params)
+    return value
+
+
+def _keep_freed_heap():
+    """Have glibc keep the heap a finished step frees for the next step.
+
+    Under glibc's dynamic thresholds a step's graph, freed at once at the
+    heap top, goes back to the system and the next step faults it in again
+    (1.66M minor faults and 4 s of system time per NS-twin BGRL seed).
+    Here arrays below 32 MiB come from the heap and a free top up to 2 GiB
+    is kept; peak RSS is unchanged. Returns False, setting nothing, where
+    the C library is not glibc.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return False
+    libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(M_TRIM_THRESHOLD, 2 ** 31 - 1)
+    return True
 
 
 def _init_state(model, in_dim, cfg, seed):
@@ -104,9 +135,23 @@ def _rows(h, edges, link_mlp):
     return link_representation(h, edges, link_mlp)
 
 
-def _epoch_views(graph, spec, block_state, seed, epoch):
-    return make_views(graph, spec, block_state,
-                      seed=derive_seed(seed, "augment", epoch))
+def _encoder_loss(state, v1, v2, edge_pos, edge_neg, cfg):
+    """One epoch's forward pass, from the two views to the loss."""
+    h1 = state.encoder.forward(v1, mode="train")
+    h2 = state.encoder.forward(v2, mode="train")
+    z1 = _rows(h1, edge_pos, state.link_mlp)
+    z2 = _rows(h2, edge_pos, state.link_mlp)
+    if state.model in BOOTSTRAPPED:
+        t1 = _rows(state.target_encoder.forward(v1, mode="train"),
+                   edge_pos, state.target_link_mlp)
+        t2 = _rows(state.target_encoder.forward(v2, mode="train"),
+                   edge_pos, state.target_link_mlp)
+        return ad.add(bgrl_loss(state.predictor.forward(z1), t2),
+                      bgrl_loss(state.predictor.forward(z2), t1))
+    if state.model in LINK_MODELS:
+        return lgrace_loss(z1, z2, _rows(h1, edge_neg, state.link_mlp),
+                           _rows(h2, edge_neg, state.link_mlp), cfg.tau)
+    return grace_loss(z1, z2, state.projector, cfg.tau)
 
 
 def train_encoder(split, spec, model, cfg, seed):
@@ -121,6 +166,7 @@ def train_encoder(split, spec, model, cfg, seed):
     """
     if model not in SELF_SUPERVISED:
         raise ValueError(f"unknown self-supervised model {model!r}")
+    _keep_freed_heap()
     graph = split.train_graph
     block_state = None
     # detect before building the model: Louvain's transient dicts are then
@@ -138,9 +184,10 @@ def train_encoder(split, spec, model, cfg, seed):
         state.detected_blocks = block_state.num_blocks
     params = state.online_parameters()
 
-    edge_pos = None
+    edge_pos = edge_neg = None
     for epoch in range(cfg.ct_epochs):
-        v1, v2 = _epoch_views(graph, spec, block_state, seed, epoch)
+        v1, v2 = make_views(graph, spec, block_state,
+                            seed=derive_seed(seed, "augment", epoch))
         if model in LINK_MODELS:
             negatives = (None if model in BOOTSTRAPPED
                          else derive_seed(seed, "negatives", epoch))
@@ -150,28 +197,8 @@ def train_encoder(split, spec, model, cfg, seed):
                     f"epoch {epoch}: views share no edge, skipping")
                 state.loss_history.append((epoch, float("nan")))
                 continue
-        h1 = state.encoder.forward(v1, mode="train")
-        h2 = state.encoder.forward(v2, mode="train")
-        z1 = _rows(h1, edge_pos, state.link_mlp)
-        z2 = _rows(h2, edge_pos, state.link_mlp)
-        if model in BOOTSTRAPPED:
-            t1 = _rows(state.target_encoder.forward(v1, mode="train"),
-                       edge_pos, state.target_link_mlp)
-            t2 = _rows(state.target_encoder.forward(v2, mode="train"),
-                       edge_pos, state.target_link_mlp)
-            loss = ad.add(bgrl_loss(state.predictor.forward(z1), t2),
-                          bgrl_loss(state.predictor.forward(z2), t1))
-        elif model in LINK_MODELS:
-            loss = lgrace_loss(z1, z2,
-                               _rows(h1, edge_neg, state.link_mlp),
-                               _rows(h2, edge_neg, state.link_mlp), cfg.tau)
-        else:
-            loss = grace_loss(z1, z2, state.projector, cfg.tau)
-        value = loss.item()
-        _check_finite(value, epoch, model)
-        ad.backward(loss)
-        adam_step(params, lr=cfg.gnn_lr, weight_decay=cfg.weight_decay)
-        zero_grads(params)
+        value = _descend(_encoder_loss(state, v1, v2, edge_pos, edge_neg, cfg),
+                         epoch, model, cfg.weight_decay, (params, cfg.gnn_lr))
         for target, online in state.tracked:
             ema_update(target, online, cfg.ema_decay)
         state.loss_history.append((epoch, value))
@@ -196,6 +223,14 @@ def _decoder_objective(decoder, z, labels):
     zeros = ad.Tensor(np.zeros_like(labels.reshape(-1, 1)))
     return ad.tensor_mean(ad.logaddexp(zeros, ad.elementwise_mul(logits,
                                                                  sign)))
+
+
+def _pair_loss(decoder, h, pairs, labels, mask):
+    """One decoder batch's forward pass, from embeddings h to the loss."""
+    z = hadamard_pairs(h, pairs)
+    if mask is not None:
+        z = ad.elementwise_mul(z, ad.Tensor(mask.reshape(1, -1)))
+    return _decoder_objective(decoder, z, labels)
 
 
 def _decoder_batches(split, cfg, seed, epochs, dim):
@@ -231,26 +266,21 @@ def train_decoder(state, split, cfg, seed):
     """Decoder stage: 100 epochs of batched link classification on frozen
     embeddings; positives from train_pos, fresh negatives per batch, batch
     size clamped to the positive count; optional input masking."""
-    h = embed(state, split.train_graph)
+    h = ad.Tensor(embed(state, split.train_graph))
     decoder = Decoder(h.shape[1], state.encoder.cfg.layer_size,
                       derive_rng(seed, "decoder_init"))
     params = decoder.parameters()
     for epoch, pairs, labels, mask in _decoder_batches(
             split, cfg, seed, DECODER_EPOCHS, h.shape[1]):
-        z = h[pairs[:, 0]] * h[pairs[:, 1]]
-        if mask is not None:
-            z = z * mask
-        loss = _decoder_objective(decoder, ad.Tensor(z), labels)
-        _check_finite(loss.item(), epoch, "decoder")
-        ad.backward(loss)
-        adam_step(params, lr=cfg.pred_lr, weight_decay=cfg.weight_decay)
-        zero_grads(params)
+        _descend(_pair_loss(decoder, h, pairs, labels, mask), epoch,
+                 "decoder", cfg.weight_decay, (params, cfg.pred_lr))
     return decoder
 
 
 def train_supervised_gcn(split, cfg, seed):
     """Joint encoder+decoder optimization with the decoder loss; same
     architecture as the frozen pipeline, trained end-to-end."""
+    _keep_freed_heap()
     graph = split.train_graph
     state = _init_state("gcn_supervised", graph.features.n_cols, cfg, seed)
     decoder = Decoder(cfg.encoder.layer_size, cfg.encoder.layer_size,
@@ -259,17 +289,10 @@ def train_supervised_gcn(split, cfg, seed):
     dec_params = decoder.parameters()
     for epoch, pairs, labels, mask in _decoder_batches(
             split, cfg, seed, cfg.ct_epochs, cfg.encoder.layer_size):
-        h = state.encoder.forward(graph, mode="train")
-        z = hadamard_pairs(h, pairs)
-        if mask is not None:
-            z = ad.elementwise_mul(z, ad.Tensor(mask.reshape(1, -1)))
-        loss = _decoder_objective(decoder, z, labels)
-        _check_finite(loss.item(), epoch, "gcn_supervised")
-        ad.backward(loss)
-        adam_step(enc_params, lr=cfg.gnn_lr, weight_decay=cfg.weight_decay)
-        adam_step(dec_params, lr=cfg.pred_lr, weight_decay=cfg.weight_decay)
-        zero_grads(enc_params)
-        zero_grads(dec_params)
+        _descend(_pair_loss(decoder, state.encoder.forward(graph, mode="train"),
+                            pairs, labels, mask),
+                 epoch, "gcn_supervised", cfg.weight_decay,
+                 (enc_params, cfg.gnn_lr), (dec_params, cfg.pred_lr))
         state.epoch = epoch + 1
     return state, decoder
 

@@ -156,6 +156,10 @@ def run_experiment(cfg, out_dir=None, graph=None, workers=1, k=HITS_K):
     """All configured seeds; failures are recorded and skipped so the
     remaining seeds still run. Returns (rows, failures), where each failure
     is (seed, formatted traceback); a worker's traceback is included."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if k < 1:
+        raise ValueError(f"hits@k needs k >= 1, got {k}")
     if graph is None:
         graph = load_dataset(cfg.dataset)
     rows, failures = [], []

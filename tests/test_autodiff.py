@@ -246,6 +246,18 @@ def test_nce_denominator_tracker_sees_score_cache(rng):
     assert (7, 7) in tracker.shapes
 
 
+def test_tracker_releases_op_caches_with_their_output(rng):
+    # an op's cache lives in its backward rule, so it dies with the op's
+    # output; counted forever, live_bytes could only grow
+    a = leaf(rng, (100, 8))
+    with ad.track_allocations() as tracker:
+        for _ in range(5):
+            ad.nce_denominator(a, a, 0.5)
+        ad.logsumexp_rows(a)
+    assert tracker.live_bytes == 0
+    assert tracker.peak_live_bytes >= 100 * 100 * 8
+
+
 def test_nce_denominator_rejects_bad_shapes(rng):
     with pytest.raises(ValueError, match="equal shapes"):
         ad.nce_denominator(leaf(rng, (4, 3)), leaf(rng, (5, 3)), 0.5)

@@ -286,7 +286,7 @@ def test_parallel_workers_match_serial():
     assert serial == parallel
 
 
-def test_oracle_sbm_detection_runs_before_split(tmp_path):
+def test_oracle_sbm_detects_on_every_known_edge(tmp_path):
     g = clique_graph()
     cfg = cheap_cfg(augmentation=AugmentationSpec(kind="sbm_oracle"))
     result = runner.run_single(g, cfg, seed=1, k=5)
@@ -437,6 +437,23 @@ def test_validation_objective_rejects_empty_validation_before_training(
     for model in ("grace", "gcn_supervised"):
         with pytest.raises(ValueError, match="non-empty validation"):
             runner.validation_objective(g, cheap_cfg(model=model), k=3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+    ({"workers": -1}, "workers must be >= 1, got -1"),
+    ({"k": 0}, "k >= 1, got 0")])
+def test_run_experiment_rejects_bad_arguments_before_training(
+        kwargs, message, monkeypatch):
+    # workers < 1 used to run serially and k=0 failed every seed only in
+    # hits_at_k, after full training
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started before the argument check")
+
+    monkeypatch.setattr(runner, "load_dataset", must_not_run)
+    monkeypatch.setattr(runner, "run_single", must_not_run)
+    with pytest.raises(ValueError, match=message):
+        runner.run_experiment(cheap_cfg(), **kwargs)
 
 
 def test_parallel_seed_failure_carries_worker_traceback():
@@ -748,6 +765,11 @@ def test_cli_search_writes_best_config(celegans_root, cli_cfg_path,
 def test_cli_search_rejects_budget_below_one(tmp_path, capsys):
     assert main(["search", "--budget", "0", "--out", str(tmp_path)]) == 1
     assert "error: search budget 0 must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_evaluate_rejects_workers_below_one(tmp_path, capsys):
+    assert main(["evaluate", "--workers", "0", "--out", str(tmp_path)]) == 1
+    assert "error: workers must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_stats_on_empty_directory_fails(tmp_path, capsys):
