@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
 from .graphs import FeatureMatrix
 from .sbm import fit_block_counts, sample_sbm
@@ -93,25 +94,23 @@ def mask_features(x, p, seed):
 
 def centrality(g, kind):
     """Node centrality scores: raw degrees, the dominant eigenvector of A
-    (power iteration, tol 1e-8, at most 1000 iterations, unit L2 norm), or
-    PageRank with damping 0.85 summing to 1."""
+    (Lanczos from the uniform vector, sign fixed, clipped at 0, unit L2
+    norm; uniform on an edgeless graph), or PageRank with damping 0.85
+    summing to 1."""
     if kind == "degree":
         return g.degrees().astype(np.float64)
     if kind == "eigenvector":
-        adj = g.adjacency()
-        shift = 1e-12
         x = np.full(g.n, 1.0 / np.sqrt(g.n))
-        for _ in range(1000):
-            nxt = adj @ x + shift * x
-            norm = np.linalg.norm(nxt)
-            if norm == 0.0:
-                raise RuntimeError("eigenvector iteration collapsed to zero")
-            nxt /= norm
-            if np.linalg.norm(nxt - x) < 1e-8:
-                return np.maximum(nxt, 0.0)
-            x = nxt
-        raise RuntimeError("eigenvector centrality did not converge "
-                           "within 1000 iterations")
+        if g.num_edges == 0:
+            return x
+        # Lanczos: power iteration oscillates on a bipartite component,
+        # whose extreme eigenvalues are +-lambda
+        _, vec = eigsh(g.adjacency(), k=1, which="LA", v0=x)
+        vec = vec[:, 0]
+        if vec.sum() < 0.0:
+            vec = -vec
+        vec = np.maximum(vec, 0.0)
+        return vec / np.linalg.norm(vec)
     if kind == "pagerank":
         damping = 0.85
         deg = g.degrees().astype(np.float64)

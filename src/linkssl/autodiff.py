@@ -23,6 +23,13 @@ frees only intermediate grads, so the graph stays whole and backward on
 the same loss can run again. The training steps pass each loss straight
 into the call that differentiates it, so no graph outlives its step.
 
+The InfoNCE denominator (nce_denominator) keeps no score matrix. Both of
+its passes walk the r x r scores in blocks of NCE_BLOCK_ROWS rows, and
+backward recomputes each block's softmax from the kept (r, 1)
+log-denominators: one more GEMM per block buys O(NCE_BLOCK_ROWS x r)
+scratch in place of r x r arrays. This is the blockwise softmax with
+recomputation of FlashAttention (Dao et al. 2022).
+
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
 """
@@ -36,6 +43,7 @@ import numpy as np
 from scipy import sparse
 
 EPS = 1e-12
+NCE_BLOCK_ROWS = 256  # rows of the InfoNCE score matrix held at a time
 
 
 class AllocationTracker:
@@ -385,13 +393,25 @@ def logaddexp(a, b):
     return _make(out, (a, b), backward_fn, "logaddexp")
 
 
+def _nce_block_scores(a, o, lo, hi, tau):
+    """Rows lo:hi of the scaled score matrix a @ o.T / tau, own column -inf."""
+    s = a[lo:hi] @ o.T
+    s *= 1.0 / tau
+    np.fill_diagonal(s[:, lo:hi], -np.inf)
+    return s
+
+
 def nce_denominator(anchor, other, tau):
     """InfoNCE log-denominators log sum_{j != i} exp(a_i . o_j / tau), (r, 1).
 
     Row i contrasts anchor row i against every row of `other` except row i.
-    The softmax over those columns is kept for the backward pass, so the op
-    holds one r x r array; passing the same tensor twice (GRACE's stacked
-    views) makes the score matrix symmetric and its gradient one product.
+    Both passes walk the r x r score matrix in blocks of NCE_BLOCK_ROWS
+    rows, and only the (r, 1) result is kept: backward recomputes each
+    block's scores and takes its softmax from the result, so the op's
+    scratch is O(NCE_BLOCK_ROWS x r) and no r x r array ever exists.
+    Passing the same tensor twice (GRACE's stacked views) makes the scores
+    symmetric, so row block i of the gradient weights W + W^T is
+    exp(s - out_i) scale_i + exp(s - out_j^T) scale_j, one product per block.
     """
     if anchor.shape != other.shape:
         raise ValueError(f"nce_denominator needs equal shapes, got "
@@ -399,31 +419,54 @@ def nce_denominator(anchor, other, tau):
     if anchor.shape[0] < 2:
         raise ValueError("nce_denominator needs at least 2 rows")
     a, o = anchor.values, other.values
-    p = a @ o.T  # numpy runs syrk when the two are one array
-    p *= 1.0 / tau
-    np.fill_diagonal(p, -np.inf)
-    m = np.max(p, axis=1, keepdims=True)
-    p -= m
-    np.exp(p, out=p)
-    sums = np.sum(p, axis=1, keepdims=True)
-    p /= sums
-    out = m + np.log(sums)
+    r = a.shape[0]
+    blocks = [(lo, min(lo + NCE_BLOCK_ROWS, r))
+              for lo in range(0, r, NCE_BLOCK_ROWS)]
+    out = np.empty((r, 1))
+    for lo, hi in blocks:
+        s = _nce_block_scores(a, o, lo, hi, tau)
+        m = np.max(s, axis=1, keepdims=True)
+        s -= m
+        np.exp(s, out=s)
+        out[lo:hi] = m + np.log(np.sum(s, axis=1, keepdims=True))
+        del s  # free each block before the next is scored
 
     def backward_fn(g):
-        w = p * (g / tau)
+        scale = g / tau
         if anchor is other:
-            if anchor.requires_grad:
-                anchor._accumulate((w + w.T) @ a)
+            # off the diagonal s_ij <= out_j, so exp(s - out_j) <= 1
+            da = np.empty_like(a)
+            for lo, hi in blocks:
+                w = _nce_block_scores(a, a, lo, hi, tau)
+                wt = w - out.T
+                np.exp(wt, out=wt)
+                wt *= scale.T
+                w -= out[lo:hi]
+                np.exp(w, out=w)
+                w *= scale[lo:hi]
+                w += wt
+                np.matmul(w, a, out=da[lo:hi])
+                del w, wt
+            anchor._accumulate(da)
             return
-        if anchor.requires_grad:
-            anchor._accumulate(w @ o)
-        if other.requires_grad:
-            other._accumulate(w.T @ a)
+        da = np.empty_like(a) if anchor.requires_grad else None
+        do = np.zeros_like(o) if other.requires_grad else None
+        for lo, hi in blocks:
+            w = _nce_block_scores(a, o, lo, hi, tau)
+            w -= out[lo:hi]
+            np.exp(w, out=w)
+            w *= scale[lo:hi]
+            if da is not None:
+                np.matmul(w, o, out=da[lo:hi])
+            if do is not None:
+                do += w.T @ a[lo:hi]
+            del w
+        if da is not None:
+            anchor._accumulate(da)
+        if do is not None:
+            other._accumulate(do)
 
-    result = _make(out, (anchor, other), backward_fn, "nce_denominator")
-    if _tracker is not None:
-        _tracker.record_array(p, result)
-    return result
+    return _make(out, (anchor, other), backward_fn, "nce_denominator")
 
 
 def tensor_sum(x):
@@ -477,9 +520,10 @@ def gather_rows(x, indices):
 
     def backward_fn(g):
         if x.requires_grad:
-            # scatter-add as one sparse product: row idx[j] gains g[j]
-            scatter = sparse.csr_matrix(
-                (np.ones(len(idx)), (idx, np.arange(len(idx)))),
+            # scatter-add as one sparse product: row idx[j] gains g[j];
+            # column j of the scatter matrix holds its one entry at idx[j]
+            scatter = sparse.csc_matrix(
+                (np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
                 shape=(x.shape[0], len(idx)))
             x._accumulate(scatter @ g)
 

@@ -3,9 +3,11 @@
 The link-level objectives are the node-level ones over link rows: L-GRACE
 is GRACE's InfoNCE with sampled negative links, and L-BGRL uses bgrl_loss
 as it is. Both InfoNCE objectives stack their two views' anchors and
-contrasted rows and take every denominator from one masked 2k x 2k score
-matrix (autodiff.nce_denominator), the NT-Xent form of SimCLR that GRACE
-adopts. For GRACE k is the node count; for L-GRACE it is the number of
+contrasted rows and take every denominator from one op over their 2k x 2k
+scores with each row's own column masked (autodiff.nce_denominator), the
+NT-Xent form of SimCLR that GRACE adopts. The op scores those rows in
+blocks and keeps none of them, so its scratch is O(NCE_BLOCK_ROWS x 2k),
+not (2k)^2. For GRACE k is the node count; for L-GRACE it is the number of
 links shared by the two views, which is not smaller than the node count on
 dense graphs: on PB (n = 1222) k is about 7.5k.
 """

@@ -80,6 +80,59 @@ def test_eigenvector_centrality_k4_uniform():
     assert np.allclose(scores, 0.5, atol=1e-7)
 
 
+def _power_iteration(g, max_iter=1000):
+    """Power iteration on A + 1e-12 I from the uniform vector (tol 1e-8);
+    None when it has not converged within max_iter steps."""
+    adj = g.adjacency()
+    x = np.full(g.n, 1.0 / np.sqrt(g.n))
+    for _ in range(max_iter):
+        nxt = adj @ x + 1e-12 * x
+        nxt /= np.linalg.norm(nxt)
+        if np.linalg.norm(nxt - x) < 1e-8:
+            return np.maximum(nxt, 0.0)
+        x = nxt
+    return None
+
+
+def test_eigenvector_centrality_of_a_star():
+    # bipartite: A's extreme eigenvalues are +-sqrt(3), so power iteration
+    # oscillates between the two and never settles
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert _power_iteration(g) is None
+    scores = centrality(g, "eigenvector")
+    want = [1 / math.sqrt(2)] + [1 / math.sqrt(6)] * 3
+    assert np.allclose(scores, want, atol=1e-12)
+
+
+def test_eigenvector_centrality_beyond_power_iteration_budget():
+    # an odd 15-cycle with a pendant: lambda_min = -2.0513 against
+    # lambda_1 = 2.0634, so power iteration needs about 2,700 steps
+    n = 15
+    g = Graph(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(0, n)])
+    assert _power_iteration(g) is None
+    slow = _power_iteration(g, max_iter=10000)
+    assert slow is not None
+    scores = centrality(g, "eigenvector")
+    assert np.allclose(scores, slow, atol=1e-6)
+    eigvecs = np.linalg.eigh(g.adjacency().toarray())[1]
+    assert np.allclose(scores, np.abs(eigvecs[:, -1]), atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigenvector_centrality_agrees_with_converged_power_iteration(seed):
+    g = big_random_graph(n=120, m=600, seed=seed)
+    want = _power_iteration(g)
+    assert want is not None
+    assert np.allclose(centrality(g, "eigenvector"), want, atol=1e-6)
+
+
+def test_eigenvector_centrality_edgeless_and_single_node_are_uniform():
+    for n in (1, 5):
+        scores = centrality(Graph(n, np.zeros((0, 2), dtype=np.int64)),
+                            "eigenvector")
+        assert np.array_equal(scores, np.full(n, 1.0 / np.sqrt(n)))
+
+
 def test_pagerank_single_edge_symmetric():
     g = Graph(2, [(0, 1)])
     scores = centrality(g, "pagerank")

@@ -1,6 +1,7 @@
 """Gradient checks and frozen-value oracles for the autodiff core."""
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -240,20 +241,24 @@ def test_nce_denominator_repeated_backward_leaves_cache_intact(symmetric,
     assert np.array_equal(o.grad, 2.0 * first[1])
 
 
-def test_nce_denominator_tracker_sees_score_cache(rng):
+def test_nce_denominator_records_no_square_array(rng):
+    # past two row blocks the op still keeps and builds no r x r array;
+    # what the tracker sees are the inputs, output and gradients
+    r, d = 2 * ad.NCE_BLOCK_ROWS + 5, 3
     with ad.track_allocations() as tracker:
-        ad.nce_denominator(leaf(rng, (7, 3)), leaf(rng, (7, 3)), 0.5)
-    assert (7, 7) in tracker.shapes
+        a, o = leaf(rng, (r, d)), leaf(rng, (r, d))
+        backward(ad.tensor_sum(ad.nce_denominator(a, o, 0.5)))
+    assert (r, r) not in tracker.shapes
+    assert max(rows * cols for rows, cols in tracker.shapes) <= r * d
 
 
 def test_tracker_releases_op_caches_with_their_output(rng):
     # an op's cache lives in its backward rule, so it dies with the op's
     # output; counted forever, live_bytes could only grow
-    a = leaf(rng, (100, 8))
+    a = leaf(rng, (100, 100))
     with ad.track_allocations() as tracker:
         for _ in range(5):
-            ad.nce_denominator(a, a, 0.5)
-        ad.logsumexp_rows(a)
+            ad.logsumexp_rows(a)
     assert tracker.live_bytes == 0
     assert tracker.peak_live_bytes >= 100 * 100 * 8
 
@@ -265,6 +270,85 @@ def test_nce_denominator_rejects_bad_shapes(rng):
         ad.nce_denominator(leaf(rng, (4, 3)), leaf(rng, (4, 2)), 0.5)
     with pytest.raises(ValueError, match="at least 2 rows"):
         ad.nce_denominator(leaf(rng, (1, 3)), leaf(rng, (1, 3)), 0.5)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_nce_denominator_gradient_across_row_blocks(symmetric, rng):
+    # positive inputs and weights make every gradient coordinate a sum of
+    # positive terms: over ~1000 coordinates, a signed draw leaves some
+    # near zero, where central differences cannot resolve 1e-6 relative
+    # (a dense kept-softmax op reads the same errors, up to 2.6e-5, there)
+    r = ad.NCE_BLOCK_ROWS + 3
+    weights = Tensor(rng.uniform(0.5, 2.0, size=(r, 1)))
+    inputs = [Tensor(rng.uniform(0.5, 1.5, size=(r, 2)), requires_grad=True)
+              for _ in range(1 if symmetric else 2)]
+
+    def fn(a, b=None):
+        return ad.tensor_sum(ad.elementwise_mul(
+            ad.nce_denominator(a, a if b is None else b, 0.5), weights))
+
+    assert grad_check(fn, inputs) < 1e-6
+
+
+def _dense_nce(a, o, g, tau):
+    """The kept-softmax InfoNCE denominator and its input gradients."""
+    s = a @ o.T / tau
+    np.fill_diagonal(s, -np.inf)
+    m = np.max(s, axis=1, keepdims=True)
+    p = np.exp(s - m)
+    sums = np.sum(p, axis=1, keepdims=True)
+    p /= sums
+    w = p * (g / tau)
+    return m + np.log(sums), w @ o, w.T @ a
+
+
+def _assert_close_grad(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+B = ad.NCE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("r", [2, B - 1, B, B + 1, 2 * B + 5])
+@pytest.mark.parametrize("grads", ["anchor", "other", "both", "shared"])
+def test_nce_denominator_matches_dense_softmax(r, grads, rng):
+    tau = 0.2
+    a = rng.normal(size=(r, 4))
+    o = a if grads == "shared" else rng.normal(size=(r, 4))
+    g = rng.normal(size=(r, 1))
+    anchor = Tensor(a, requires_grad=grads != "other")
+    other = anchor if grads == "shared" else Tensor(
+        o, requires_grad=grads != "anchor")
+    out = ad.nce_denominator(anchor, other, tau)
+    backward(ad.tensor_sum(ad.elementwise_mul(out, Tensor(g))))
+    want, da, do = _dense_nce(a, o, g, tau)
+    assert np.max(np.abs(out.values - want)) <= 1e-12
+    if grads == "shared":
+        _assert_close_grad(anchor.grad, da + do)
+        return
+    if grads == "other":
+        assert anchor.grad is None
+    else:
+        _assert_close_grad(anchor.grad, da)
+    if grads == "anchor":
+        assert other.grad is None
+    else:
+        _assert_close_grad(other.grad, do)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_nce_denominator_scratch_is_row_blocks(symmetric, rng):
+    # forward plus backward peaks far below one r x r float64 array
+    r = 6000
+    a = leaf(rng, (r, 8))
+    o = a if symmetric else leaf(rng, (r, 8))
+    tracemalloc.start()
+    try:
+        backward(ad.tensor_sum(ad.nce_denominator(a, o, 0.5)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * r * r / 4
 
 
 @settings(max_examples=150, deadline=None)
