@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .graphs import FeatureMatrix
 from .sbm import fit_block_counts, sample_sbm
@@ -100,6 +99,8 @@ def centrality(g, kind):
     if kind == "degree":
         return g.degrees().astype(np.float64)
     if kind == "eigenvector":
+        from scipy.sparse.linalg import eigsh
+
         x = np.full(g.n, 1.0 / np.sqrt(g.n))
         if g.num_edges == 0:
             return x

@@ -54,6 +54,11 @@ class AllocationTracker:
     tensor storage (auxiliary op caches included). Each array counts as
     live until the tensor that holds it, or whose backward keeps it, is
     collected.
+
+    It counts only tensor values and registered op caches. Scratch that an
+    op allocates and frees within one call, such as `nce_denominator`'s
+    NCE_BLOCK_ROWS x r score blocks, and the memory of imported modules are
+    invisible to it; measure those with `tracemalloc` and `ru_maxrss`.
     """
 
     def __init__(self):

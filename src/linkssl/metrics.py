@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graphs import sample_negative_pairs
 from .models.training import predict_scores
@@ -49,11 +48,12 @@ def hits_at_k(s, k):
 
 def roc_auc(s):
     """Mann-Whitney statistic: P(pos > neg) + 0.5 * P(pos == neg)."""
-    n_pos, n_neg = s.y_pos.size, s.y_neg.size
-    ranks = rankdata(np.concatenate([s.y_pos, s.y_neg]), method="average")
-    rank_sum = ranks[:n_pos].sum()
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    neg = np.sort(s.y_neg)
+    below = np.searchsorted(neg, s.y_pos, side="left")
+    not_above = np.searchsorted(neg, s.y_pos, side="right")
+    # 2U = sum(2 * below + ties) is an integer, so U is exact
+    u = (below.sum() + not_above.sum()) / 2.0
+    return float(u / (s.y_pos.size * neg.size))
 
 
 def average_precision(s):

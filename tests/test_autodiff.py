@@ -227,10 +227,11 @@ def test_nce_denominator_two_rows_is_the_other_score():
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_nce_denominator_repeated_backward_leaves_cache_intact(symmetric,
-                                                               rng):
-    # the op keeps its softmax for backward; a backward that wrote into it
-    # would make the second pass add a different gradient
+def test_nce_denominator_repeated_backward_leaves_output_intact(symmetric,
+                                                                rng):
+    # backward recomputes each softmax block from the kept (r, 1) output; a
+    # backward that wrote into that output would make the second pass add a
+    # different gradient
     a = leaf(rng, (6, 3))
     o = a if symmetric else leaf(rng, (6, 3))
     loss = ad.tensor_sum(ad.sigmoid(ad.nce_denominator(a, o, 0.3)))

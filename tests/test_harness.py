@@ -777,6 +777,19 @@ def test_cli_stats_on_empty_directory_fails(tmp_path, capsys):
     assert "no result rows" in capsys.readouterr().err
 
 
+def test_cli_stats_rejects_alpha_outside_unit_interval(tmp_path, capsys):
+    rows = strict_rows()
+    for aug in ("worst", "mid", "best"):
+        runner.write_metrics_csv(tmp_path / "A" / f"m_{aug}" / "metrics.csv",
+                                 [r for r in rows if r["augmentation"] == aug])
+    assert main(["stats", "--alpha", "1.5", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: alpha must lie in (0, 1), got 1.5" in captured.err
+    assert main(["stats", "--alpha", "0.1", "--out", str(tmp_path)]) == 0
+    assert "best group: m best" in capsys.readouterr().out
+
+
 def test_cli_missing_data_root_is_an_error(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
     rc = main(["split", "--dataset", "USAir", "--out", str(tmp_path)])

@@ -3,8 +3,9 @@ brute-force pair-count / ranking walk, plus frozen hand-computed constants."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 from types import SimpleNamespace
 
 from linkssl import autodiff as ad
@@ -158,6 +159,23 @@ def test_metrics_monotone_transform_invariant(pos, neg, transform):
     assert roc_auc(raw) == pytest.approx(roc_auc(mapped), abs=1e-12)
     assert average_precision(raw) == pytest.approx(
         average_precision(mapped), abs=1e-12)
+
+
+# a handful of values, two of them adjacent floats, so most pairs tie
+FEW_SCORES = st.sampled_from([-2.0, 0.1, 0.3, 0.3000000000000001, 7.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FEW_SCORES, min_size=1, max_size=40),
+       st.lists(FEW_SCORES, min_size=1, max_size=120))
+def test_auc_is_exact_under_heavy_ties(pos, neg):
+    assume(len(pos) != len(neg))
+    s = ScoreSet(pos, neg)
+    n_pos, n_neg = s.y_pos.size, s.y_neg.size
+    ranks = rankdata(np.concatenate([s.y_pos, s.y_neg]), method="average")
+    u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
+    assert roc_auc(s) == oracle_auc(pos, neg)
+    assert roc_auc(s) == float(u / (n_pos * n_neg))
 
 
 def test_scoreset_rejects_empty_or_nonfinite():

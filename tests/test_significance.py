@@ -81,6 +81,27 @@ def test_critical_difference_frozen():
         Z_975 * math.sqrt(0.05), abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, np.nan])
+def test_alpha_outside_unit_interval_rejected(alpha):
+    with pytest.raises(ValueError, match=f"alpha must lie in \\(0, 1\\), "
+                                         f"got {alpha}"):
+        critical_difference(10, 3, alpha)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        bonferroni_dunn_groups(strict_order_matrix(), alpha=alpha)
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_critical_difference_rejects_fewer_than_two_methods(k):
+    with pytest.raises(ValueError, match=f"got k={k}"):
+        critical_difference(10, k, 0.05)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_critical_difference_rejects_fewer_than_one_run(n):
+    with pytest.raises(ValueError, match=f"got n={n}"):
+        critical_difference(n, 3, 0.05)
+
+
 def test_bonferroni_dunn_gate_blocks_identical_scores():
     best, worst = bonferroni_dunn_groups(np.ones((6, 3)), alpha=0.05)
     assert best == set() and worst == set()
