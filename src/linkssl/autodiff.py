@@ -9,7 +9,7 @@ calling backward twice doubles them.
 
 Gradient ownership: a backward_fn hands each array it builds to at most
 one _accumulate call and keeps no reference to it, so the first
-contribution a tensor receives becomes its grad without a copy and later
+contribution a node receives becomes its grad without a copy and later
 ones are added into it in place. `add` is the one op whose upstream
 gradient can reach two parents unchanged; it copies for the second.
 
@@ -17,11 +17,17 @@ The per-element kernels (prelu, batch_norm, row_l2_normalize) are
 branch-free: they use min/max and arithmetic on masks rather than
 np.where over data-dependent signs, and write into arrays they own.
 
-Graph lifetime: a graph lives as long as its output, the loss. Each node
-holds its parents and the arrays its backward rule reads, and backward()
-frees only intermediate grads, so the graph stays whole and backward on
-the same loss can run again. The training steps pass each loss straight
-into the call that differentiates it, so no graph outlives its step.
+Graph lifetime: the graph links backward nodes, not tensors. An op
+output that needs grad points to its node, which holds the op's rule, the
+nodes of its parents and the grad flowing in; the rule's closure holds
+only the arrays it reads (operands for matmul, elementwise_mul, logaddexp
+and prelu, the output for relu, sigmoid and the normalizations, shapes or
+indices for the rest). So an op output's values die with the tensor
+unless a rule saved them, and the graph, which lives as long as the
+loss's node, holds just the nodes and the saved arrays. backward() frees
+only intermediate grads, so backward on the same loss can run again. The
+training steps pass each loss straight into the call that differentiates
+it, so no graph outlives its step.
 
 The InfoNCE denominator (nce_denominator) keeps no score matrix. Both of
 its passes walk the r x r scores in blocks of NCE_BLOCK_ROWS rows, and
@@ -47,13 +53,14 @@ NCE_BLOCK_ROWS = 256  # rows of the InfoNCE score matrix held at a time
 
 
 class AllocationTracker:
-    """Records the shape and live-byte footprint of tensors created while active.
+    """Records the shape and live-byte footprint of arrays created while active.
 
     Used to verify memory-scaling claims: `shapes` lists every allocation,
     `peak_live_bytes` tracks the high-water mark of simultaneously live
     tensor storage (auxiliary op caches included). Each array counts as
-    live until the tensor that holds it, or whose backward keeps it, is
-    collected.
+    live until the array itself is collected, so a tensor's values that a
+    backward rule saved stay counted after the tensor is dropped, until
+    the graph holding the rule dies.
 
     It counts only tensor values and registered op caches. Scratch that an
     op allocates and frees within one call, such as `nce_denominator`'s
@@ -66,12 +73,12 @@ class AllocationTracker:
         self.live_bytes = 0
         self.peak_live_bytes = 0
 
-    def record_array(self, arr, owner):
+    def record_array(self, arr):
         self.shapes.append(arr.shape)
         self.live_bytes += arr.nbytes
         if self.live_bytes > self.peak_live_bytes:
             self.peak_live_bytes = self.live_bytes
-        weakref.finalize(owner, self._release, arr.nbytes)
+        weakref.finalize(arr, self._release, arr.nbytes)
 
     def _release(self, nbytes):
         self.live_bytes -= nbytes
@@ -106,22 +113,51 @@ def _as_matrix(values):
     return arr
 
 
+class _Node:
+    """The backward node of an op output: the op's rule, its parents' nodes
+    (None for a parent that needs no grad) and the grad flowing into it.
+
+    backward() calls the rule as rule(grad, *parents). The rule's closure
+    holds only the arrays it reads, never the op's input or output tensors.
+    """
+
+    __slots__ = ("grad", "_backward_fn", "_parents")
+
+    def __init__(self, backward_fn, parents):
+        self.grad = None
+        self._backward_fn = backward_fn
+        self._parents = parents
+
+    def _accumulate(self, contribution):
+        if self.grad is None:
+            self.grad = contribution  # owned: see "Gradient ownership"
+        else:
+            self.grad += contribution
+
+
 class Tensor:
-    """A dense float64 matrix participating in the backward graph."""
+    """A dense float64 matrix participating in the backward graph.
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_op", "__weakref__")
+    An op output that needs grad links to its _Node; a leaf that requires
+    grad is its own node, with no rule and no parents, and keeps the grad
+    it accumulates.
+    """
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backward_fn=None,
-                 _op="leaf"):
+    __slots__ = ("values", "grad", "requires_grad", "_node", "_op",
+                 "__weakref__")
+
+    _backward_fn = None
+    _parents = ()
+    _accumulate = _Node._accumulate
+
+    def __init__(self, values, requires_grad=False, _op="leaf"):
         self.values = _as_matrix(values)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward_fn = _backward_fn
+        self._node = None
         self._op = _op
         if _tracker is not None:
-            _tracker.record_array(self.values, self)
+            _tracker.record_array(self.values)
 
     @property
     def shape(self):
@@ -135,20 +171,22 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op})"
 
-    def _accumulate(self, contribution):
-        if self.grad is None:
-            self.grad = contribution  # owned: see "Gradient ownership"
-        else:
-            self.grad += contribution
+
+def _node_of(t):
+    """The node `t`'s gradient flows into, or None if it needs no grad."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
 
 
 def _make(values, parents, backward_fn, op):
-    """Create an op output, recording the backward rule only when needed."""
-    needs = any(p.requires_grad for p in parents)
-    if needs:
-        return Tensor(values, requires_grad=True, _parents=tuple(parents),
-                      _backward_fn=backward_fn, _op=op)
-    return Tensor(values, _op=op)
+    """Create an op output, linking a backward node only when needed."""
+    out = Tensor(values, _op=op)
+    nodes = tuple(_node_of(p) for p in parents)
+    if any(n is not None for n in nodes):
+        out.requires_grad = True
+        out._node = _Node(backward_fn, nodes)
+    return out
 
 
 def backward(loss):
@@ -160,31 +198,32 @@ def backward(loss):
     """
     if loss.values.size != 1:
         raise ValueError("backward requires a scalar loss")
-    if not loss.requires_grad:
+    root = _node_of(loss)
+    if root is None:
         return
 
     order = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            stack.append((parent, False))
+            if parent is not None:
+                stack.append((parent, False))
 
-    loss._accumulate(np.ones((1, 1)))
+    root._accumulate(np.ones((1, 1)))
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
-            continue
-        node._backward_fn(node.grad)
-        if node._parents:
-            node.grad = None  # free intermediate storage; leaves keep theirs
+            continue  # a leaf keeps its grad; an unreached node has none
+        node._backward_fn(node.grad, *node._parents)
+        node.grad = None  # free intermediate storage
 
 
 def _unbroadcast(grad, shape):
@@ -201,111 +240,111 @@ def _unbroadcast(grad, shape):
 
 # ---------------------------------------------------------------------------
 # primitive operations
+#
+# A rule of a one-input op runs only when that input needs grad, so it
+# checks nothing; a rule of a several-input op checks each parent node.
 
 
 def matmul(a, b):
-    out = a.values @ b.values
+    av, bv = a.values, b.values
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.values.T)
-        if b.requires_grad:
-            b._accumulate(a.values.T @ g)
+    def backward_fn(g, na, nb):
+        if na is not None:
+            na._accumulate(g @ bv.T)
+        if nb is not None:
+            nb._accumulate(av.T @ g)
 
-    return _make(out, (a, b), backward_fn, "matmul")
+    return _make(av @ bv, (a, b), backward_fn, "matmul")
 
 
 def sparse_matmul(adjacency, x):
     """adjacency (scipy sparse, constant) times dense tensor x."""
-    out = adjacency @ x.values
     adj_t = adjacency.T
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(adj_t @ g)
+    def backward_fn(g, nx):
+        nx._accumulate(adj_t @ g)
 
-    return _make(out, (x,), backward_fn, "sparse_matmul")
+    return _make(adjacency @ x.values, (x,), backward_fn, "sparse_matmul")
 
 
 def add(a, b):
-    out = a.values + b.values
+    a_shape, b_shape = a.shape, b.shape
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            if gb is a.grad:
+    def backward_fn(g, na, nb):
+        if na is not None:
+            na._accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            gb = _unbroadcast(g, b_shape)
+            if na is not None and gb is na.grad:
                 gb = g.copy()  # `a` has just adopted g
-            b._accumulate(gb)
+            nb._accumulate(gb)
 
-    return _make(out, (a, b), backward_fn, "add")
+    return _make(a.values + b.values, (a, b), backward_fn, "add")
 
 
 def sub(a, b):
-    out = a.values - b.values
+    a_shape, b_shape = a.shape, b.shape
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(-_unbroadcast(g, b.shape))
+    def backward_fn(g, na, nb):
+        if na is not None:
+            na._accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accumulate(-_unbroadcast(g, b_shape))
 
-    return _make(out, (a, b), backward_fn, "sub")
+    return _make(a.values - b.values, (a, b), backward_fn, "sub")
 
 
 def elementwise_mul(a, b):
-    out = a.values * b.values
+    av, bv = a.values, b.values
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.values, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.values, b.shape))
+    def backward_fn(g, na, nb):
+        if na is not None:
+            na._accumulate(_unbroadcast(g * bv, av.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * av, bv.shape))
 
-    return _make(out, (a, b), backward_fn, "elementwise_mul")
+    return _make(av * bv, (a, b), backward_fn, "elementwise_mul")
 
 
 def scalar_mul(a, c):
     c = float(c)
-    out = a.values * c
 
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * c)
+    def backward_fn(g, na):
+        na._accumulate(g * c)
 
-    return _make(out, (a,), backward_fn, "scalar_mul")
+    return _make(a.values * c, (a,), backward_fn, "scalar_mul")
 
 
 def relu(x):
     out = np.maximum(x.values, 0.0)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * (x.values > 0.0))
+    def backward_fn(g, nx):
+        # out > 0 exactly where x > 0, NaN included, so x need not be kept
+        nx._accumulate(g * (out > 0.0))
 
     return _make(out, (x,), backward_fn, "relu")
 
 
 def prelu(x, slope):
     """PReLU with a learnable (1, 1) slope tensor for the negative part."""
+    xv = x.values
     s = slope.values[0, 0]
-    out = np.minimum(x.values, 0.0)
+    out = np.minimum(xv, 0.0)
     out *= s
-    out += np.maximum(x.values, 0.0)
+    out += np.maximum(xv, 0.0)
 
-    def backward_fn(g):
-        if slope.requires_grad:
+    def backward_fn(g, nx, nslope):
+        if nslope is not None:
             # fmin maps NaN to 0 like the negative-part mask does
-            work = np.fmin(x.values, 0.0)
+            work = np.fmin(xv, 0.0)
             work *= g
-            slope._accumulate(np.sum(work, keepdims=True).reshape(1, 1))
-        if x.requires_grad:
-            neg = x.values < 0.0
+            nslope._accumulate(np.sum(work, keepdims=True).reshape(1, 1))
+        if nx is not None:
+            neg = xv < 0.0
             dx = np.multiply(neg, s)
             dx += ~neg
             dx *= g
-            x._accumulate(dx)
+            nx._accumulate(dx)
 
     return _make(out, (x, slope), backward_fn, "prelu")
 
@@ -313,9 +352,8 @@ def prelu(x, slope):
 def sigmoid(x):
     out = 1.0 / (1.0 + np.exp(-x.values))
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * out * (1.0 - out))
+    def backward_fn(g, nx):
+        nx._accumulate(g * out * (1.0 - out))
 
     return _make(out, (x,), backward_fn, "sigmoid")
 
@@ -326,9 +364,7 @@ def row_l2_normalize(x):
     denom = np.maximum(norms, EPS)
     out = x.values / denom
 
-    def backward_fn(g):
-        if not x.requires_grad:
-            return
+    def backward_fn(g, nx):
         # d(x/n)/dx applied to g is g/n - out*(out.g)/n; drop the curvature
         # term on degenerate rows where the denominator is the EPS floor.
         work = np.multiply(out, g)
@@ -338,19 +374,19 @@ def row_l2_normalize(x):
             work[degenerate] = 0.0
         np.subtract(g, work, out=work)
         work /= denom
-        x._accumulate(work)
+        nx._accumulate(work)
 
     return _make(out, (x,), backward_fn, "row_l2_normalize")
 
 
 def row_sum(x):
-    out = np.sum(x.values, axis=1, keepdims=True)
+    shape = x.shape
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.shape).copy())
+    def backward_fn(g, nx):
+        nx._accumulate(np.broadcast_to(g, shape).copy())
 
-    return _make(out, (x,), backward_fn, "row_sum")
+    return _make(np.sum(x.values, axis=1, keepdims=True), (x,), backward_fn,
+                 "row_sum")
 
 
 def row_cosine_similarity(a, b):
@@ -369,31 +405,30 @@ def logsumexp_rows(x):
         out = np.where(np.isfinite(m), finite_m + np.log(sums), m)
     softmax = np.exp(x.values - np.where(np.isfinite(out), out, 0.0))
     softmax[~np.isfinite(out)[:, 0]] = 0.0
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * softmax)
-
-    result = _make(out, (x,), backward_fn, "logsumexp_rows")
     if _tracker is not None:
-        _tracker.record_array(softmax, result)
-    return result
+        _tracker.record_array(softmax)
+
+    def backward_fn(g, nx):
+        nx._accumulate(g * softmax)
+
+    return _make(out, (x,), backward_fn, "logsumexp_rows")
 
 
 def logaddexp(a, b):
     """Elementwise log(exp(a) + exp(b)); -inf entries contribute nothing."""
-    out = np.logaddexp(a.values, b.values)
+    av, bv = a.values, b.values
+    out = np.logaddexp(av, bv)
 
-    def backward_fn(g):
+    def backward_fn(g, na, nb):
         with np.errstate(invalid="ignore"):
-            if a.requires_grad:
-                wa = np.exp(a.values - out)
+            if na is not None:
+                wa = np.exp(av - out)
                 wa[~np.isfinite(out)] = 0.0
-                a._accumulate(_unbroadcast(g * wa, a.shape))
-            if b.requires_grad:
-                wb = np.exp(b.values - out)
+                na._accumulate(_unbroadcast(g * wa, av.shape))
+            if nb is not None:
+                wb = np.exp(bv - out)
                 wb[~np.isfinite(out)] = 0.0
-                b._accumulate(_unbroadcast(g * wb, b.shape))
+                nb._accumulate(_unbroadcast(g * wb, bv.shape))
 
     return _make(out, (a, b), backward_fn, "logaddexp")
 
@@ -436,9 +471,9 @@ def nce_denominator(anchor, other, tau):
         out[lo:hi] = m + np.log(np.sum(s, axis=1, keepdims=True))
         del s  # free each block before the next is scored
 
-    def backward_fn(g):
+    def backward_fn(g, na, no):
         scale = g / tau
-        if anchor is other:
+        if na is no:  # one tensor passed twice; distinct ones never share
             # off the diagonal s_ij <= out_j, so exp(s - out_j) <= 1
             da = np.empty_like(a)
             for lo, hi in blocks:
@@ -452,10 +487,10 @@ def nce_denominator(anchor, other, tau):
                 w += wt
                 np.matmul(w, a, out=da[lo:hi])
                 del w, wt
-            anchor._accumulate(da)
+            na._accumulate(da)
             return
-        da = np.empty_like(a) if anchor.requires_grad else None
-        do = np.zeros_like(o) if other.requires_grad else None
+        da = np.empty_like(a) if na is not None else None
+        do = np.zeros_like(o) if no is not None else None
         for lo, hi in blocks:
             w = _nce_block_scores(a, o, lo, hi, tau)
             w -= out[lo:hi]
@@ -467,72 +502,66 @@ def nce_denominator(anchor, other, tau):
                 do += w.T @ a[lo:hi]
             del w
         if da is not None:
-            anchor._accumulate(da)
+            na._accumulate(da)
         if do is not None:
-            other._accumulate(do)
+            no._accumulate(do)
 
     return _make(out, (anchor, other), backward_fn, "nce_denominator")
 
 
 def tensor_sum(x):
-    out = np.sum(x.values).reshape(1, 1)
+    shape = x.shape
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.full(x.shape, g[0, 0]))
+    def backward_fn(g, nx):
+        nx._accumulate(np.full(shape, g[0, 0]))
 
-    return _make(out, (x,), backward_fn, "sum")
+    return _make(np.sum(x.values).reshape(1, 1), (x,), backward_fn, "sum")
 
 
 def tensor_mean(x):
-    size = x.values.size
-    out = (np.sum(x.values) / size).reshape(1, 1)
+    shape, size = x.shape, x.values.size
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.full(x.shape, g[0, 0] / size))
+    def backward_fn(g, nx):
+        nx._accumulate(np.full(shape, g[0, 0] / size))
 
-    return _make(out, (x,), backward_fn, "mean")
+    return _make((np.sum(x.values) / size).reshape(1, 1), (x,), backward_fn,
+                 "mean")
 
 
 def concat_rows(tensors):
     parts = [t.values for t in tensors]
-    out = np.concatenate(parts, axis=0)
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[lo:hi])
+    def backward_fn(g, *nodes):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
+                node._accumulate(g[lo:hi])
 
-    return _make(out, tuple(tensors), backward_fn, "concat_rows")
+    return _make(np.concatenate(parts, axis=0), tuple(tensors), backward_fn,
+                 "concat_rows")
 
 
 def transpose(x):
-    out = x.values.T.copy()
+    def backward_fn(g, nx):
+        nx._accumulate(g.T)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g.T)
-
-    return _make(out, (x,), backward_fn, "transpose")
+    return _make(x.values.T.copy(), (x,), backward_fn, "transpose")
 
 
 def gather_rows(x, indices):
     """Select rows of x by an integer index array; duplicates allowed."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = x.values[idx]
+    rows = x.shape[0]
 
-    def backward_fn(g):
-        if x.requires_grad:
-            # scatter-add as one sparse product: row idx[j] gains g[j];
-            # column j of the scatter matrix holds its one entry at idx[j]
-            scatter = sparse.csc_matrix(
-                (np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
-                shape=(x.shape[0], len(idx)))
-            x._accumulate(scatter @ g)
+    def backward_fn(g, nx):
+        # scatter-add as one sparse product: row idx[j] gains g[j];
+        # column j of the scatter matrix holds its one entry at idx[j]
+        scatter = sparse.csc_matrix(
+            (np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
+            shape=(rows, len(idx)))
+        nx._accumulate(scatter @ g)
 
-    return _make(out, (x,), backward_fn, "gather_rows")
+    return _make(x.values[idx], (x,), backward_fn, "gather_rows")
 
 
 def mask_diagonal(x, fill=-np.inf):
@@ -542,11 +571,10 @@ def mask_diagonal(x, fill=-np.inf):
     out = x.values.copy()
     np.fill_diagonal(out, fill)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            gc = g.copy()
-            np.fill_diagonal(gc, 0.0)
-            x._accumulate(gc)
+    def backward_fn(g, nx):
+        gc = g.copy()
+        np.fill_diagonal(gc, 0.0)
+        nx._accumulate(gc)
 
     return _make(out, (x,), backward_fn, "mask_diagonal")
 
@@ -572,22 +600,23 @@ def batch_norm(x, gamma, beta, state, momentum, training):
         var = state["running_var"]
     inv_std = 1.0 / np.sqrt(var + bn_eps)
     xhat = np.multiply(centred, inv_std, out=centred)  # no second n x d copy
-    out = xhat * gamma.values
+    gamma_v = gamma.values
+    out = xhat * gamma_v
     out += beta.values
 
-    def backward_fn(g):
+    def backward_fn(g, nx, ngamma, nbeta):
         work = None
-        if gamma.requires_grad:
+        if ngamma is not None:
             work = np.multiply(g, xhat)
-            gamma._accumulate(np.sum(work, axis=0, keepdims=True))
-        if beta.requires_grad:
-            beta._accumulate(np.sum(g, axis=0, keepdims=True))
-        if not x.requires_grad:
+            ngamma._accumulate(np.sum(work, axis=0, keepdims=True))
+        if nbeta is not None:
+            nbeta._accumulate(np.sum(g, axis=0, keepdims=True))
+        if nx is None:
             return
-        dxhat = g * gamma.values
+        dxhat = g * gamma_v
         if training:
             # (inv_std / n) * (n dxhat - sum(dxhat) - xhat sum(dxhat xhat))
-            n = x.shape[0]
+            n = xhat.shape[0]
             work = np.multiply(dxhat, xhat, out=work)
             sum_dxhat_xhat = np.sum(work, axis=0, keepdims=True)
             sum_dxhat = np.sum(dxhat, axis=0, keepdims=True)
@@ -598,7 +627,7 @@ def batch_norm(x, gamma, beta, state, momentum, training):
             dxhat *= inv_std / n
         else:
             dxhat *= inv_std
-        x._accumulate(dxhat)
+        nx._accumulate(dxhat)
 
     return _make(out, (x, gamma, beta), backward_fn, "batch_norm")
 
@@ -610,21 +639,22 @@ def layer_norm(x, gamma, beta):
     var = np.var(x.values, axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + ln_eps)
     xhat = (x.values - mu) * inv_std
-    out = gamma.values * xhat + beta.values
+    gamma_v = gamma.values
+    out = gamma_v * xhat + beta.values
 
-    def backward_fn(g):
-        if gamma.requires_grad:
-            gamma._accumulate(np.sum(g * xhat, axis=0, keepdims=True))
-        if beta.requires_grad:
-            beta._accumulate(np.sum(g, axis=0, keepdims=True))
-        if x.requires_grad:
-            d = x.shape[1]
-            dxhat = g * gamma.values
+    def backward_fn(g, nx, ngamma, nbeta):
+        if ngamma is not None:
+            ngamma._accumulate(np.sum(g * xhat, axis=0, keepdims=True))
+        if nbeta is not None:
+            nbeta._accumulate(np.sum(g, axis=0, keepdims=True))
+        if nx is not None:
+            d = xhat.shape[1]
+            dxhat = g * gamma_v
             dx = (inv_std / d) * (d * dxhat
                                   - np.sum(dxhat, axis=1, keepdims=True)
                                   - xhat * np.sum(dxhat * xhat, axis=1,
                                                   keepdims=True))
-            x._accumulate(dx)
+            nx._accumulate(dx)
 
     return _make(out, (x, gamma, beta), backward_fn, "layer_norm")
 
@@ -639,14 +669,13 @@ def standardize_cols(w):
     inv_std = 1.0 / np.sqrt(var + ws_eps)
     what = (w.values - mu) * inv_std
 
-    def backward_fn(g):
-        if w.requires_grad:
-            n = w.shape[0]
-            dw = (inv_std / n) * (n * g
-                                  - np.sum(g, axis=0, keepdims=True)
-                                  - what * np.sum(g * what, axis=0,
-                                                  keepdims=True))
-            w._accumulate(dw)
+    def backward_fn(g, nw):
+        n = what.shape[0]
+        dw = (inv_std / n) * (n * g
+                              - np.sum(g, axis=0, keepdims=True)
+                              - what * np.sum(g * what, axis=0,
+                                              keepdims=True))
+        nw._accumulate(dw)
 
     return _make(what, (w,), backward_fn, "standardize_cols")
 

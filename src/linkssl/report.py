@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .significance import bonferroni_dunn_groups, friedman_test
+from .significance import bonferroni_dunn_groups, check_alpha, friedman_test
 
 OPTIM_POOL = ("deg", "evc", "pr", "scom", "sbm", "sbm2")
 METRICS = ("hits_at_50", "ap", "auc")
@@ -125,6 +125,7 @@ def annotate(table, alpha=0.05):
     """Bonferroni-Dunn star/cross per dataset over methods sharing a full
     seed count; skipped (no annotations) when fewer than two comparable
     methods or runs exist."""
+    check_alpha(alpha)
     table.annotations = {}
     for dataset in table.datasets:
         methods, scores, skipped = _comparable(table, dataset)
@@ -179,6 +180,7 @@ def render_csv(table):
 def stats_summary(rows, alpha=0.05, metric="hits_at_50"):
     """Per-dataset Friedman test plus the Bonferroni-Dunn groups, rendered
     as plain text."""
+    check_alpha(alpha)
     table = build_table(rows, metric=metric)
     lines = []
     for dataset in table.datasets:

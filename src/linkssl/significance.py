@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _check_alpha(alpha):
+def check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
@@ -53,7 +53,7 @@ def critical_difference(n, k, alpha):
     is two-sided and Bonferroni-adjusted over the k-1 comparisons."""
     from scipy import stats
 
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if k < 2:
         raise ValueError(f"need k >= 2 methods, got k={k}")
     if n < 1:
@@ -69,7 +69,7 @@ def bonferroni_dunn_groups(scores, alpha=0.05):
     Gated on the Friedman test: when its p-value is not below alpha, both
     sets are empty.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     mean_ranks, n, k = _mean_ranks(scores)
     _, p_value = friedman_test(scores)
     if not p_value < alpha:

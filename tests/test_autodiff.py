@@ -1,7 +1,10 @@
 """Gradient checks and frozen-value oracles for the autodiff core."""
 
+import gc
 import math
 import tracemalloc
+import types
+import weakref
 import zlib
 
 import numpy as np
@@ -262,6 +265,23 @@ def test_tracker_releases_op_caches_with_their_output(rng):
             ad.logsumexp_rows(a)
     assert tracker.live_bytes == 0
     assert tracker.peak_live_bytes >= 100 * 100 * 8
+
+
+def test_tracker_counts_a_saved_array_until_its_graph_dies(rng):
+    # relu's rule saves its output's array: the array outlives the tensor
+    # that held it and is released with the graph, not with the tensor
+    x = leaf(rng, (100, 100))
+    with ad.track_allocations() as tracker:
+        h = ad.relu(x)
+        loss = ad.tensor_sum(h)
+        saved = weakref.ref(h.values)
+        del h
+        assert saved() is not None
+        assert tracker.live_bytes == 100 * 100 * 8 + 8
+        backward(loss)
+        del loss
+    assert saved() is None
+    assert tracker.live_bytes == 0
 
 
 def test_nce_denominator_rejects_bad_shapes(rng):
@@ -555,6 +575,60 @@ def _shared_and_split(build, shape, rng):
 ], ids=["add", "concat_rows", "transpose", "concat_of_transposes"])
 def test_shared_leaf_gradient_equals_copies(build, rng):
     _shared_and_split(build, (3, 4), rng)
+
+
+# --- what a graph holds -------------------------------------------------------
+
+
+def _reachable_tensors(root):
+    """Tensors reachable from `root` through tensors, backward nodes,
+    tuples, lists and backward rules' closure cells."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (Tensor, ad._Node, tuple, list)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def _norm_case(norm):
+    def fn(a, g, b):
+        if norm == "layer_norm":
+            return ad.tensor_sum(ad.sigmoid(ad.layer_norm(a, g, b)))
+        state = {"running_mean": np.zeros((1, 3)),
+                 "running_var": np.ones((1, 3))}
+        return ad.tensor_sum(ad.sigmoid(
+            ad.batch_norm(a, g, b, state, momentum=0.9, training=True)))
+    return (norm, fn, [(4, 3), (1, 3), (1, 3)])
+
+
+GRAPH_CASES = OP_CASES + [
+    ("prelu", lambda a, s: ad.tensor_sum(ad.sigmoid(ad.prelu(a, s))),
+     [(4, 3), (1, 1)]),
+    ("sparse_matmul", lambda a: ad.tensor_sum(ad.sigmoid(ad.sparse_matmul(
+        sparse.identity(4, format="csr"), a))), [(4, 3)]),
+    _norm_case("layer_norm"), _norm_case("batch_norm"),
+]
+
+
+@pytest.mark.parametrize("name,fn,shapes", GRAPH_CASES,
+                         ids=[c[0] for c in GRAPH_CASES])
+def test_graph_holds_no_intermediate_tensor(name, fn, shapes, rng):
+    # the graph links backward nodes, and a rule keeps arrays, never
+    # tensors: from the loss only the leaves that need grad are reachable,
+    # not the op outputs the case's ops take as their inputs
+    inputs = [leaf(rng, s) for s in shapes]
+    loss = fn(*(ad.scalar_mul(t, 1.0) for t in inputs))
+    reached = {id(t) for t in _reachable_tensors(loss)}
+    assert reached <= {id(loss)} | {id(t) for t in inputs}
+    assert reached >= {id(t) for t in inputs}
 
 
 # --- allocation tracking -----------------------------------------------------

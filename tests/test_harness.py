@@ -631,6 +631,26 @@ def test_stats_summary_reports_skipped_datasets():
     assert {d for _, d in table.annotations} <= {"D"}
 
 
+ONE_METHOD_ROWS = make_rows({("m", "a"): {"A": [0.1, 0.2, 0.3]}})
+
+
+@pytest.mark.parametrize("alpha", [1.5, -3.0, 0.0, np.nan])
+def test_stats_summary_rejects_alpha_with_nothing_to_compare(alpha):
+    # one method leaves no column for the Bonferroni-Dunn pass, whose own
+    # check would otherwise never run
+    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\)"):
+        report.stats_summary(ONE_METHOD_ROWS, alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -3.0, 0.0, np.nan])
+def test_annotate_rejects_alpha_with_nothing_to_compare(alpha):
+    table = report.build_table(ONE_METHOD_ROWS)
+    table.annotations = {"kept": "*"}
+    with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\)"):
+        report.annotate(table, alpha=alpha)
+    assert table.annotations == {"kept": "*"}  # raised before any work
+
+
 # ------------------------------------------------------------------- cli
 
 
@@ -788,6 +808,19 @@ def test_cli_stats_rejects_alpha_outside_unit_interval(tmp_path, capsys):
     assert "error: alpha must lie in (0, 1), got 1.5" in captured.err
     assert main(["stats", "--alpha", "0.1", "--out", str(tmp_path)]) == 0
     assert "best group: m best" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_cli_rejects_alpha_outside_unit_interval_with_one_method(
+        command, tmp_path, capsys):
+    runner.write_metrics_csv(tmp_path / "A" / "m_a" / "metrics.csv",
+                             ONE_METHOD_ROWS)
+    assert main([command, "--alpha", "1.5", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: alpha must lie in (0, 1), got 1.5" in captured.err
+    assert not (tmp_path / "report.txt").exists()
+    assert main([command, "--alpha", "0.1", "--out", str(tmp_path)]) == 0
 
 
 def test_cli_missing_data_root_is_an_error(tmp_path, monkeypatch, capsys):

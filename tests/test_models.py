@@ -541,6 +541,66 @@ def test_link_representation_rejects_out_of_range():
         link_representation(h, [(0, 3)], IdentityHead())
 
 
+# ----------------------------------------------------------- graph retention
+#
+# A step's graph holds backward nodes and the arrays their rules read. These
+# tests pin the op outputs a model's graph lets go of, so an op that starts
+# keeping whole outputs again shows here.
+
+
+def _output_values(monkeypatch, *ops):
+    """Weak references to the values of every output of the named autodiff
+    ops, in call order, keyed by op."""
+    refs = {op: [] for op in ops}
+    for op in ops:
+        def spy(*args, _op=getattr(ad, op), _refs=refs[op], **kwargs):
+            out = _op(*args, **kwargs)
+            _refs.append(weakref.ref(out.values))
+            return out
+        monkeypatch.setattr(ad, op, spy)
+    return refs
+
+
+def test_mlp_graph_keeps_only_the_relu_output(monkeypatch):
+    rng = np.random.default_rng(0)
+    mlp = Projector(8, 16, rng)
+    refs = _output_values(monkeypatch, "matmul", "add", "relu")
+    loss = ad.tensor_sum(mlp.forward(ad.Tensor(rng.normal(size=(5, 8)))))
+    first, second = refs["matmul"]
+    assert first() is None and second() is None
+    assert [ref() for ref in refs["add"]] == [None, None]
+    (hidden,) = refs["relu"]
+    assert hidden() is not None  # the second matmul's rule reads it
+    ad.backward(loss)
+    assert np.any(mlp.w1.grad != 0.0)
+    del loss
+    assert hidden() is None
+
+
+@pytest.mark.parametrize("norm", ["batch", "layer"])
+def test_encoder_graph_drops_the_propagated_rows(norm, monkeypatch):
+    enc = GCNEncoder(6, EncoderConfig(n_layers=2, layer_size=64, norm=norm),
+                     np.random.default_rng(4))
+    refs = _output_values(monkeypatch, "sparse_matmul")
+    loss = ad.tensor_sum(enc.forward(two_triangles(), mode="train"))
+    assert len(refs["sparse_matmul"]) == 2
+    assert all(ref() is None for ref in refs["sparse_matmul"])
+    ad.backward(loss)
+    assert np.any(enc.weights[0].grad != 0.0)
+
+
+def test_bgrl_graph_drops_the_cosine_product(monkeypatch):
+    rng = np.random.default_rng(5)
+    pred = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    target = ad.Tensor(rng.normal(size=(6, 3)))
+    refs = _output_values(monkeypatch, "elementwise_mul", "row_sum")
+    loss = bgrl_loss(pred, target)
+    (product,), (cos,) = refs["elementwise_mul"], refs["row_sum"]
+    assert product() is None and cos() is None
+    ad.backward(loss)
+    assert pred.grad.shape == (6, 3)
+
+
 # ---------------------------------------------------------------- train loops
 
 def _toy_split(seed=1):
