@@ -26,12 +26,12 @@ equal to the global mean block strength) are a documented approximation.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FeatureMatrix
 from .sbm import fit_block_counts, sample_sbm
 
 SBM_KINDS = ("sbm", "sbm2", "sbm_oracle")
@@ -79,16 +79,13 @@ def drop_edges(g, p, seed):
 
 def mask_features(x, p, seed):
     """Zero feature column j with probability p (a scalar rate or one per
-    column); identity features record the zeroed columns in column_mask."""
+    column): the drawn keep mask joins x's column mask, and X is shared."""
     if np.ndim(p) == 0 and p == 0.0:
         return x
     keep = (np.random.default_rng(seed).random(x.n_cols) >= p).astype(
         np.float64)
-    if x.kind == "identity":
-        mask = keep if x.column_mask is None else x.column_mask * keep
-        return FeatureMatrix(kind="identity", n_rows=x.n_rows, n_cols=x.n_cols,
-                             column_mask=mask)
-    return FeatureMatrix.dense(x.dense_values * keep[np.newaxis, :])
+    mask = keep if x.column_mask is None else x.column_mask * keep
+    return dataclasses.replace(x, column_mask=mask)
 
 
 def centrality(g, kind):
@@ -146,8 +143,9 @@ def _importance(g, spec, b):
 
     Node scores are the kind's centrality, or for `scom` the strength of the
     node's block. A feature column's importance is the score-weighted count
-    of its nonzero entries, which for identity features is the node's own
-    score (times its column mask), so nothing is materialized.
+    of its nonzero entries in X, `(X != 0).T @ scores`, times the column
+    mask; for the identity X that count is the node's own score, so the
+    identity is never materialized.
     """
     if spec.kind == "random":
         return None
@@ -164,10 +162,10 @@ def _importance(g, spec, b):
     if not np.all(np.isfinite(scores)) or np.any(scores < 0):
         raise ValueError("node scores must be finite and nonnegative")
     x = g.features
-    if x.kind == "identity":
-        columns = scores if x.column_mask is None else scores * x.column_mask
-    else:
-        columns = (x.dense_values != 0.0).astype(np.float64).T @ scores
+    columns = (scores if x.dense_values is None
+               else (x.dense_values != 0.0).astype(np.float64).T @ scores)
+    if x.column_mask is not None:
+        columns = columns * x.column_mask
     return edges, columns
 
 

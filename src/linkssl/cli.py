@@ -91,9 +91,9 @@ def cmd_train(args):
     return 1 if failures else 0
 
 
-def _report_failures(failures):
-    for seed, message in failures:
-        print(f"seed {seed}: FAILED ({message.strip()})", file=sys.stderr)
+def _report_failures(failures, what="seed"):
+    for key, message in failures:
+        print(f"{what} {key}: FAILED ({message.strip()})", file=sys.stderr)
 
 
 def cmd_evaluate(args):
@@ -145,7 +145,10 @@ def cmd_search(args):
     print(f"{len(log)} trials, best score {max(scores)!r}")
     sys.stdout.write(serialize_config(best))
     print(f"best config -> {os.path.join(args.out, 'best_config.txt')}")
-    return 0
+    failures = [(idx, err) for idx, _, score, err in log
+                if score == float("-inf")]
+    _report_failures(failures, "trial")
+    return 1 if failures else 0
 
 
 def cmd_stats(args):

@@ -21,7 +21,6 @@ class BlockState:
 
     assignment: np.ndarray
     num_blocks: int
-    source: str  # "louvain"; "external" marks a partition the caller built
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64)
@@ -132,8 +131,7 @@ def louvain(g, seed=0):
     """
     if g.num_edges == 0:
         warnings.warn("louvain on an edgeless graph: every node is its own block")
-        return BlockState(assignment=np.arange(g.n), num_blocks=g.n,
-                          source="louvain")
+        return BlockState(assignment=np.arange(g.n), num_blocks=g.n)
 
     rng = np.random.default_rng(seed)
     neighbors = [dict() for _ in range(g.n)]
@@ -181,8 +179,7 @@ def louvain(g, seed=0):
         prev_q = q_level
 
     assignment, num_blocks = relabel_dense(node_to_super)
-    return BlockState(assignment=assignment, num_blocks=num_blocks,
-                      source="louvain")
+    return BlockState(assignment=assignment, num_blocks=num_blocks)
 
 
 def _weighted_modularity(community, comm_internal, comm_total, two_m):

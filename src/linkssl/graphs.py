@@ -17,48 +17,35 @@ from scipy import sparse
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Node features: a dense matrix or an implicit identity.
+    """Node features: a fixed matrix X times a 0/1 column mask.
 
-    The identity kind never materializes the n x n matrix; column masking
-    (feature dropout) is represented by `column_mask`, exploiting
-    (I * diag(mask)) @ W == mask[:, None] * W in the encoder.
+    `dense_values` is X as an (n, f) float64 array, or None for the
+    identity, which is never materialized. `column_mask` (None keeps every
+    column) is feature dropout: (X diag(m)) W == X (m[:, None] * W), so the
+    encoder masks rows of W and X is never copied.
     """
 
-    kind: str  # "identity" | "dense"
     n_rows: int
     n_cols: int
     dense_values: np.ndarray | None = None
     column_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "dense"):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.kind == "identity" and self.n_rows != self.n_cols:
-            raise ValueError("identity features require d = n")
-        if self.kind == "dense":
-            if self.dense_values is None:
-                raise ValueError("dense features require values")
-            if self.dense_values.shape != (self.n_rows, self.n_cols):
-                raise ValueError("feature shape mismatch")
+        if self.dense_values is None:
+            if self.n_rows != self.n_cols:
+                raise ValueError("identity features require d = n")
+        elif self.dense_values.shape != (self.n_rows, self.n_cols):
+            raise ValueError("feature shape mismatch")
 
     @staticmethod
     def identity(n):
-        return FeatureMatrix(kind="identity", n_rows=n, n_cols=n)
+        return FeatureMatrix(n_rows=n, n_cols=n)
 
     @staticmethod
     def dense(values):
         values = np.asarray(values, dtype=np.float64)
-        return FeatureMatrix(kind="dense", n_rows=values.shape[0],
-                             n_cols=values.shape[1], dense_values=values)
-
-    def materialize(self):
-        """Dense ndarray view of the features (identity kinds allocate here)."""
-        if self.kind == "dense":
-            return self.dense_values
-        eye = np.eye(self.n_rows)
-        if self.column_mask is not None:
-            eye = eye * self.column_mask[np.newaxis, :]
-        return eye
+        return FeatureMatrix(n_rows=values.shape[0], n_cols=values.shape[1],
+                             dense_values=values)
 
 
 # largest node count (and id span) whose pair keys u * n + v fit in int64

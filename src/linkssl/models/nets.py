@@ -1,10 +1,12 @@
 """Network building blocks: GCN encoder, MLP heads, and the link decoder.
 
 All parameters are float64 and flow through the reverse-mode autodiff ops.
-Encoders exploit identity features: X @ W collapses to W (with masked
-feature columns zeroing the matching rows of W), so the n x n identity is
-never materialized. Modules read only their own parameters; the
-bootstrapped models' target network is a deep copy of them.
+Every feature kind takes one first-layer path: features are a fixed X (or
+the identity) times a column mask m, and the first product is
+X (m[:, None] * W), so feature dropout zeroes rows of W and never copies X.
+For the identity, X @ W collapses to W and the n x n identity is never
+materialized. Modules read only their own parameters; the bootstrapped
+models' target network is a deep copy of them.
 """
 
 from __future__ import annotations
@@ -72,13 +74,14 @@ class GCNEncoder:
         return self.weights + self.slopes + self.gammas + self.betas
 
     def _first_product(self, view, weight_tensor):
-        """X @ W for the view's features without materializing identities."""
+        """X (m[:, None] * W) for the view's features X and column mask m;
+        an identity X skips the product."""
         x = view.features
-        if x.kind == "identity":
-            if x.column_mask is None:
-                return weight_tensor
-            mask = ad.Tensor(x.column_mask.reshape(-1, 1))
-            return ad.elementwise_mul(weight_tensor, mask)
+        if x.column_mask is not None:
+            weight_tensor = ad.elementwise_mul(
+                weight_tensor, ad.Tensor(x.column_mask.reshape(-1, 1)))
+        if x.dense_values is None:
+            return weight_tensor
         return ad.matmul(ad.Tensor(x.dense_values), weight_tensor)
 
     def forward(self, view, mode="train"):

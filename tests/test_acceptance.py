@@ -241,8 +241,7 @@ def _check_sbm_count_preservation(rng, n_samples=1000):
     pairs = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(140, 2))
              if u != v]
     g = Graph(n, pairs)
-    b = BlockState(assignment=np.arange(n) % 3, num_blocks=3,
-                   source="external")
+    b = BlockState(assignment=np.arange(n) % 3, num_blocks=3)
     counts = fit_block_counts(g, b)
     for sample_seed in range(n_samples):
         resampled = sample_sbm(counts, seed=sample_seed)

@@ -1,5 +1,6 @@
 """Augmentation family: centralities, adaptive schemes, and view generation."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -52,10 +53,20 @@ def test_mask_features_rate_zero_identity():
 def test_mask_features_zeroes_whole_columns():
     x = FeatureMatrix.dense(np.ones((4, 6)))
     masked = mask_features(x, 0.5, seed=2)
-    dense = masked.materialize()
-    col_sums = dense.sum(axis=0)
+    col_sums = (masked.dense_values * masked.column_mask).sum(axis=0)
     assert set(col_sums.tolist()) <= {0.0, 4.0}
     assert (col_sums == 0).any()
+
+
+def test_mask_features_shares_dense_values():
+    # masking combines column masks and never copies X
+    x = FeatureMatrix.dense(np.arange(12.0).reshape(3, 4))
+    once = mask_features(x, 0.5, seed=1)
+    twice = mask_features(once, 0.5, seed=2)
+    assert once.dense_values is x.dense_values
+    assert twice.dense_values is x.dense_values
+    keep = mask_features(x, 0.5, seed=2).column_mask
+    assert np.array_equal(twice.column_mask, once.column_mask * keep)
 
 
 def test_mask_features_binomial_column_count():
@@ -193,8 +204,22 @@ def test_adaptive_drop_prefers_removing_low_importance_bridge():
 def test_adaptive_mask_identity_importance_is_centrality():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     _, imp = _importance(g, AugmentationSpec(kind="deg"), None)
-    assert g.features.kind == "identity"
+    assert g.features.dense_values is None
     assert imp.tolist() == [3.0, 1.0, 1.0, 1.0]
+
+
+def test_importance_of_masked_dense_matches_premasked():
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    values = np.random.default_rng(3).random((5, 4)) * np.array([1, 0, 1, 1])
+    mask = np.array([1.0, 1.0, 0.0, 1.0])
+    spec = AugmentationSpec(kind="deg")
+    masked = g.with_features(dataclasses.replace(FeatureMatrix.dense(values),
+                                                 column_mask=mask))
+    premasked = g.with_features(FeatureMatrix.dense(values * mask))
+    _, got = _importance(masked, spec, None)
+    _, want = _importance(premasked, spec, None)
+    assert got.tobytes() == want.tobytes()
+    assert got[1] == got[2] == 0.0
 
 
 def test_adaptive_mask_protects_high_centrality_columns():
@@ -212,7 +237,7 @@ def test_adaptive_mask_protects_high_centrality_columns():
 
 def test_community_strength_values():
     g = Graph(7, k(3) + [(3, 4), (4, 5)] )
-    b = BlockState(np.array([0, 0, 0, 1, 1, 1, 2]), 3, "external")
+    b = BlockState(np.array([0, 0, 0, 1, 1, 1, 2]), 3)
     # under identity features a column's importance is its node's strength
     _, strength = _importance(g, AugmentationSpec(kind="scom"), b)
     assert strength[0] == pytest.approx(1.0)       # triangle block
@@ -223,7 +248,7 @@ def test_community_strength_values():
 def test_scom_intra_block_edges_survive_preferentially():
     edges = k(4) + k(4, offset=4) + [(0, 4)]
     g = Graph(8, edges)
-    b = BlockState(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2, "external")
+    b = BlockState(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2)
     importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     probs = drop_probabilities(importance, 0.5, 0.9, "community")
     survived_bridge = survived_intra = 0
@@ -237,7 +262,7 @@ def test_scom_intra_block_edges_survive_preferentially():
 
 def test_scom_single_block_uniform_fallback():
     g = Graph(5, k(5))
-    b = BlockState(np.zeros(5, dtype=int), 1, "external")
+    b = BlockState(np.zeros(5, dtype=int), 1)
     importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     with pytest.warns(UserWarning, match="degenerate"):
         probs = drop_probabilities(importance, 0.4, 0.9, "community")
@@ -335,8 +360,7 @@ def _fingerprint_graphs():
     sparse = np.stack([us[pick], vs[pick]], axis=1)
     dense = rng.random((16, 5)) * (rng.random((16, 5)) < 0.6)
     mask = (rng.random(16) < 0.7).astype(np.float64)
-    masked = FeatureMatrix(kind="identity", n_rows=16, n_cols=16,
-                           column_mask=mask)
+    masked = dataclasses.replace(FeatureMatrix.identity(16), column_mask=mask)
     return [Graph(16, sparse),
             Graph(16, sparse, features=FeatureMatrix.dense(dense)),
             Graph(16, sparse, features=masked),
@@ -344,17 +368,25 @@ def _fingerprint_graphs():
             Graph(8, np.zeros((0, 2), dtype=np.int64))]
 
 
+def _effective_features(x):
+    """The n x f matrix the encoder sees: X (or I) times its column mask."""
+    values = np.eye(x.n_rows) if x.dense_values is None else x.dense_values
+    if x.column_mask is not None:
+        values = values * x.column_mask[np.newaxis, :]
+    return values
+
+
 def test_make_views_fingerprint_is_frozen():
     # every kind over identity, masked-identity and dense features, a
     # complete graph (flat importance surfaces) and an edgeless graph, with
-    # zero, default and extreme rates under two cutoffs: edges, column
-    # masks, dense values and the warnings raised, in order
+    # zero, default and extreme rates under two cutoffs: edges, effective
+    # features and the warnings raised, in order
     digest = hashlib.sha256()
     caught = []
     rate_sets = [(0.2, 0.2, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
                  (0.9, 0.5, 0.9, 0.3)]
     for g in _fingerprint_graphs():
-        b = BlockState(np.arange(g.n) % 3, 3, "external")
+        b = BlockState(np.arange(g.n) % 3, 3)
         for kind in ALL_KINDS:
             for rates in rate_sets:
                 for cutoff in (0.9, 0.7):
@@ -364,11 +396,10 @@ def test_make_views_fingerprint_is_frozen():
                         views = make_views(g, spec, b=b, seed=5)
                     caught += [str(x.message) for x in w]
                     for v in views:
-                        x = v.features
                         digest.update(v.edges.astype(np.int64).tobytes())
-                        digest.update(x.kind.encode())
-                        for a in (x.column_mask, x.dense_values):
-                            digest.update(b"-" if a is None else a.tobytes())
+                        digest.update(_effective_features(v.features)
+                                      .tobytes())
     digest.update("\n".join(caught).encode())
-    # the per-kind droppers and maskers this scheme replaced gave this value
-    assert (digest.hexdigest()[:16], len(caught)) == ("dab65253edd92723", 88)
+    # the per-kind feature paths this representation replaced gave this
+    # value
+    assert (digest.hexdigest()[:16], len(caught)) == ("261e3d44493ae550", 88)

@@ -21,26 +21,26 @@ def blocks_of(state):
 
 
 def test_modularity_two_triangles_by_triangle():
-    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2, "external")
+    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2)
     assert modularity(two_triangles(), b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_modularity_single_block_is_zero():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    b = BlockState(np.zeros(5, dtype=int), 1, "external")
+    b = BlockState(np.zeros(5, dtype=int), 1)
     assert modularity(g, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modularity_triangle_singletons():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    b = BlockState(np.array([0, 1, 2]), 3, "external")
+    b = BlockState(np.array([0, 1, 2]), 3)
     assert modularity(g, b) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 def test_modularity_invariant_under_relabeling():
     g = two_triangles()
-    b1 = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2, "external")
-    b2 = BlockState(np.array([1, 1, 1, 0, 0, 0]), 2, "external")
+    b1 = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2)
+    b2 = BlockState(np.array([1, 1, 1, 0, 0, 0]), 2)
     assert modularity(g, b1) == modularity(g, b2)
 
 
@@ -51,7 +51,7 @@ def test_modularity_matches_networkx_oracle():
     g = Graph(14, [pool[i] for i in idx])
     assignment = rng.integers(0, 3, size=14)
     _, nb = relabel_dense(assignment)
-    b = BlockState(*relabel_dense(assignment), "external")
+    b = BlockState(*relabel_dense(assignment))
     nxg = nx.Graph(list(map(tuple, g.edges.tolist())))
     nxg.add_nodes_from(range(14))
     communities = [
@@ -84,9 +84,9 @@ def test_louvain_recovers_bridged_cliques():
     # the recovered partition beats the coarser single-block partition and
     # a finer random refinement
     q_found = modularity(g, state)
-    q_single = modularity(g, BlockState(np.zeros(20, dtype=int), 1, "external"))
+    q_single = modularity(g, BlockState(np.zeros(20, dtype=int), 1))
     finer = np.array([0] * 5 + [1] * 5 + [2] * 5 + [3] * 5)
-    q_finer = modularity(g, BlockState(finer, 4, "external"))
+    q_finer = modularity(g, BlockState(finer, 4))
     assert q_found > q_single and q_found > q_finer
 
 
@@ -98,7 +98,7 @@ def test_louvain_never_below_single_block_quality():
         g = Graph(16, [pool[i] for i in idx])
         state = louvain(g, seed=trial)
         assert modularity(g, state) >= modularity(
-            g, BlockState(np.zeros(16, dtype=int), 1, "external")) - 1e-12
+            g, BlockState(np.zeros(16, dtype=int), 1)) - 1e-12
 
 
 def test_louvain_deterministic_given_seed():
@@ -117,4 +117,4 @@ def test_louvain_edgeless_graph_warns_singletons():
 
 def test_block_state_validates_dense_ids():
     with pytest.raises(ValueError):
-        BlockState(np.array([0, 2]), 2, "external")  # id 1 missing
+        BlockState(np.array([0, 2]), 2)  # id 1 missing

@@ -346,16 +346,6 @@ def test_normalized_adjacency_cached_per_graph():
                            _uncached_normalized_adjacency(child))
 
 
-def test_identity_features_column_mask_semantics():
-    fm = FeatureMatrix.identity(4)
-    masked = FeatureMatrix(kind="identity", n_rows=4, n_cols=4,
-                           column_mask=np.array([1.0, 1.0, 0.0, 1.0]))
-    dense = masked.materialize()
-    assert np.all(dense[:, 2] == 0.0)
-    assert np.allclose(np.delete(dense, 2, axis=1),
-                       np.delete(fm.materialize(), 2, axis=1))
-
-
 # --- dataset registry -------------------------------------------------------
 
 

@@ -782,6 +782,28 @@ def test_cli_search_writes_best_config(celegans_root, cli_cfg_path,
             for line in log_lines[1:]))
 
 
+def test_cli_search_fails_when_a_trial_fails(celegans_root, cli_cfg_path,
+                                             tmp_path, monkeypatch, capsys):
+    trials = []
+
+    def objective(graph, cfg, k=runner.HITS_K):
+        trials.append(cfg)
+        if len(trials) == 2:
+            raise RuntimeError("trial blew up")
+        return cfg.tau
+
+    monkeypatch.setattr(runner, "validation_objective", objective)
+    out = tmp_path / "searched"
+    assert main(["search", "--config", cli_cfg_path, "--budget", "3",
+                 "--out", str(out)]) == 1
+    assert "trial 1: FAILED (trial blew up)" in capsys.readouterr().err
+    log_lines = (out / "search_log.csv").read_text().splitlines()
+    assert len(log_lines) == 4
+    assert log_lines[2].startswith("1,-inf,trial blew up,")
+    best = load_config(out / "best_config.txt")
+    assert best.tau == max(trials[0].tau, trials[2].tau)
+
+
 def test_cli_search_rejects_budget_below_one(tmp_path, capsys):
     assert main(["search", "--budget", "0", "--out", str(tmp_path)]) == 1
     assert "error: search budget 0 must be >= 1" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             train_supervised_gcn)
 from linkssl.models.training import (DECODER_EPOCHS, SELF_SUPERVISED,
                                      _decoder_objective, _init_state)
+from linkssl.optim import zero_grads
 
 
 class IdentityHead:
@@ -452,17 +453,36 @@ def test_encoder_permutation_equivariance(norm):
 
 
 def test_encoder_identity_features_match_materialized():
+    # a column mask on the identity zeroes exactly those columns of I
     g = two_triangles()
-    masked = FeatureMatrix(kind="identity", n_rows=6, n_cols=6,
-                           column_mask=np.array([1.0, 0.0, 1.0, 1.0, 0.0,
-                                                 1.0]))
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    masked = dataclasses.replace(FeatureMatrix.identity(6), column_mask=mask)
     g_id = g.with_features(masked)
-    g_dense = g.with_features(FeatureMatrix.dense(masked.materialize()))
+    g_dense = g.with_features(FeatureMatrix.dense(np.eye(6) * mask))
     enc = GCNEncoder(6, EncoderConfig(n_layers=2, layer_size=64),
                      np.random.default_rng(3))
     h_id = enc.forward(g_id, mode="train").values
     h_dense = enc.forward(g_dense, mode="train").values
     assert np.allclose(h_id, h_dense, atol=1e-12)
+
+
+def test_encoder_masked_dense_features_match_premasked_bits():
+    # X (m[:, None] * W) gives the bits of (X diag(m)) W, forward and back
+    g = two_triangles()
+    values = np.random.default_rng(8).normal(size=(6, 5))
+    mask = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+    enc = GCNEncoder(5, EncoderConfig(n_layers=2, layer_size=64),
+                     np.random.default_rng(9))
+    runs = []
+    for x in (dataclasses.replace(FeatureMatrix.dense(values),
+                                  column_mask=mask),
+              FeatureMatrix.dense(values * mask)):
+        zero_grads(enc.parameters())
+        h = enc.forward(g.with_features(x), mode="train")
+        ad.backward(ad.tensor_sum(ad.elementwise_mul(h, h)))
+        runs.append((h.values.tobytes(),
+                     enc.weights[0].tensor.grad.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_encoder_weight_standardization_column_scale_invariance():
@@ -638,9 +658,9 @@ def test_train_encoder_bit_identical_repeat(model):
 @pytest.mark.parametrize("stage", [*SELF_SUPERVISED, "decoder",
                                    "gcn_supervised"])
 def test_each_step_drops_its_graph_before_the_next(stage, monkeypatch):
-    # a step's loss holds its whole graph (L-GRACE's (2k)^2 softmax
-    # included); a loop name that keeps it until the next step rebinds it
-    # doubles the retained graph. Views start an encoder epoch, decoder
+    # a step's loss holds its backward nodes and the arrays they saved for
+    # backward; a loop name that keeps it until the next step rebinds it
+    # doubles what is retained. Views start an encoder epoch, decoder
     # negatives start a decoder or supervised batch.
     from linkssl.models import training
 

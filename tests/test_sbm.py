@@ -22,21 +22,21 @@ def two_triangles_bridge():
 
 
 def test_fit_triangle_single_block():
-    b = BlockState(np.zeros(3, dtype=int), 1, "external")
+    b = BlockState(np.zeros(3, dtype=int), 1)
     c = fit_block_counts(triangle(), b)
     assert c.counts.tolist() == [[3]]
     assert c.total_edges == 3
 
 
 def test_fit_two_triangles_with_bridge():
-    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2, "external")
+    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2)
     c = fit_block_counts(two_triangles_bridge(), b)
     assert c.counts.tolist() == [[3, 1], [1, 3]]
 
 
 def test_fit_k4_split_in_half():
     g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    b = BlockState(np.array([0, 0, 1, 1]), 2, "external")
+    b = BlockState(np.array([0, 0, 1, 1]), 2)
     c = fit_block_counts(g, b)
     assert c.counts.tolist() == [[1, 4], [4, 1]]
 
@@ -53,14 +53,14 @@ def test_counts_validation_rejects_overfull_blocks():
 
 
 def test_sample_forced_triangle():
-    b = BlockState(np.zeros(3, dtype=int), 1, "external")
+    b = BlockState(np.zeros(3, dtype=int), 1)
     c = fit_block_counts(triangle(), b)
     for seed in range(5):
         assert sample_sbm(c, seed).edge_set() == triangle().edge_set()
 
 
 def test_sample_forced_complete_bipartite():
-    b = BlockState(np.array([0, 0, 1, 1, 1]), 2, "external")
+    b = BlockState(np.array([0, 0, 1, 1, 1]), 2)
     c = BlockEdgeCounts(num_blocks=2, block_sizes=np.array([2, 3]),
                         counts=np.array([[0, 6], [6, 0]]),
                         members=(np.array([0, 1]), np.array([2, 3, 4])), n=5)
@@ -71,7 +71,7 @@ def test_sample_forced_complete_bipartite():
 
 def test_sample_preserves_counts_exactly_over_1000_seeds():
     g = two_triangles_bridge()
-    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2, "external")
+    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2)
     c = fit_block_counts(g, b)
     for seed in range(1000):
         sample = sample_sbm(c, seed)
