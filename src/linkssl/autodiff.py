@@ -34,7 +34,14 @@ its passes walk the r x r scores in blocks of NCE_BLOCK_ROWS rows, and
 backward recomputes each block's softmax from the kept (r, 1)
 log-denominators: one more GEMM per block buys O(NCE_BLOCK_ROWS x r)
 scratch in place of r x r arrays. This is the blockwise softmax with
-recomputation of FlashAttention (Dao et al. 2022).
+recomputation of FlashAttention (Dao et al. 2022). Like FlashAttention-2
+(Dao 2023) it runs the row blocks on T threads, so the scratch is
+O(T x NCE_BLOCK_ROWS x r). Threads never change bits: they partition the
+outputs, never a GEMM's reduction, every GEMM keeps the shape it has on
+one thread, and the one sum across blocks is added in block order. T
+comes from what the process can observe (nce_thread_budget): the CPUs it
+may run on divided by OpenBLAS's thread count and by the worker processes
+sharing them, so T > 1 only where those leave a CPU idle.
 
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
@@ -42,6 +49,10 @@ treated as constants (never differentiated).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 import weakref
 from contextlib import contextmanager
 
@@ -433,6 +444,134 @@ def logaddexp(a, b):
     return _make(out, (a, b), backward_fn, "logaddexp")
 
 
+# the thread-count getter of the OpenBLAS numpy wheels bundle (numpy 2,
+# numpy 1)
+_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
+                         "openblas_get_num_threads64_")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_getter():
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if "openblas" in f)
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_GET_THREADS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = ()
+                return getter
+    return None
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS numpy loaded, or None where numpy
+    bundles no OpenBLAS that answers."""
+    getter = _openblas_thread_getter()
+    return None if getter is None else getter()
+
+
+_cpu_sharers = 1  # training processes that split this process's CPUs
+
+
+def share_cpus(processes):
+    """Record that this process is one of `processes` that train at once
+    on the same CPUs (a worker of runner.run_experiment's pool)."""
+    global _cpu_sharers
+    _cpu_sharers = processes
+
+
+def nce_thread_budget():
+    """Threads nce_denominator may run: the CPUs this process may use over
+    OpenBLAS's threads times the processes sharing them (share_cpus), at
+    least 1, and 1 where blas_threads() is None.
+
+    A second Python thread helps only on a core nothing else keeps busy:
+    with OpenBLAS on both cores of a 2-core box, 2 threads made the op
+    slower, and 2 threads in each of 2 worker processes made 4 seeds
+    slower than 1 thread in each.
+    """
+    blas = blas_threads()
+    if not blas:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, cpus // (blas * _cpu_sharers))
+
+
+def _nce_threads(n_blocks):
+    """Threads for one pass over n_blocks row blocks. At most half the
+    blocks are in flight, so the scratch stays below half an r x r array."""
+    return max(1, min(nce_thread_budget(), n_blocks // 2))
+
+
+def _run_blocks(blocks, threads, body, in_order=None):
+    """For each row block (lo, hi), carry = body(lo, hi), then
+    in_order(lo, hi, carry) when given.
+
+    With one thread the blocks run inline, in order, and no thread starts.
+    Otherwise `threads` threads, the caller's included, each take the next
+    block by index, so at most `threads` blocks are in flight, and block
+    b's in_order step starts only after block b-1's has returned. numpy
+    and OpenBLAS release the GIL in the GEMMs, exp and the reductions. The
+    threads live for one call, so no pool can outlive a fork. The first
+    exception stops the blocks not yet started and is re-raised here.
+    """
+    if threads == 1:
+        for lo, hi in blocks:
+            carry = body(lo, hi)
+            if in_order is not None:
+                in_order(lo, hi, carry)
+            del carry  # free each block before the next is scored
+        return
+    todo = enumerate(blocks)
+    cond = threading.Condition()
+    done = [0]  # blocks whose in_order step has returned
+    errors = []
+
+    def work():
+        try:
+            while True:
+                with cond:
+                    item = next(todo, None)
+                    if item is None or errors:
+                        return
+                b, (lo, hi) = item
+                carry = body(lo, hi)
+                if in_order is not None:
+                    with cond:
+                        cond.wait_for(lambda: done[0] == b or errors)
+                        if errors:
+                            return
+                    in_order(lo, hi, carry)
+                    with cond:
+                        done[0] += 1
+                        cond.notify_all()
+                del carry
+        except BaseException as exc:  # re-raised in the caller
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def _nce_block_scores(a, o, lo, hi, tau):
     """Rows lo:hi of the scaled score matrix a @ o.T / tau, own column -inf."""
     s = a[lo:hi] @ o.T
@@ -447,11 +586,19 @@ def nce_denominator(anchor, other, tau):
     Row i contrasts anchor row i against every row of `other` except row i.
     Both passes walk the r x r score matrix in blocks of NCE_BLOCK_ROWS
     rows, and only the (r, 1) result is kept: backward recomputes each
-    block's scores and takes its softmax from the result, so the op's
-    scratch is O(NCE_BLOCK_ROWS x r) and no r x r array ever exists.
+    block's scores and takes its softmax from the result. The blocks run
+    on _nce_threads threads, so the op's scratch is
+    O(T x NCE_BLOCK_ROWS x r) and no r x r array ever exists.
     Passing the same tensor twice (GRACE's stacked views) makes the scores
     symmetric, so row block i of the gradient weights W + W^T is
     exp(s - out_i) scale_i + exp(s - out_j^T) scale_j, one product per block.
+
+    The bits do not depend on T. Each block writes its own rows of `out`
+    and of the anchor's gradient, every GEMM has the shape it has on one
+    thread (splitting a block's score GEMM into row halves changed bits),
+    and the other tensor's gradient, a sum over blocks, gains block b's
+    part only after block b-1's, in NCE_BLOCK_ROWS-row chunks that keep
+    the reduction over the block's rows whole.
     """
     if anchor.shape != other.shape:
         raise ValueError(f"nce_denominator needs equal shapes, got "
@@ -463,20 +610,24 @@ def nce_denominator(anchor, other, tau):
     blocks = [(lo, min(lo + NCE_BLOCK_ROWS, r))
               for lo in range(0, r, NCE_BLOCK_ROWS)]
     out = np.empty((r, 1))
-    for lo, hi in blocks:
+
+    def forward_block(lo, hi):
         s = _nce_block_scores(a, o, lo, hi, tau)
         m = np.max(s, axis=1, keepdims=True)
         s -= m
         np.exp(s, out=s)
         out[lo:hi] = m + np.log(np.sum(s, axis=1, keepdims=True))
-        del s  # free each block before the next is scored
+
+    _run_blocks(blocks, _nce_threads(len(blocks)), forward_block)
 
     def backward_fn(g, na, no):
         scale = g / tau
+        threads = _nce_threads(len(blocks))
         if na is no:  # one tensor passed twice; distinct ones never share
-            # off the diagonal s_ij <= out_j, so exp(s - out_j) <= 1
             da = np.empty_like(a)
-            for lo, hi in blocks:
+
+            def symmetric_block(lo, hi):
+                # off the diagonal s_ij <= out_j, so exp(s - out_j) <= 1
                 w = _nce_block_scores(a, a, lo, hi, tau)
                 wt = w - out.T
                 np.exp(wt, out=wt)
@@ -486,21 +637,28 @@ def nce_denominator(anchor, other, tau):
                 w *= scale[lo:hi]
                 w += wt
                 np.matmul(w, a, out=da[lo:hi])
-                del w, wt
+
+            _run_blocks(blocks, threads, symmetric_block)
             na._accumulate(da)
             return
         da = np.empty_like(a) if na is not None else None
         do = np.zeros_like(o) if no is not None else None
-        for lo, hi in blocks:
+
+        def block(lo, hi):
             w = _nce_block_scores(a, o, lo, hi, tau)
             w -= out[lo:hi]
             np.exp(w, out=w)
             w *= scale[lo:hi]
             if da is not None:
                 np.matmul(w, o, out=da[lo:hi])
-            if do is not None:
-                do += w.T @ a[lo:hi]
-            del w
+            return w
+
+        def add_to_do(lo, hi, w):
+            for j0, j1 in blocks:
+                do[j0:j1] += w[:, j0:j1].T @ a[lo:hi]
+
+        _run_blocks(blocks, threads, block,
+                    None if do is None else add_to_do)
         if da is not None:
             na._accumulate(da)
         if do is not None:

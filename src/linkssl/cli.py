@@ -25,8 +25,7 @@ import traceback
 from . import report as report_mod
 from . import runner
 from .augment import ALL_KINDS
-from .config import (ExperimentConfig, MODELS, SearchSpace, load_config,
-                     serialize_config)
+from .config import MODELS, SearchSpace, parse_config, serialize_config
 from .datasets import DATA_ROOT_ENV, load_dataset, write_edge_list
 from .graphs import random_link_split
 from .seeding import derive_seed
@@ -46,13 +45,17 @@ def _parse_seeds(text):
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
+    text = ""
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    # a flag is one more key=value line, read after the file's, so
+    # --dataset brings that dataset's split unless the file sets one
     if getattr(args, "dataset", None):
-        overrides["dataset"] = args.dataset
+        text += f"\ndataset={args.dataset}"
     if getattr(args, "seeds", None):
-        overrides["seeds"] = args.seeds
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+        text += "\nseeds=" + ",".join(str(s) for s in args.seeds)
+    return parse_config(text)
 
 
 def cmd_split(args):

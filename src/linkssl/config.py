@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationSpec
+from .datasets import REGISTRY, UNATTRIBUTED_SPLIT
 from .models.nets import EncoderConfig
 from .seeding import derive_rng
 
@@ -30,6 +31,13 @@ def _is_on_grid(value, lo, hi, step):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. `split_fractions` left as None takes the registry
+    entry of `dataset` (85/5/10 for attributed graphs, 70/10/20 for the
+    rest and for names outside the registry); an explicit value wins.
+    `dataclasses.replace` keeps the resolved split, so a copy with another
+    dataset passes split_fractions=None to take that dataset's default.
+    """
+
     dataset: str = "USAir"
     model: str = "grace"
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
@@ -44,7 +52,7 @@ class ExperimentConfig:
     weight_decay: float = 1e-5
     tau: float = 0.5
     ema_decay: float = 0.99
-    split_fractions: tuple = (0.70, 0.10, 0.20)
+    split_fractions: tuple | None = None
     seeds: tuple = DEFAULT_EVAL_SEEDS
 
     def __post_init__(self):
@@ -68,6 +76,11 @@ class ExperimentConfig:
             raise ValueError("tau must lie in [0.1, 0.9] step 0.1")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
+        if self.split_fractions is None:
+            info = REGISTRY.get(self.dataset)
+            object.__setattr__(self, "split_fractions",
+                               info.split_fractions if info
+                               else UNATTRIBUTED_SPLIT)
         fr = tuple(float(f) for f in self.split_fractions)
         if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError("split_fractions must be 3 values summing to 1")
@@ -152,7 +165,8 @@ def serialize_config(cfg):
 
 def parse_config(text):
     """Inverse of serialize_config; '#' comments and blank lines allowed.
-    Absent keys take the dataclass defaults."""
+    Absent keys take the dataclass defaults, so a file without
+    split_fractions gets its dataset's registry split."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

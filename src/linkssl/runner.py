@@ -8,6 +8,7 @@ Layout under the output directory:
     <dataset>/<model>_<aug>/<seed>/loss.csv        (epoch, loss)
     <dataset>/<model>_<aug>/<seed>/params.npz      parameter dump
     <dataset>/<model>_<aug>/<seed>/run.txt         seed lineage + diagnostics
+                                                   (detection, threads)
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from .autodiff import blas_threads, nce_thread_budget, share_cpus
 from .config import serialize_config
 from .datasets import load_dataset
 from .graphs import random_link_split, split_sizes
@@ -43,6 +45,10 @@ class RunResult:
     parameters: dict = field(default_factory=dict)
     lineage: list = field(default_factory=list)
     detected_blocks: int | None = None
+    # the threads of the process that trained the seed: OpenBLAS's (None
+    # where unknown) and nce_denominator's budget
+    blas_threads: int | None = None
+    nce_threads: int = 1
 
 
 def format_row(row):
@@ -81,7 +87,9 @@ def _result(seed, row, state, decoder, lineage):
                      parameters={p.name: p.values.copy()
                                  for p in state.encoder.parameters()
                                  + decoder.parameters()},
-                     lineage=lineage, detected_blocks=state.detected_blocks)
+                     lineage=lineage, detected_blocks=state.detected_blocks,
+                     blas_threads=blas_threads(),
+                     nce_threads=nce_thread_budget())
 
 
 def run_single(graph, cfg, seed, k=HITS_K):
@@ -124,6 +132,10 @@ def write_run_dir(out_dir, cfg, result):
         if result.detector_edges is not None:
             fh.write(f"detector_input_edges {result.detector_edges}\n")
             fh.write(f"detected_blocks {result.detected_blocks}\n")
+        blas = ("unknown" if result.blas_threads is None
+                else result.blas_threads)
+        fh.write(f"blas_threads {blas}\n")
+        fh.write(f"nce_threads {result.nce_threads}\n")
 
 
 def _aggregate_rows(rows):
@@ -165,8 +177,10 @@ def run_experiment(cfg, out_dir=None, graph=None, workers=1, k=HITS_K):
     rows, failures = [], []
     with ExitStack() as stack:
         if workers > 1:
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers))
+            sharers = min(workers, len(cfg.seeds))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=share_cpus,
+                initargs=(sharers,)))
             calls = [pool.submit(run_single, graph, cfg, seed, k=k).result
                      for seed in cfg.seeds]
         else:

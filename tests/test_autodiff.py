@@ -2,10 +2,17 @@
 
 import gc
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import types
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +377,137 @@ def test_nce_denominator_scratch_is_row_blocks(symmetric, rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 * r * r / 4
+
+
+def _nce_with_threads(monkeypatch, threads, a, o, weights):
+    monkeypatch.setattr(ad, "_nce_threads", lambda n_blocks: threads)
+    anchor = Tensor(a, requires_grad=True)
+    other = anchor if o is None else Tensor(o, requires_grad=True)
+    out = ad.nce_denominator(anchor, other, 0.5)
+    backward(ad.tensor_sum(ad.elementwise_mul(out, weights)))
+    return out.values, anchor.grad, other.grad
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_nce_denominator_bits_do_not_depend_on_threads(symmetric, rng,
+                                                       monkeypatch):
+    # unequal row weights make each row's softmax scale differ
+    r = 4 * ad.NCE_BLOCK_ROWS + 5
+    a = rng.normal(size=(r, 16))
+    o = None if symmetric else rng.normal(size=(r, 16))
+    weights = Tensor(rng.uniform(0.5, 2.0, size=(r, 1)))
+    serial = _nce_with_threads(monkeypatch, 1, a, o, weights)
+    threaded = _nce_with_threads(monkeypatch, 2, a, o, weights)
+    for got, want in zip(threaded, serial):
+        assert np.array_equal(got, want)
+
+
+def test_run_blocks_keeps_block_order_for_the_ordered_step():
+    # later blocks finish their body first, yet the ordered step and the
+    # caller's return wait for every earlier block
+    blocks = [(lo, lo + 1) for lo in range(6)]
+    ran_on, order = set(), []
+
+    def body(lo, hi):
+        time.sleep(0.005 * (len(blocks) - lo))
+        ran_on.add(threading.get_ident())
+        return lo
+
+    ad._run_blocks(blocks, 2, body, lambda lo, hi, carry: order.append(carry))
+    assert order == list(range(6))
+    assert len(ran_on) == 2
+
+
+def test_run_blocks_reraises_a_failed_block_without_hanging():
+    def body(lo, hi):
+        if lo == 1:
+            raise ValueError("block 1 failed")
+        time.sleep(0.01)
+
+    caught = []
+
+    def call():
+        try:
+            ad._run_blocks([(lo, lo + 1) for lo in range(8)], 2, body,
+                           lambda lo, hi, carry: None)
+        except ValueError as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "a failed block left the others waiting"
+    assert [str(e) for e in caught] == ["block 1 failed"]
+
+
+@pytest.mark.parametrize("blas, sharers, cpus, budget", [
+    (None, 1, 2, 1), (1, 1, 2, 2), (2, 1, 2, 1), (4, 1, 2, 1), (1, 1, 1, 1),
+    (1, 2, 2, 1), (1, 2, 8, 4), (2, 2, 8, 2)])
+def test_nce_thread_budget_splits_cpus_over_blas_and_workers(
+        blas, sharers, cpus, budget, monkeypatch):
+    monkeypatch.setattr(ad, "blas_threads", lambda: blas)
+    monkeypatch.setattr(ad, "_cpu_sharers", sharers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert ad.nce_thread_budget() == budget
+
+
+def test_nce_threads_stay_at_most_half_the_blocks(monkeypatch):
+    monkeypatch.setattr(ad, "nce_thread_budget", lambda: 2)
+    assert [ad._nce_threads(n) for n in (1, 2, 3, 4, 8)] == [1, 1, 1, 2, 2]
+
+
+FORK_PROBE = """
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+import linkssl.autodiff as ad
+
+ad._nce_threads = lambda n_blocks: 2
+
+
+def run():
+    rng = np.random.default_rng(0)
+    r = 4 * ad.NCE_BLOCK_ROWS + 5
+    anchor = ad.Tensor(rng.normal(size=(r, 8)), requires_grad=True)
+    other = ad.Tensor(rng.normal(size=(r, 8)), requires_grad=True)
+    out = ad.nce_denominator(anchor, other, 0.5)
+    ad.backward(ad.tensor_sum(out))
+    return out.values, anchor.grad, other.grad
+
+
+if __name__ == "__main__":
+    parent = run()
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(2, mp_context=fork) as pool:
+        child = pool.submit(run).result()
+    print(all(np.array_equal(x, y) for x, y in zip(parent, child)))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs fork")
+def test_threaded_nce_denominator_survives_a_fork():
+    # the parent runs the op on 2 threads, then a forked worker runs it
+    # again; threads the parent kept would not exist in the child, and a
+    # pool waiting on them would hang, so a timeout fails the test
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    # its own session, so a timeout also kills the forked workers
+    probe = subprocess.Popen([sys.executable, "-c", FORK_PROBE], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, start_new_session=True)
+    try:
+        stdout, stderr = probe.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(probe.pid, signal.SIGKILL)
+        probe.communicate()
+        pytest.fail("the forked worker hung in nce_denominator")
+    assert probe.returncode == 0, stderr
+    assert stdout.split() == ["True"]
 
 
 @settings(max_examples=150, deadline=None)

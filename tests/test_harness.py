@@ -1,6 +1,7 @@
 """Config persistence, search sampling, the seeded runner, report
 rendering, and the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -10,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from linkssl import report, runner
+from linkssl import autodiff, cli, report, runner
 from linkssl.augment import ALL_KINDS, AugmentationSpec
 from linkssl.cli import main
 from linkssl.community import louvain
@@ -126,6 +127,43 @@ def test_config_rejects_detectors_that_are_not_built_in(detector):
     with pytest.raises(ValueError, match=detector):
         parse_config(f"model=gcn_supervised\naugmentation=sbm\n"
                      f"commu_detect={detector}\n")
+
+
+@pytest.mark.parametrize("dataset, split", [
+    ("cora", (0.85, 0.05, 0.10)), ("citeseer", (0.85, 0.05, 0.10)),
+    ("USAir", (0.70, 0.10, 0.20)), ("toy", (0.70, 0.10, 0.20))])
+def test_config_split_defaults_to_the_registry_entry(dataset, split):
+    # "toy" is outside the registry and keeps the unattributed split
+    assert ExperimentConfig(dataset=dataset).split_fractions == split
+
+
+def test_config_explicit_split_wins_over_the_registry():
+    cfg = ExperimentConfig(dataset="cora", split_fractions=(0.7, 0.1, 0.2))
+    assert cfg.split_fractions == (0.7, 0.1, 0.2)
+
+
+def test_config_split_survives_the_file_roundtrip():
+    for cfg in (ExperimentConfig(dataset="cora"),
+                ExperimentConfig(dataset="cora",
+                                 split_fractions=(0.7, 0.1, 0.2))):
+        assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config("dataset=cora\n").split_fractions == (0.85, 0.05,
+                                                               0.10)
+
+
+def test_cli_dataset_flag_takes_that_datasets_split(tmp_path):
+    args = argparse.Namespace(config=None, dataset="cora", seeds=None)
+    assert cli._load_cfg(args).split_fractions == (0.85, 0.05, 0.10)
+    # a file without a split leaves it to the flag's dataset; a file's
+    # explicit split wins over it
+    path = tmp_path / "cfg.txt"
+    path.write_text("dataset=USAir\nmodel=bgrl\n")
+    args.config = str(path)
+    cfg = cli._load_cfg(args)
+    assert (cfg.dataset, cfg.model) == ("cora", "bgrl")
+    assert cfg.split_fractions == (0.85, 0.05, 0.10)
+    save_config(ExperimentConfig(dataset="USAir"), path)
+    assert cli._load_cfg(args).split_fractions == (0.70, 0.10, 0.20)
 
 
 def test_config_label():
@@ -313,6 +351,26 @@ def test_run_txt_records_block_detection_on_the_train_graph(tmp_path):
     assert f"lineage train {train_seed}" in lines
     assert f"detector_input_edges {train_graph.num_edges}" in lines
     assert f"detected_blocks {blocks.num_blocks}" in lines
+
+
+def test_run_txt_records_the_training_process_threads(tmp_path,
+                                                     monkeypatch):
+    # a 2-CPU process over a 1-thread OpenBLAS budgets 2 threads, and
+    # each of 2 pool workers (forked, so patched alike) budgets 1
+    monkeypatch.setattr(autodiff, "blas_threads", lambda: 1)
+    monkeypatch.setattr(runner, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    g = clique_graph()
+    for workers, budget in ((1, 2), (2, 1)):
+        cfg = cheap_cfg(seeds=(1, 2))
+        out = tmp_path / str(workers)
+        runner.run_experiment(cfg, out_dir=out, graph=g, workers=workers,
+                              k=5)
+        for seed in cfg.seeds:
+            lines = (out / "toy" / "grace_random" / str(seed)
+                     / "run.txt").read_text().splitlines()
+            assert lines[-2:] == ["blas_threads 1", f"nce_threads {budget}"]
 
 
 def test_train_single_skips_metrics(tmp_path):
