@@ -41,7 +41,8 @@ outputs, never a GEMM's reduction, every GEMM keeps the shape it has on
 one thread, and the one sum across blocks is added in block order. T
 comes from what the process can observe (nce_thread_budget): the CPUs it
 may run on divided by OpenBLAS's thread count and by the worker processes
-sharing them, so T > 1 only where those leave a CPU idle.
+sharing them, so T > 1 only where those leave a CPU idle, and T is at
+most NCE_MAX_THREADS = 2, so the scratch is at most twice one thread's.
 
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
@@ -61,6 +62,7 @@ from scipy import sparse
 
 EPS = 1e-12
 NCE_BLOCK_ROWS = 256  # rows of the InfoNCE score matrix held at a time
+NCE_MAX_THREADS = 2  # InfoNCE row blocks in flight at a time
 
 
 class AllocationTracker:
@@ -492,46 +494,61 @@ def share_cpus(processes):
 def nce_thread_budget():
     """Threads nce_denominator may run: the CPUs this process may use over
     OpenBLAS's threads times the processes sharing them (share_cpus), at
-    least 1, and 1 where blas_threads() is None.
+    least 1, 1 where blas_threads() is None, and at most NCE_MAX_THREADS.
 
     A second Python thread helps only on a core nothing else keeps busy:
     with OpenBLAS on both cores of a 2-core box, 2 threads made the op
     slower, and 2 threads in each of 2 worker processes made 4 seeds
-    slower than 1 thread in each.
+    slower than 1 thread in each. The cap bounds memory, not CPUs: each
+    thread holds one block's scratch, so the op holds at most
+    NCE_MAX_THREADS times the serial loop's, whatever the core count.
     """
     blas = blas_threads()
     if not blas:
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, cpus // (blas * _cpu_sharers))
+    return max(1, min(NCE_MAX_THREADS, cpus // (blas * _cpu_sharers)))
 
 
 def _nce_threads(n_blocks):
-    """Threads for one pass over n_blocks row blocks. At most half the
-    blocks are in flight, so the scratch stays below half an r x r array."""
+    """Threads for one pass over n_blocks row blocks: at most half the
+    blocks are in flight, so a pass of fewer than 4 blocks keeps the
+    serial loop's scratch (2 blocks in flight at r = 478 pushed a link
+    loss's peak past 8 r^2 bytes)."""
     return max(1, min(nce_thread_budget(), n_blocks // 2))
+
+
+M_ARENA_MAX = -8  # glibc mallopt parameter
+
+
+@functools.lru_cache(maxsize=None)
+def _share_one_heap():
+    """Have glibc serve every thread from the main heap, so a helper
+    thread builds no arena of its own (one cost 3.4-4.0 MB of
+    usair-lgrace's peak RSS). Run before the first helper thread starts,
+    so a process that never starts one keeps glibc's defaults; a no-op
+    where the C library is not glibc."""
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt(M_ARENA_MAX, 1)
 
 
 def _run_blocks(blocks, threads, body, in_order=None):
     """For each row block (lo, hi), carry = body(lo, hi), then
     in_order(lo, hi, carry) when given.
 
-    With one thread the blocks run inline, in order, and no thread starts.
-    Otherwise `threads` threads, the caller's included, each take the next
-    block by index, so at most `threads` blocks are in flight, and block
-    b's in_order step starts only after block b-1's has returned. numpy
-    and OpenBLAS release the GIL in the GEMMs, exp and the reductions. The
-    threads live for one call, so no pool can outlive a fork. The first
-    exception stops the blocks not yet started and is re-raised here.
+    `threads` threads, the caller's included, each take the next block by
+    index, so at most `threads` blocks are in flight, and block b's
+    in_order step starts only after block b-1's has returned. With one
+    thread no helper starts and the caller runs every block in order.
+    numpy and OpenBLAS release the GIL in the GEMMs, exp and the
+    reductions. Helpers live for one call, so no pool can outlive a fork.
+    The first exception stops the blocks not yet started and is re-raised
+    here.
     """
-    if threads == 1:
-        for lo, hi in blocks:
-            carry = body(lo, hi)
-            if in_order is not None:
-                in_order(lo, hi, carry)
-            del carry  # free each block before the next is scored
-        return
     todo = enumerate(blocks)
     cond = threading.Condition()
     done = [0]  # blocks whose in_order step has returned
@@ -563,6 +580,8 @@ def _run_blocks(blocks, threads, body, in_order=None):
 
     helpers = [threading.Thread(target=work, daemon=True)
                for _ in range(threads - 1)]
+    if helpers:
+        _share_one_heap()
     for t in helpers:
         t.start()
     work()

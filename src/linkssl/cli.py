@@ -25,7 +25,8 @@ import traceback
 from . import report as report_mod
 from . import runner
 from .augment import ALL_KINDS
-from .config import MODELS, SearchSpace, parse_config, serialize_config
+from .config import (ExperimentConfig, MODELS, SearchSpace, default_split,
+                     load_config, serialize_config)
 from .datasets import DATA_ROOT_ENV, load_dataset, write_edge_list
 from .graphs import random_link_split
 from .seeding import derive_seed
@@ -45,17 +46,18 @@ def _parse_seeds(text):
 
 
 def _load_cfg(args):
-    text = ""
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    # a flag is one more key=value line, read after the file's, so
-    # --dataset brings that dataset's split unless the file sets one
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    overrides = {}
     if getattr(args, "dataset", None):
-        text += f"\ndataset={args.dataset}"
+        overrides["dataset"] = args.dataset
+        # save_config always writes the split, so only a split other than
+        # the file dataset's default was chosen; the default one follows
+        # --dataset (a USAir search's best_config.txt gives cora 85/5/10)
+        if cfg.split_fractions == default_split(cfg.dataset):
+            overrides["split_fractions"] = None
     if getattr(args, "seeds", None):
-        text += "\nseeds=" + ",".join(str(s) for s in args.seeds)
-    return parse_config(text)
+        overrides["seeds"] = args.seeds
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def cmd_split(args):
@@ -184,7 +186,10 @@ def cmd_report(args):
 def _add_common(sub, *, workers=False, alpha=False, metric=False,
                 budget=False):
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--dataset", help="dataset name (overrides config)")
+    sub.add_argument("--dataset",
+                     help="dataset name (overrides config; a config split "
+                          "equal to its dataset's default becomes this "
+                          "dataset's default)")
     sub.add_argument("--seeds", type=_parse_seeds,
                      help="comma-separated seed list (overrides config)")
     sub.add_argument("--out", default="results",

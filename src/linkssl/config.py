@@ -29,6 +29,12 @@ def _is_on_grid(value, lo, hi, step):
     return abs(ratio - round(ratio)) < 1e-9
 
 
+def default_split(dataset):
+    """The registry entry's split of `dataset`; 70/10/20 outside it."""
+    info = REGISTRY.get(dataset)
+    return info.split_fractions if info else UNATTRIBUTED_SPLIT
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment. `split_fractions` left as None takes the registry
@@ -77,10 +83,8 @@ class ExperimentConfig:
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
         if self.split_fractions is None:
-            info = REGISTRY.get(self.dataset)
             object.__setattr__(self, "split_fractions",
-                               info.split_fractions if info
-                               else UNATTRIBUTED_SPLIT)
+                               default_split(self.dataset))
         fr = tuple(float(f) for f in self.split_fractions)
         if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError("split_fractions must be 3 values summing to 1")

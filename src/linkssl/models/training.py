@@ -38,7 +38,7 @@ SELF_SUPERVISED = ("grace", "bgrl", "lgrace", "lbgrl")
 LINK_MODELS = ("lgrace", "lbgrl")
 BOOTSTRAPPED = ("bgrl", "lbgrl")
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8  # mallopt
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 
 @dataclass
@@ -91,11 +91,8 @@ def _keep_freed_heap():
     heap top, goes back to the system and the next step faults it in again
     (1.66M minor faults and 4 s of system time per NS-twin BGRL seed).
     Here arrays below 32 MiB come from the heap and a free top up to 2 GiB
-    is kept; peak RSS is unchanged. All threads share that one heap, so
-    the threads of a threaded nce_denominator build no arenas of their own
-    (one cost 3.4-4.0 MB of usair-lgrace's peak RSS; on the single-threaded
-    NS-twin BGRL seed the setting moved the peak by about +3 MB). Returns
-    False, setting nothing, where the C library is not glibc.
+    is kept; peak RSS is unchanged. Returns False, setting nothing, where
+    the C library is not glibc.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
@@ -103,7 +100,6 @@ def _keep_freed_heap():
         return False
     libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
     libc.mallopt(M_TRIM_THRESHOLD, 2 ** 31 - 1)
-    libc.mallopt(M_ARENA_MAX, 1)
     return True
 
 

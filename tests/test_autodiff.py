@@ -442,7 +442,7 @@ def test_run_blocks_reraises_a_failed_block_without_hanging():
 
 @pytest.mark.parametrize("blas, sharers, cpus, budget", [
     (None, 1, 2, 1), (1, 1, 2, 2), (2, 1, 2, 1), (4, 1, 2, 1), (1, 1, 1, 1),
-    (1, 2, 2, 1), (1, 2, 8, 4), (2, 2, 8, 2)])
+    (1, 2, 2, 1), (1, 1, 8, 2), (1, 2, 8, 2), (2, 2, 8, 2), (2, 1, 3, 1)])
 def test_nce_thread_budget_splits_cpus_over_blas_and_workers(
         blas, sharers, cpus, budget, monkeypatch):
     monkeypatch.setattr(ad, "blas_threads", lambda: blas)
@@ -450,6 +450,66 @@ def test_nce_thread_budget_splits_cpus_over_blas_and_workers(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     assert ad.nce_thread_budget() == budget
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_nce_denominator_scratch_does_not_grow_with_cpus(symmetric, rng,
+                                                         monkeypatch):
+    # an 8-CPU host with OpenBLAS on 1 thread: the blocks in flight are
+    # capped, so the row-block scratch bound holds as on one thread
+    monkeypatch.setattr(ad, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    r = 6000
+    assert ad._nce_threads(-(-r // ad.NCE_BLOCK_ROWS)) == ad.NCE_MAX_THREADS
+    a = leaf(rng, (r, 8))
+    o = a if symmetric else leaf(rng, (r, 8))
+    tracemalloc.start()
+    try:
+        backward(ad.tensor_sum(ad.nce_denominator(a, o, 0.5)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * r * r / 4
+
+
+def test_run_blocks_ordered_steps_lose_no_update_under_stress():
+    # more threads than cores and a short switch interval: the ordered
+    # step's unlocked read-modify-write still sees every earlier block
+    blocks = [(lo, lo + 1) for lo in range(300)]
+    total, order = [0], []
+
+    def in_order(lo, hi, carry):
+        seen = total[0]
+        order.append(carry)
+        total[0] = seen + carry
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=ad._run_blocks,
+            args=(blocks, 8, lambda lo, hi: lo, in_order), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not caller.is_alive(), "the ordered steps deadlocked"
+    assert order == list(range(300))
+    assert total[0] == sum(range(300))
+
+
+def test_run_blocks_on_one_thread_stays_on_the_caller():
+    ran_on, order = set(), []
+
+    def body(lo, hi):
+        ran_on.add(threading.get_ident())
+        return lo
+
+    ad._run_blocks([(lo, lo + 1) for lo in range(4)], 1, body,
+                   lambda lo, hi, carry: order.append(carry))
+    assert ran_on == {threading.get_ident()}
+    assert order == [0, 1, 2, 3]
 
 
 def test_nce_threads_stay_at_most_half_the_blocks(monkeypatch):

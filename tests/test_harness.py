@@ -154,16 +154,42 @@ def test_config_split_survives_the_file_roundtrip():
 def test_cli_dataset_flag_takes_that_datasets_split(tmp_path):
     args = argparse.Namespace(config=None, dataset="cora", seeds=None)
     assert cli._load_cfg(args).split_fractions == (0.85, 0.05, 0.10)
-    # a file without a split leaves it to the flag's dataset; a file's
-    # explicit split wins over it
+    # a saved config always carries a split: its dataset's default follows
+    # the flag, any other split was chosen and stays
     path = tmp_path / "cfg.txt"
-    path.write_text("dataset=USAir\nmodel=bgrl\n")
+    save_config(ExperimentConfig(dataset="USAir", model="bgrl"), path)
     args.config = str(path)
     cfg = cli._load_cfg(args)
     assert (cfg.dataset, cfg.model) == ("cora", "bgrl")
     assert cfg.split_fractions == (0.85, 0.05, 0.10)
-    save_config(ExperimentConfig(dataset="USAir"), path)
-    assert cli._load_cfg(args).split_fractions == (0.70, 0.10, 0.20)
+    save_config(ExperimentConfig(dataset="USAir",
+                                 split_fractions=(0.8, 0.1, 0.1)), path)
+    assert cli._load_cfg(args).split_fractions == (0.8, 0.1, 0.1)
+    path.write_text("dataset=USAir\nmodel=bgrl\n")
+    assert cli._load_cfg(args).split_fractions == (0.85, 0.05, 0.10)
+
+
+def test_cli_evaluate_dataset_flag_on_a_searched_config(
+        celegans_root, cli_cfg_path, tmp_path, monkeypatch):
+    # search writes best_config.txt with Celegans's 70/10/20; evaluating it
+    # on cora must run cora's 85/5/10
+    monkeypatch.setattr(runner, "validation_objective",
+                        lambda graph, cfg, k=runner.HITS_K: cfg.tau)
+    out = tmp_path / "searched"
+    assert main(["search", "--config", cli_cfg_path, "--budget", "2",
+                 "--out", str(out)]) == 0
+    best = out / "best_config.txt"
+    assert load_config(best).split_fractions == (0.70, 0.10, 0.20)
+    ran = []
+
+    def run_experiment(cfg, out_dir=None, workers=1):
+        ran.append(cfg)
+        return [], []
+
+    monkeypatch.setattr(runner, "run_experiment", run_experiment)
+    main(["evaluate", "--config", str(best), "--dataset", "cora"])
+    assert [(c.dataset, c.split_fractions) for c in ran] == [
+        ("cora", (0.85, 0.05, 0.10))]
 
 
 def test_config_label():
