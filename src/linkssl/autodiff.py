@@ -756,27 +756,37 @@ def mask_diagonal(x, fill=-np.inf):
     return _make(out, (x,), backward_fn, "mask_diagonal")
 
 
-def batch_norm(x, gamma, beta, state, momentum, training):
-    """Batch normalization over rows with running statistics.
+_NORM_EPS = 1e-5  # variance floor of every standardization
 
-    `state` is a dict holding 'running_mean' and 'running_var' (1, d) arrays,
-    updated in place during training with
-    running <- momentum * running + (1 - momentum) * batch.
-    """
-    bn_eps = 1e-5
-    if training:
-        mu = np.mean(x.values, axis=0, keepdims=True)
-        centred = x.values - mu
-        var = np.mean(centred * centred, axis=0, keepdims=True)
-        state["running_mean"] *= momentum
-        state["running_mean"] += (1.0 - momentum) * mu
-        state["running_var"] *= momentum
-        state["running_var"] += (1.0 - momentum) * var
-    else:
-        centred = x.values - state["running_mean"]
-        var = state["running_var"]
-    inv_std = 1.0 / np.sqrt(var + bn_eps)
-    xhat = np.multiply(centred, inv_std, out=centred)  # no second n x d copy
+
+def _standardize(values, axis):
+    """(x̂, mean, var, inv_std) of `values` centred and scaled to unit
+    variance along `axis`; x̂ is the one new array of values' shape."""
+    mu = np.mean(values, axis=axis, keepdims=True)
+    centred = values - mu
+    var = np.mean(centred * centred, axis=axis, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
+    return np.multiply(centred, inv_std, out=centred), mu, var, inv_std
+
+
+def _standardize_backward(dxhat, xhat, inv_std, axis, work=None):
+    """(inv_std / n) (n dx̂ - sum(dx̂) - x̂ sum(dx̂ x̂)) along `axis`, over
+    `dxhat`; `work`, when given, is a scratch array of x̂'s shape."""
+    n = xhat.shape[axis]
+    work = np.multiply(dxhat, xhat, out=work)
+    sum_dxhat_xhat = np.sum(work, axis=axis, keepdims=True)
+    sum_dxhat = np.sum(dxhat, axis=axis, keepdims=True)
+    dxhat *= n
+    dxhat -= sum_dxhat
+    np.multiply(xhat, sum_dxhat_xhat, out=work)
+    dxhat -= work
+    dxhat *= inv_std / n
+    return dxhat
+
+
+def _scale_shift(x, xhat, inv_std, gamma, beta, op, axis):
+    """gamma * x̂ + beta with the backward of x̂ = standardize(x) along
+    `axis`, or of a fixed-statistics x̂ = (x - c) * inv_std for axis None."""
     gamma_v = gamma.values
     out = xhat * gamma_v
     out += beta.values
@@ -791,68 +801,49 @@ def batch_norm(x, gamma, beta, state, momentum, training):
         if nx is None:
             return
         dxhat = g * gamma_v
-        if training:
-            # (inv_std / n) * (n dxhat - sum(dxhat) - xhat sum(dxhat xhat))
-            n = xhat.shape[0]
-            work = np.multiply(dxhat, xhat, out=work)
-            sum_dxhat_xhat = np.sum(work, axis=0, keepdims=True)
-            sum_dxhat = np.sum(dxhat, axis=0, keepdims=True)
-            dxhat *= n
-            dxhat -= sum_dxhat
-            np.multiply(xhat, sum_dxhat_xhat, out=work)
-            dxhat -= work
-            dxhat *= inv_std / n
-        else:
+        if axis is None:
             dxhat *= inv_std
+        else:
+            _standardize_backward(dxhat, xhat, inv_std, axis, work)
         nx._accumulate(dxhat)
 
-    return _make(out, (x, gamma, beta), backward_fn, "batch_norm")
+    return _make(out, (x, gamma, beta), backward_fn, op)
+
+
+def batch_norm(x, gamma, beta, state, momentum, training):
+    """Batch normalization over rows with running statistics.
+
+    `state` is a dict holding 'running_mean' and 'running_var' (1, d) arrays,
+    updated in place during training with
+    running <- momentum * running + (1 - momentum) * batch.
+    """
+    if not training:
+        inv_std = 1.0 / np.sqrt(state["running_var"] + _NORM_EPS)
+        xhat = x.values - state["running_mean"]
+        xhat *= inv_std
+        return _scale_shift(x, xhat, inv_std, gamma, beta, "batch_norm", None)
+    xhat, mu, var, inv_std = _standardize(x.values, axis=0)
+    state["running_mean"] *= momentum
+    state["running_mean"] += (1.0 - momentum) * mu
+    state["running_var"] *= momentum
+    state["running_var"] += (1.0 - momentum) * var
+    return _scale_shift(x, xhat, inv_std, gamma, beta, "batch_norm", 0)
 
 
 def layer_norm(x, gamma, beta):
     """Per-row normalization with learnable (1, d) scale and shift."""
-    ln_eps = 1e-5
-    mu = np.mean(x.values, axis=1, keepdims=True)
-    var = np.var(x.values, axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + ln_eps)
-    xhat = (x.values - mu) * inv_std
-    gamma_v = gamma.values
-    out = gamma_v * xhat + beta.values
-
-    def backward_fn(g, nx, ngamma, nbeta):
-        if ngamma is not None:
-            ngamma._accumulate(np.sum(g * xhat, axis=0, keepdims=True))
-        if nbeta is not None:
-            nbeta._accumulate(np.sum(g, axis=0, keepdims=True))
-        if nx is not None:
-            d = xhat.shape[1]
-            dxhat = g * gamma_v
-            dx = (inv_std / d) * (d * dxhat
-                                  - np.sum(dxhat, axis=1, keepdims=True)
-                                  - xhat * np.sum(dxhat * xhat, axis=1,
-                                                  keepdims=True))
-            nx._accumulate(dx)
-
-    return _make(out, (x, gamma, beta), backward_fn, "layer_norm")
+    xhat, _, _, inv_std = _standardize(x.values, axis=1)
+    return _scale_shift(x, xhat, inv_std, gamma, beta, "layer_norm", 1)
 
 
 def standardize_cols(w):
     """Standardize each column (output unit) of a weight matrix to zero mean
     and unit variance. Differentiable reparameterization applied at forward
     time when weight standardization is enabled."""
-    ws_eps = 1e-5
-    mu = np.mean(w.values, axis=0, keepdims=True)
-    var = np.var(w.values, axis=0, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + ws_eps)
-    what = (w.values - mu) * inv_std
+    what, _, _, inv_std = _standardize(w.values, axis=0)
 
     def backward_fn(g, nw):
-        n = what.shape[0]
-        dw = (inv_std / n) * (n * g
-                              - np.sum(g, axis=0, keepdims=True)
-                              - what * np.sum(g * what, axis=0,
-                                              keepdims=True))
-        nw._accumulate(dw)
+        nw._accumulate(_standardize_backward(g.copy(), what, inv_std, 0))
 
     return _make(what, (w,), backward_fn, "standardize_cols")
 

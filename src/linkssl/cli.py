@@ -28,8 +28,6 @@ from .augment import ALL_KINDS
 from .config import (ExperimentConfig, MODELS, SearchSpace, default_split,
                      load_config, serialize_config)
 from .datasets import DATA_ROOT_ENV, load_dataset, write_edge_list
-from .graphs import random_link_split
-from .seeding import derive_seed
 
 METRIC_CHOICES = ("hits_at_50", "ap", "auc")
 
@@ -64,8 +62,7 @@ def cmd_split(args):
     cfg = _load_cfg(args)
     graph = load_dataset(cfg.dataset)
     for seed in cfg.seeds:
-        split = random_link_split(graph, cfg.split_fractions,
-                                  seed=derive_seed(seed, "split"))
+        split = runner.seed_split(graph, cfg, seed)
         seed_dir = os.path.join(args.out, cfg.dataset, "splits", str(seed))
         os.makedirs(seed_dir, exist_ok=True)
         for name, edges in (("train", split.train_graph.edges),
@@ -126,12 +123,14 @@ def _sweep_methods():
 
 def cmd_benchmark(args):
     base = _load_cfg(args)
+    graph = load_dataset(base.dataset)
     any_failure = False
     for model, kind in _sweep_methods():
         cfg = dataclasses.replace(
             base, model=model,
             augmentation=dataclasses.replace(base.augmentation, kind=kind))
         rows, failures = runner.run_experiment(cfg, out_dir=args.out,
+                                               graph=graph,
                                                workers=args.workers)
         _report_failures(failures)
         status = f"{len(rows)}/{len(cfg.seeds)} seeds"

@@ -93,10 +93,13 @@ class ExperimentConfig:
                            tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for seed in self.seeds:
+        for i, seed in enumerate(self.seeds):
             # derive_seed keeps the low 32 bits: wider seeds would alias
             if not 0 <= seed < 2 ** 32:
                 raise ValueError(f"seed {seed} outside [0, 2**32)")
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} repeats: its runs would "
+                                 "share one seed directory")
 
     def label(self):
         """results/ directory label: <model>_<augmentation kind>."""

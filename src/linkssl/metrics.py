@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import sample_negative_pairs
-from .models.training import predict_scores
 from .seeding import derive_seed
 
 
@@ -72,21 +71,15 @@ def average_precision(s):
     return float(precisions.sum() / n_pos)
 
 
-def evaluate_split(state, decoder, split, k=50, seed=0, scorer=None):
-    """Score the held-out test edges against |test_pos| sampled negatives.
-
-    Negatives exclude every known positive (train, val, and test) and are
-    drawn once per (split, seed). `scorer`, when given, replaces the
-    encoder+decoder path (pairs -> scores); used for protocol tests.
-    Returns (hits_at_k, average_precision, roc_auc).
-    """
-    test_pos = split.test_pos
-    if len(test_pos) == 0:
-        raise ValueError("split has no test positives")
-    neg = sample_negative_pairs(split.known_graph(), len(test_pos),
+def evaluate_split(scorer, split, positives, k, seed):
+    """(hits@k, AP, ROC-AUC) of held-out `positives` of `split` against as
+    many sampled negatives, which avoid every known positive (train, val
+    and test) and depend only on (split, count, seed). `scorer` maps an
+    (m, 2) pair array to m scores, so a trained model and a reference
+    heuristic score the same pairs."""
+    if len(positives) == 0:
+        raise ValueError("no held-out positives to score")
+    neg = sample_negative_pairs(split.known_graph(), len(positives),
                                 seed=derive_seed(seed, "eval_negatives"))
-    if scorer is None:
-        def scorer(pairs):
-            return predict_scores(state, decoder, split.train_graph, pairs)
-    s = ScoreSet(scorer(test_pos), scorer(neg))
+    s = ScoreSet(scorer(positives), scorer(neg))
     return hits_at_k(s, k), average_precision(s), roc_auc(s)

@@ -14,7 +14,6 @@ Layout under the output directory:
 from __future__ import annotations
 
 import csv
-import dataclasses
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,8 @@ from .config import serialize_config
 from .datasets import load_dataset
 from .graphs import random_link_split, split_sizes
 from .metrics import evaluate_split
-from .models import (train_decoder, train_encoder, train_supervised_gcn)
+from .models import (predict_scores, train_decoder, train_encoder,
+                     train_supervised_gcn)
 from .seeding import derive_seed
 
 CSV_HEADER = "dataset,model,augmentation,seed,hits_at_50,ap,auc"
@@ -57,28 +57,39 @@ def format_row(row):
             f"{row['auc']!r}")
 
 
+def seed_split(graph, cfg, seed):
+    """The train/valid/test split of one run seed: the edges every stage of
+    the seed trains and scores on, and the lists `linkssl split` writes."""
+    return random_link_split(graph, cfg.split_fractions,
+                             seed=derive_seed(seed, "split"))
+
+
 def _train_stages(graph, cfg, seed):
     """split -> (self-supervised encoder) -> decoder for one seed.
     Every random stage derives its own sub-seed from `seed`; the lineage
     lists them, led by the community detection's when the encoder ran one.
     """
-    lineage = [("split", derive_seed(seed, "split")),
-               ("train", derive_seed(seed, "train")),
-               ("decoder", derive_seed(seed, "decoder")),
-               ("evaluate", derive_seed(seed, "evaluate"))]
-    split = random_link_split(graph, cfg.split_fractions,
-                              seed=derive_seed(seed, "split"))
+    split = seed_split(graph, cfg, seed)
+    sub_seeds = {stage: derive_seed(seed, stage)
+                 for stage in ("train", "decoder", "evaluate")}
     if cfg.model == "gcn_supervised":
-        state, decoder = train_supervised_gcn(split, cfg,
-                                              derive_seed(seed, "train"))
+        state, decoder = train_supervised_gcn(split, cfg, sub_seeds["train"])
     else:
         state = train_encoder(split, cfg.augmentation, cfg.model, cfg,
-                              derive_seed(seed, "train"))
-        decoder = train_decoder(state, split, cfg,
-                                derive_seed(seed, "decoder"))
+                              sub_seeds["train"])
+        decoder = train_decoder(state, split, cfg, sub_seeds["decoder"])
+    lineage = [("split", split.seed), *sub_seeds.items()]
     if state.detection_seed is not None:
         lineage.insert(0, ("detection", state.detection_seed))
     return split, state, decoder, lineage
+
+
+def _score(split, state, decoder, lineage, positives, k):
+    """The trained model's (hits@k, AP, AUC) on `positives` of its split,
+    against negatives drawn from the lineage's evaluate seed."""
+    scorer = partial(predict_scores, state, decoder, split.train_graph)
+    return evaluate_split(scorer, split, positives, k,
+                          dict(lineage)["evaluate"])
 
 
 def _result(seed, row, state, decoder, lineage):
@@ -95,8 +106,7 @@ def _result(seed, row, state, decoder, lineage):
 def run_single(graph, cfg, seed, k=HITS_K):
     """One seed end to end: training stages plus held-out evaluation."""
     split, state, decoder, lineage = _train_stages(graph, cfg, seed)
-    hits, ap, auc = evaluate_split(state, decoder, split, k=k,
-                                   seed=derive_seed(seed, "evaluate"))
+    hits, ap, auc = _score(split, state, decoder, lineage, split.test_pos, k)
     row = {"dataset": cfg.dataset, "model": cfg.model,
            "augmentation": cfg.augmentation.kind, "seed": seed,
            "hits_at_50": hits, "ap": ap, "auc": auc}
@@ -174,6 +184,13 @@ def run_experiment(cfg, out_dir=None, graph=None, workers=1, k=HITS_K):
         raise ValueError(f"hits@k needs k >= 1, got {k}")
     if graph is None:
         graph = load_dataset(cfg.dataset)
+    try:
+        n_test = split_sizes(graph.num_edges, cfg.split_fractions)[2]
+    except ValueError:  # too few edges to split: each seed reports it
+        n_test = k
+    if n_test < k:
+        raise ValueError(f"hits@{k} needs k={k} test edges; the split of "
+                         f"{graph.num_edges} edges has {n_test}")
     rows, failures = [], []
     with ExitStack() as stack:
         if workers > 1:
@@ -210,13 +227,9 @@ def validation_objective(graph, cfg, k=HITS_K):
     _, n_val, _ = split_sizes(graph.num_edges, cfg.split_fractions)
     if n_val == 0:
         raise ValueError("tuning requires a non-empty validation split")
-    split, state, decoder, _ = _train_stages(graph, cfg, TUNING_SEED)
-    # swap val and test so evaluate_split scores the validation positives;
-    # the union of known positives (negative exclusion) is unchanged
-    val_split = dataclasses.replace(split, test_pos=split.val_pos,
-                                    val_pos=split.test_pos)
-    hits, _, _ = evaluate_split(state, decoder, val_split, k=min(k, n_val),
-                                seed=derive_seed(TUNING_SEED, "evaluate"))
+    split, state, decoder, lineage = _train_stages(graph, cfg, TUNING_SEED)
+    hits, _, _ = _score(split, state, decoder, lineage, split.val_pos,
+                        min(k, n_val))
     return hits
 
 

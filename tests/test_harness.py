@@ -540,6 +540,21 @@ def test_run_experiment_rejects_bad_arguments_before_training(
         runner.run_experiment(cheap_cfg(), **kwargs)
 
 
+def test_run_experiment_rejects_unscorable_hits_k_before_training(
+        monkeypatch):
+    # 240 edges split 70/10/20 leave 48 test edges, too few for hits@50;
+    # each seed used to fail in hits_at_k only after full training
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a seed started before the k check")
+
+    monkeypatch.setattr(runner, "run_single", must_not_run)
+    g = Graph(120, [(i, (i + step) % 120) for step in (1, 2)
+                    for i in range(120)])
+    with pytest.raises(ValueError, match="hits@50 needs k=50 test edges; "
+                                         "the split of 240 edges has 48"):
+        runner.run_experiment(cheap_cfg(), graph=g)
+
+
 def test_parallel_seed_failure_carries_worker_traceback():
     # two edges cannot be split, so every seed raises inside its worker
     g = Graph(4, [(0, 1), (2, 3)])
@@ -796,6 +811,31 @@ def test_cli_split_writes_per_seed_edge_lists(celegans_root, cli_cfg_path,
         assert counts["train"] > counts["test"] > counts["valid"]
 
 
+def test_cli_split_writes_the_split_training_uses(celegans_root,
+                                                  cli_cfg_path, tmp_path,
+                                                  monkeypatch):
+    trained_on = []
+    real = runner.train_encoder
+
+    def spy(split, *args):
+        trained_on.append(split)
+        return real(split, *args)
+
+    monkeypatch.setattr(runner, "train_encoder", spy)
+    out = tmp_path / "out"
+    for command in ("split", "train"):
+        assert main([command, "--config", cli_cfg_path, "--seeds", "1",
+                     "--out", str(out)]) == 0
+    [split] = trained_on
+    split_dir = out / "Celegans" / "splits" / "1"
+    for name, edges in (("train", split.train_graph.edges),
+                        ("valid", split.val_pos), ("test", split.test_pos)):
+        written = np.loadtxt(split_dir / f"{name}.txt", dtype=np.int64)
+        assert np.array_equal(written.reshape(-1, 2), edges)
+    run_txt = (out / "Celegans" / "grace_random" / "1" / "run.txt")
+    assert f"lineage split {split.seed}" in run_txt.read_text().splitlines()
+
+
 def test_cli_evaluate_stats_report_roundtrip(celegans_root, cli_cfg_path,
                                              tmp_path, capsys):
     out = tmp_path / "results"
@@ -952,9 +992,10 @@ def test_cli_dataset_flag_overrides_config(celegans_root, tmp_path, capsys):
     assert (out / "Celegans" / "splits" / "1" / "train.txt").exists()
 
 
-@pytest.mark.parametrize("seed", [2 ** 32 + 1, -1])
+@pytest.mark.parametrize("seed", [2 ** 32 + 1, -1, 1])
 def test_config_rejects_seeds_that_would_alias(seed):
     # derive_seed keeps 32 bits: 2**32 + 1 would replay seed 1, -1 seed 2**32-1
+    # and a repeated 1 would overwrite seed 1's directory
     with pytest.raises(ValueError, match=f"seed {seed} "):
         ExperimentConfig(seeds=(1, seed))
 

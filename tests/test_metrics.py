@@ -1,6 +1,8 @@
 """Metric oracles: every value is cross-checked against an independent
 brute-force pair-count / ranking walk, plus frozen hand-computed constants."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,7 @@ from linkssl import autodiff as ad
 from linkssl.graphs import Graph, random_link_split
 from linkssl.metrics import (ScoreSet, average_precision, evaluate_split,
                              hits_at_k, roc_auc)
-from linkssl.models import EncoderConfig, train_decoder
+from linkssl.models import EncoderConfig, predict_scores, train_decoder
 from tests.test_models import StubEncoder, toy_cfg
 
 
@@ -204,8 +206,7 @@ def test_evaluate_split_oracle_scorer_is_perfect():
         return np.array([1.0 if (min(u, v), max(u, v)) in truth else 0.0
                          for u, v in np.asarray(pairs)])
 
-    hits, ap, auc = evaluate_split(None, None, split, k=3, seed=0,
-                                   scorer=scorer)
+    hits, ap, auc = evaluate_split(scorer, split, split.test_pos, 3, 0)
     assert (hits, ap, auc) == (1.0, 1.0, 1.0)
 
 
@@ -217,22 +218,23 @@ def test_evaluate_split_random_scorer_auc_near_half():
         def scorer(pairs):
             return rng.random(len(np.asarray(pairs)))
 
-        aucs.append(evaluate_split(None, None, split, k=3, seed=trial,
-                                   scorer=scorer)[2])
+        aucs.append(evaluate_split(scorer, split, split.test_pos, 3,
+                                   trial)[2])
     m = len(split.test_pos)
     sigma = np.sqrt((2 * m + 1) / (12.0 * m * m) / len(aucs))
     assert abs(np.mean(aucs) - 0.5) < 4 * sigma + 0.02
 
 
-def test_evaluate_split_deterministic_default_path():
+def test_evaluate_split_deterministic_model_scorer():
     split = _clique_pair_split()
     h = np.random.default_rng(5).normal(size=(12, 64))
     state = SimpleNamespace(encoder=StubEncoder(h))
     dec = train_decoder(state, split, toy_cfg(), seed=6)
-    a = evaluate_split(state, dec, split, k=3, seed=9)
-    b = evaluate_split(state, dec, split, k=3, seed=9)
+    scorer = partial(predict_scores, state, dec, split.train_graph)
+    a = evaluate_split(scorer, split, split.test_pos, 3, 9)
+    b = evaluate_split(scorer, split, split.test_pos, 3, 9)
     assert a == b
-    c = evaluate_split(state, dec, split, k=3, seed=10)
+    c = evaluate_split(scorer, split, split.test_pos, 3, 10)
     assert isinstance(c, tuple) and len(c) == 3
 
 
@@ -240,5 +242,5 @@ def test_evaluate_split_requires_test_positives():
     g = Graph(6, np.array([(0, 1), (1, 2), (2, 3), (3, 4)]))
     split = random_link_split(g, (1.0, 0.0, 0.0), seed=0)
     with pytest.raises(ValueError):
-        evaluate_split(None, None, split, k=1, seed=0,
-                       scorer=lambda pairs: np.ones(len(pairs)))
+        evaluate_split(lambda pairs: np.ones(len(pairs)), split,
+                       split.test_pos, 1, 0)
