@@ -12,6 +12,8 @@ one _accumulate call and keeps no reference to it, so the first
 contribution a node receives becomes its grad without a copy and later
 ones are added into it in place. `add` is the one op whose upstream
 gradient can reach two parents unchanged; it copies for the second.
+`row_slice` adds its gradient into rows of the parent's grad in place
+(_accumulate_rows), which the same ownership makes safe.
 
 The per-element kernels (prelu, batch_norm, row_l2_normalize) are
 branch-free: they use min/max and arithmetic on masks rather than
@@ -21,13 +23,20 @@ Graph lifetime: the graph links backward nodes, not tensors. An op
 output that needs grad points to its node, which holds the op's rule, the
 nodes of its parents and the grad flowing in; the rule's closure holds
 only the arrays it reads (operands for matmul, elementwise_mul, logaddexp
-and prelu, the output for relu, sigmoid and the normalizations, shapes or
+and prelu, the output for relu, sigmoid and the normalizations, the
+(n, d) input and the two index arrays for pair_product, shapes, bounds or
 indices for the rest). So an op output's values die with the tensor
 unless a rule saved them, and the graph, which lives as long as the
 loss's node, holds just the nodes and the saved arrays. backward() frees
 only intermediate grads, so backward on the same loss can run again. The
 training steps pass each loss straight into the call that differentiates
 it, so no graph outlives its step.
+
+Each link row is kept once. pair_product builds the rows x[u] * x[v] and
+gathers the (k, d) endpoints again in backward instead of saving them
+(recomputation, Chen et al. 2016, arXiv:1604.06174); row_slice returns a
+view, so the InfoNCE losses normalize both views' rows as one stacked
+array and read the positive pairs from views of it.
 
 The InfoNCE denominator (nce_denominator) keeps no score matrix. Both of
 its passes walk the r x r scores in blocks of NCE_BLOCK_ROWS rows, and
@@ -147,6 +156,14 @@ class _Node:
         else:
             self.grad += contribution
 
+    def _accumulate_rows(self, lo, hi, contribution, rows):
+        """Add `contribution` into rows lo:hi of a (rows, d) grad."""
+        if self.grad is None:
+            self.grad = np.zeros((rows, contribution.shape[1]))
+            self.grad[lo:hi] = contribution
+        else:
+            self.grad[lo:hi] += contribution
+
 
 class Tensor:
     """A dense float64 matrix participating in the backward graph.
@@ -162,6 +179,7 @@ class Tensor:
     _backward_fn = None
     _parents = ()
     _accumulate = _Node._accumulate
+    _accumulate_rows = _Node._accumulate_rows
 
     def __init__(self, values, requires_grad=False, _op="leaf"):
         self.values = _as_matrix(values)
@@ -718,11 +736,32 @@ def concat_rows(tensors):
                  "concat_rows")
 
 
+def row_slice(x, lo, hi):
+    """Rows lo:hi of x as a view of x's values, so a rule that saves the
+    output keeps no copy. Backward adds g into those rows of x's grad."""
+    rows = x.shape[0]
+
+    def backward_fn(g, nx):
+        nx._accumulate_rows(lo, hi, g, rows)
+
+    return _make(x.values[lo:hi], (x,), backward_fn, "row_slice")
+
+
 def transpose(x):
     def backward_fn(g, nx):
         nx._accumulate(g.T)
 
     return _make(x.values.T.copy(), (x,), backward_fn, "transpose")
+
+
+def _scatter_rows(g, idx, rows):
+    """The (rows, d) array whose row idx[j] gains g[j], duplicates added:
+    one sparse product, column j of the scatter matrix holding its one entry
+    at idx[j]."""
+    scatter = sparse.csc_matrix(
+        (np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
+        shape=(rows, len(idx)))
+    return scatter @ g
 
 
 def gather_rows(x, indices):
@@ -731,14 +770,47 @@ def gather_rows(x, indices):
     rows = x.shape[0]
 
     def backward_fn(g, nx):
-        # scatter-add as one sparse product: row idx[j] gains g[j];
-        # column j of the scatter matrix holds its one entry at idx[j]
-        scatter = sparse.csc_matrix(
-            (np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
-            shape=(rows, len(idx)))
-        nx._accumulate(scatter @ g)
+        nx._accumulate(_scatter_rows(g, idx, rows))
 
     return _make(x.values[idx], (x,), backward_fn, "gather_rows")
+
+
+def _pair_ids(ids, rows):
+    """`ids` as an index array, each checked to lie in [0, rows)."""
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.size:
+        lo, hi = idx.min(), idx.max()
+        if lo < 0 or hi >= rows:
+            raise ValueError(f"pair id {lo if lo < 0 else hi} is outside "
+                             f"[0, {rows}): there are n = {rows} rows")
+    return idx
+
+
+def pair_product(x, u, v):
+    """The rows x[u] * x[v], one per pair (u[j], v[j]), as one op.
+
+    Equal to elementwise_mul(gather_rows(x, u), gather_rows(x, v)), bit for
+    bit in both passes, but its rule keeps x's values and the two index
+    arrays instead of the two gathered (k, d) endpoint arrays. Backward
+    gathers them again: it scatters g * x[v] into rows u, then g * x[u]
+    into rows v, the order in which the composition's gather_rows rules
+    run. An id outside [0, rows) raises ValueError, where numpy indexing
+    would wrap a negative one.
+    """
+    xv = x.values
+    rows = xv.shape[0]
+    u, v = _pair_ids(u, rows), _pair_ids(v, rows)
+    out = xv[u]
+    out *= xv[v]
+
+    def backward_fn(g, nx):
+        for dst, src in ((u, v), (v, u)):
+            part = xv[src]
+            part *= g
+            nx._accumulate(_scatter_rows(part, dst, rows))
+            del part
+
+    return _make(out, (x,), backward_fn, "pair_product")
 
 
 def mask_diagonal(x, fill=-np.inf):

@@ -10,6 +10,11 @@ blocks and keeps none of them, so its scratch is O(NCE_BLOCK_ROWS x 2k),
 not (2k)^2. For GRACE k is the node count; for L-GRACE it is the number of
 links shared by the two views, which is not smaller than the node count on
 dense graphs: on PB (n = 1222) k is about 7.5k.
+
+The views' rows are stacked before one row_l2_normalize, whose output is
+the array the denominator reads; the positive scores come from row_slice
+views of it. Rows are normalized independently, so stacking first gives
+the per-view bits, and the graph keeps one copy of the normalized rows.
 """
 
 from __future__ import annotations
@@ -20,14 +25,23 @@ from .. import autodiff as ad
 from ..graphs import sample_negative_pairs
 
 
-def _nce_gap(den, rows1, rows2, tau):
-    """mean(den) - mean(pos) for stacked denominators over both views.
+def _nce_gap(den, rows, tau):
+    """mean(den) - mean(pos) for the stacked rows [view 1; view 2] and their
+    denominators.
 
-    Each direction shares the positive score pos_i = rows1_i . rows2_i / tau,
-    so this is the mean of the two directions' den - pos.
+    Each direction shares the positive score pos_i = rows_i . rows_{k+i} /
+    tau, so this is the mean of the two directions' den - pos. The two
+    halves are row_slice views, so the product's rule saves no copy.
     """
-    pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(rows1, rows2)), 1.0 / tau)
+    k = rows.shape[0] // 2
+    pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(
+        ad.row_slice(rows, 0, k), ad.row_slice(rows, k, 2 * k))), 1.0 / tau)
     return ad.sub(ad.tensor_mean(den), ad.tensor_mean(pos))
+
+
+def _stacked_unit_rows(first, second):
+    """[first; second] with every row scaled to unit L2 norm."""
+    return ad.row_l2_normalize(ad.concat_rows([first, second]))
 
 
 def grace_loss(u_emb, v_emb, projector, tau):
@@ -42,10 +56,9 @@ def grace_loss(u_emb, v_emb, projector, tau):
         raise ValueError("views must embed the same node set")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    p1 = ad.row_l2_normalize(projector.forward(u_emb))
-    p2 = ad.row_l2_normalize(projector.forward(v_emb))
-    both = ad.concat_rows([p1, p2])
-    return _nce_gap(ad.nce_denominator(both, both, tau), p1, p2, tau)
+    both = _stacked_unit_rows(projector.forward(u_emb),
+                              projector.forward(v_emb))
+    return _nce_gap(ad.nce_denominator(both, both, tau), both, tau)
 
 
 def select_link_sets(view1, view2, rng_seed=None):
@@ -88,13 +101,9 @@ def lgrace_loss(z1_pos, z2_pos, z1_neg, z2_neg, tau):
         raise ValueError("no positive links to contrast")
     if z1_pos.shape[0] != z1_neg.shape[0]:
         raise ValueError("need one negative per positive link")
-    n1p = ad.row_l2_normalize(z1_pos)
-    n2p = ad.row_l2_normalize(z2_pos)
-    n1n = ad.row_l2_normalize(z1_neg)
-    n2n = ad.row_l2_normalize(z2_neg)
-    den = ad.nce_denominator(ad.concat_rows([n1p, n2p]),
-                             ad.concat_rows([n1n, n2n]), tau)
-    return _nce_gap(den, n1p, n2p, tau)
+    anchors = _stacked_unit_rows(z1_pos, z2_pos)
+    den = ad.nce_denominator(anchors, _stacked_unit_rows(z1_neg, z2_neg), tau)
+    return _nce_gap(den, anchors, tau)
 
 
 def bgrl_loss(online_pred, target_emb):

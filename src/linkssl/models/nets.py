@@ -179,16 +179,11 @@ class Decoder:
 
 def link_representation(h, edges, mlp):
     """Row per edge: MLP(h_u * h_v). Symmetric in (u, v)."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    n = h.shape[0]
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError("edge endpoint outside the embedding matrix")
     return mlp.forward(hadamard_pairs(h, edges))
 
 
 def hadamard_pairs(h, pairs):
-    """h_u * h_v rows for raw decoder input."""
+    """h_u * h_v rows, one per (u, v) pair: link representation inputs,
+    decoder batches and scored pairs. Ids outside [0, n) raise."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    hu = ad.gather_rows(h, pairs[:, 0])
-    hv = ad.gather_rows(h, pairs[:, 1])
-    return ad.elementwise_mul(hu, hv)
+    return ad.pair_product(h, pairs[:, 0], pairs[:, 1])

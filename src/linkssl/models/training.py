@@ -299,8 +299,6 @@ def train_supervised_gcn(split, cfg, seed):
 
 def predict_scores(state, decoder, graph, pairs):
     """Sigmoid link scores for (u, v) pairs; deterministic, order-preserving,
-    symmetric in each pair."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    h = embed(state, graph)
-    z = h[pairs[:, 0]] * h[pairs[:, 1]]
-    return decoder.scores(ad.Tensor(z)).values.ravel()
+    symmetric in each pair. An id outside [0, n) raises ValueError."""
+    z = hadamard_pairs(ad.Tensor(embed(state, graph)), pairs)
+    return decoder.scores(z).values.ravel()

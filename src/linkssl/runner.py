@@ -237,7 +237,8 @@ def random_search(space, base_cfg, seed, graph=None, objective=None,
                   out_dir=None, k=HITS_K):
     """Uniform random search over `space.budget` trials, scored by the
     validation objective; returns (best config, trial log). Trials that
-    raise score -inf; all trials failing is an error."""
+    raise score -inf; all trials failing is an error, raised after the log
+    with every trial's error is written."""
     if objective is None:
         if graph is None:
             graph = load_dataset(base_cfg.dataset)
@@ -254,10 +255,6 @@ def random_search(space, base_cfg, seed, graph=None, objective=None,
             trial_log.append((idx, trial_cfg, score, str(exc)))
         else:
             trial_log.append((idx, trial_cfg, score, ""))
-    if all(score == float("-inf") for _, _, score, _ in trial_log):
-        raise RuntimeError("every search trial failed")
-    best_idx = max(range(len(trial_log)), key=lambda i: trial_log[i][2])
-    best_cfg = trial_log[best_idx][1]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "search_log.csv"), "w",
@@ -267,6 +264,12 @@ def random_search(space, base_cfg, seed, graph=None, objective=None,
             for idx, cfg, score, err in trial_log:
                 flat = serialize_config(cfg).replace("\n", ";")
                 writer.writerow((idx, repr(score), err, flat))
+    if all(score == float("-inf") for _, _, score, _ in trial_log):
+        raise RuntimeError(f"every search trial failed; trial 0: "
+                           f"{trial_log[0][3]}")
+    best_idx = max(range(len(trial_log)), key=lambda i: trial_log[i][2])
+    best_cfg = trial_log[best_idx][1]
+    if out_dir is not None:
         with open(os.path.join(out_dir, "best_config.txt"), "w") as fh:
             fh.write(serialize_config(best_cfg))
     return best_cfg, trial_log

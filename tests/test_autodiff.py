@@ -136,6 +136,10 @@ OP_CASES = [
      [(3, 5)]),
     ("gather_rows", lambda a: ad.tensor_sum(
         ad.sigmoid(ad.gather_rows(a, [0, 2, 2, 1]))), [(4, 3)]),
+    ("pair_product", lambda a: ad.tensor_sum(ad.sigmoid(
+        ad.pair_product(a, [0, 2, 2, 1, 3], [1, 2, 0, 3, 0]))), [(4, 3)]),
+    ("row_slice", lambda a: ad.tensor_sum(ad.sigmoid(ad.elementwise_mul(
+        ad.row_slice(a, 0, 2), ad.row_slice(a, 3, 5)))), [(6, 3)]),
     ("mask_diagonal", lambda a: ad.tensor_sum(
         ad.logsumexp_rows(ad.mask_diagonal(a))), [(4, 4)]),
     ("nce_denominator", lambda a, b: ad.tensor_sum(ad.elementwise_mul(
@@ -585,6 +589,44 @@ def test_gather_rows_backward_equals_add_at(n, d, idx, seed):
     want = np.zeros((n, d))
     np.add.at(want, np.asarray(idx, dtype=np.intp), g)
     assert np.array_equal(x.grad, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), d=st.integers(1, 4),
+       pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      max_size=20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_product_equals_gather_and_multiply(n, d, pairs, seed):
+    # the one op must give the composition's bits in both passes, duplicate
+    # and self pairs included; x's other use reaches its grad first, so the
+    # order in which the two scattered parts are added to it counts
+    pairs = np.array([(u % n, v % n) for u, v in pairs],
+                     dtype=np.intp).reshape(-1, 2)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, d))
+    g, other = rng.normal(size=(len(pairs), d)), rng.normal(size=(n, d))
+
+    def run(product):
+        x = Tensor(values.copy(), requires_grad=True)
+        rows = product(x, pairs[:, 0], pairs[:, 1])
+        backward(ad.add(ad.tensor_sum(ad.elementwise_mul(x, Tensor(other))),
+                        ad.tensor_sum(ad.elementwise_mul(rows, Tensor(g)))))
+        return rows.values, x.grad
+
+    rows, grad = run(ad.pair_product)
+    want_rows, want_grad = run(lambda x, u, v: ad.elementwise_mul(
+        ad.gather_rows(x, u), ad.gather_rows(x, v)))
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_pair_product_rejects_ids_outside_the_rows(bad):
+    x = Tensor(np.ones((5, 2)))
+    with pytest.raises(ValueError, match=rf"pair id {bad} .*n = 5"):
+        ad.pair_product(x, [0, bad], [1, 2])
+    with pytest.raises(ValueError, match=rf"pair id {bad} .*n = 5"):
+        ad.pair_product(x, [0, 1], [bad, 2])
 
 
 @settings(max_examples=150, deadline=None)

@@ -463,6 +463,21 @@ def test_random_search_all_failures_raise():
                              objective=explode)
 
 
+def test_random_search_all_failures_write_the_log_first(tmp_path):
+    def explode(cfg):
+        raise ValueError(f"no trial at tau={cfg.tau}")
+
+    with pytest.raises(RuntimeError, match=r"trial 0: no trial at tau="):
+        runner.random_search(SearchSpace(budget=3), cheap_cfg(), seed=1,
+                             objective=explode, out_dir=tmp_path)
+    with open(tmp_path / "search_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["trial"] for row in rows] == ["0", "1", "2"]
+    assert all(row["score"] == "-inf" for row in rows)
+    assert all(row["error"].startswith("no trial at tau=") for row in rows)
+    assert not (tmp_path / "best_config.txt").exists()
+
+
 def test_random_search_partial_failures_score_neg_inf():
     calls = []
 

@@ -5,8 +5,12 @@ Frozen constants below were computed by hand from the loss definitions
 """
 
 import dataclasses
+import gc
+import importlib.util
+import types
 import warnings
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +20,9 @@ from linkssl import autodiff as ad
 from linkssl import community, runner
 from linkssl.augment import AugmentationSpec
 from linkssl.community import louvain
+from linkssl.augment import make_views
 from linkssl.config import ExperimentConfig
+from linkssl.datasets import load_dataset
 from linkssl.graphs import FeatureMatrix, Graph, random_link_split
 from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             Predictor, Projector, bgrl_loss, embed,
@@ -25,8 +31,11 @@ from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             select_link_sets, train_decoder, train_encoder,
                             train_supervised_gcn)
 from linkssl.models.training import (DECODER_EPOCHS, SELF_SUPERVISED,
-                                     _decoder_objective, _init_state)
+                                     _decoder_objective, _encoder_loss,
+                                     _init_state)
 from linkssl.optim import zero_grads
+from linkssl.seeding import derive_seed
+from scipy import sparse
 
 
 class IdentityHead:
@@ -609,6 +618,90 @@ def test_encoder_graph_drops_the_propagated_rows(norm, monkeypatch):
     assert np.any(enc.weights[0].grad != 0.0)
 
 
+def _saved_buffers(loss):
+    """The distinct arrays a loss's graph keeps, each as the base array it
+    views: every ndarray reachable through tensors, backward nodes, tuples,
+    lists, rules' closure cells and sparse matrices."""
+    found, seen, stack = {}, set(), [loss]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif sparse.issparse(obj):
+            stack.extend(vars(obj).values())
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (ad.Tensor, ad._Node, tuple, list)):
+            stack.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
+def _usair_twin(root):
+    """The benchmark's USAir twin (twin seed 1), written under `root`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "twins.py"
+    spec = importlib.util.spec_from_file_location("perfbench_twins", path)
+    twins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(twins)
+    twins.write_twin("USAir", 1, str(root))
+    return load_dataset("USAir", root=root)
+
+
+def test_one_lgrace_step_keeps_each_link_row_once(monkeypatch, tmp_path):
+    # the first step of the usair-lgrace bench seed (run seed 1): each
+    # link set's rows are one pair_product, and both views' rows are
+    # normalized stacked, so the graph keeps neither the gathered (k, d)
+    # endpoints nor a concatenated copy of the normalized rows
+    graph = _usair_twin(tmp_path)
+    cfg = ExperimentConfig(dataset="USAir", model="lgrace", ct_epochs=100,
+                           seeds=(1,))
+    split = runner.seed_split(graph, cfg, 1)
+    seed = derive_seed(1, "train")
+    state = _init_state("lgrace", split.train_graph.features.n_cols, cfg,
+                        seed)
+    v1, v2 = make_views(split.train_graph, cfg.augmentation, None,
+                        seed=derive_seed(seed, "augment", 0))
+    edge_pos, edge_neg = select_link_sets(v1, v2,
+                                          derive_seed(seed, "negatives", 0))
+    k = len(edge_pos)
+    embeddings = []
+
+    def keep(view, mode="train", _forward=state.encoder.forward):
+        h = _forward(view, mode)
+        embeddings.append(h.values)
+        return h
+
+    monkeypatch.setattr(state.encoder, "forward", keep)
+    refs = _output_values(monkeypatch, "concat_rows", "row_l2_normalize")
+    loss = _encoder_loss(state, v1, v2, edge_pos, edge_neg, cfg)
+    saved = _saved_buffers(loss)
+
+    endpoints = [h[edges[:, side]] for h in embeddings
+                 for edges in (edge_pos, edge_neg) for side in (0, 1)]
+    assert len(embeddings) == 2 and k > 900
+    assert not any(a.shape == e.shape and np.array_equal(a, e)
+                   for a in saved for e in endpoints)
+    assert len(refs["concat_rows"]) == 2
+    assert all(ref() is None for ref in refs["concat_rows"])
+    for ref in refs["row_l2_normalize"]:
+        rows = ref()
+        assert rows is not None and rows.shape[0] == 2 * k
+        assert sum(np.array_equal(a, part) for a in saved
+                   for part in (rows, rows[:k], rows[k:])
+                   if a.shape == part.shape) == 1
+    # measured: 21,816,200 B (20.81 MiB) with pair_product and stacked
+    # normalization, 32,797,576 B (31.28 MiB) with gather_rows +
+    # elementwise_mul link rows and per-part normalization + concat_rows;
+    # parameters, their grads and the sparse adjacency included
+    assert sum(a.nbytes for a in saved) < 21 * 2 ** 20
+    ad.backward(loss)
+    assert np.any(state.link_mlp.w1.grad != 0.0)
+
+
 def test_bgrl_graph_drops_the_cosine_product(monkeypatch):
     rng = np.random.default_rng(5)
     pred = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
@@ -653,6 +746,84 @@ def test_train_encoder_bit_identical_repeat(model):
     assert len(runs[0]) == len(runs[1])
     assert all(np.array_equal(a, b, equal_nan=True)
                for a, b in zip(*runs))
+
+
+# The compositions that built link rows and the InfoNCE losses before
+# autodiff.pair_product and the stacked normalization, kept as references.
+
+def _gathered_pair_product(x, u, v):
+    return ad.elementwise_mul(ad.gather_rows(x, u), ad.gather_rows(x, v))
+
+
+def _per_part_gap(den, rows1, rows2, tau):
+    pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(rows1, rows2)),
+                        1.0 / tau)
+    return ad.sub(ad.tensor_mean(den), ad.tensor_mean(pos))
+
+
+def _per_part_grace_loss(u_emb, v_emb, projector, tau):
+    p1 = ad.row_l2_normalize(projector.forward(u_emb))
+    p2 = ad.row_l2_normalize(projector.forward(v_emb))
+    both = ad.concat_rows([p1, p2])
+    return _per_part_gap(ad.nce_denominator(both, both, tau), p1, p2, tau)
+
+
+def _per_part_lgrace_loss(z1_pos, z2_pos, z1_neg, z2_neg, tau):
+    n1p, n2p, n1n, n2n = (ad.row_l2_normalize(z)
+                          for z in (z1_pos, z2_pos, z1_neg, z2_neg))
+    den = ad.nce_denominator(ad.concat_rows([n1p, n2p]),
+                             ad.concat_rows([n1n, n2n]), tau)
+    return _per_part_gap(den, n1p, n2p, tau)
+
+
+def _planted_split():
+    # 3 blocks of 30 nodes; about 180 links survive in both views, so
+    # L-GRACE's 2k stacked rows span two NCE_BLOCK_ROWS row blocks
+    rng = np.random.default_rng(21)
+    blocks = np.arange(90) % 3
+    u, v = np.triu_indices(90, 1)
+    keep = rng.random(len(u)) < np.where(blocks[u] == blocks[v], 0.3, 0.01)
+    g = Graph(90, np.stack([u[keep], v[keep]], axis=1))
+    return random_link_split(g, (0.7, 0.1, 0.2), seed=4)
+
+
+@pytest.mark.parametrize("model", ["grace", "lgrace", "lbgrl"])
+def test_training_keeps_the_bits_of_the_per_part_compositions(model,
+                                                              monkeypatch):
+    from linkssl.models import training
+
+    split = _planted_split()
+    spec = AugmentationSpec(drop_edge_rate_1=0.2, drop_edge_rate_2=0.2)
+    cfg = toy_cfg(ct_epochs=4, encoder=EncoderConfig(
+        n_layers=2, layer_size=64, norm="batch"))
+
+    def trajectory():
+        st = train_encoder(split, spec, model, cfg, seed=6)
+        return ([p.values.copy() for p in st.online_parameters()]
+                + [t.values.copy() for t, _ in st.tracked]
+                + [np.array(st.loss_history)])
+
+    now = trajectory()
+    called = []
+
+    def reference(fn):
+        def spy(*args):
+            called.append(fn.__name__)
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(ad, "pair_product",
+                        reference(_gathered_pair_product))
+    monkeypatch.setattr(training, "grace_loss",
+                        reference(_per_part_grace_loss))
+    monkeypatch.setattr(training, "lgrace_loss",
+                        reference(_per_part_lgrace_loss))
+    before = trajectory()
+    assert called and (model == "grace") == (
+        "_gathered_pair_product" not in called)
+    assert len(now) == len(before)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(now, before))
+    assert not np.isnan(before[-1][:, 1]).any()
 
 
 @pytest.mark.parametrize("stage", [*SELF_SUPERVISED, "decoder",
@@ -986,6 +1157,19 @@ def test_predict_scores_contracts():
     assert ((s > 0.0) & (s < 1.0)).all()
     again = predict_scores(state, dec, split.train_graph, pairs)
     assert np.array_equal(s, again)
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 8)])
+def test_predict_scores_rejects_ids_outside_the_graph(pair):
+    # a negative id used to wrap to the score of row n - 1, and an id of n
+    # or more raised a bare IndexError
+    split = _two_cliques_split()
+    h = np.random.default_rng(10).normal(size=(8, 64))
+    state = SimpleNamespace(encoder=StubEncoder(h))
+    dec = train_decoder(state, split, toy_cfg(), seed=11)
+    bad = min(pair) if min(pair) < 0 else max(pair)
+    with pytest.raises(ValueError, match=rf"pair id {bad} .*n = 8"):
+        predict_scores(state, dec, split.train_graph, [pair])
 
 
 def test_train_supervised_gcn_separates_cliques():
