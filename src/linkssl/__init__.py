@@ -16,8 +16,8 @@ from .config import (DEFAULT_EVAL_SEEDS, ExperimentConfig, SearchSpace,
                      load_config, parse_config, save_config, serialize_config)
 from .datasets import (DATA_ROOT_ENV, REGISTRY, UNATTRIBUTED_NAMES,
                        convert_mat, load_dataset, write_edge_list)
-from .graphs import (EdgeSplit, Graph, load_edge_list, normalized_adjacency,
-                     random_link_split, sample_negative_pairs)
+from .graphs import (EdgeSplit, Graph, normalized_adjacency, random_link_split,
+                     sample_negative_pairs)
 from .metrics import ScoreSet, average_precision, evaluate_split, hits_at_k, roc_auc
 from .models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP, TrainState,
                      bgrl_loss, grace_loss, lgrace_loss, link_representation,
@@ -28,7 +28,7 @@ from .report import build_table, read_result_rows, render_csv, render_text, stat
 from .runner import (TUNING_SEED, RunResult, random_search, run_experiment,
                      run_single, train_single, validation_objective)
 from .sbm import fit_block_counts, sample_sbm
-from .seeding import derive_rng, derive_seed, lineage_record
+from .seeding import derive_rng, derive_seed
 from .significance import bonferroni_dunn_groups, critical_difference, friedman_test
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "load_config", "parse_config", "save_config", "serialize_config",
     "DATA_ROOT_ENV", "REGISTRY", "UNATTRIBUTED_NAMES", "convert_mat",
     "load_dataset", "write_edge_list", "EdgeSplit", "Graph",
-    "load_edge_list", "normalized_adjacency", "random_link_split",
+    "normalized_adjacency", "random_link_split",
     "sample_negative_pairs", "ScoreSet", "average_precision",
     "evaluate_split", "hits_at_k", "roc_auc", "Decoder", "EncoderConfig",
     "GCNEncoder", "LinkMLP", "TrainState", "bgrl_loss", "grace_loss",
@@ -49,6 +49,6 @@ __all__ = [
     "read_result_rows", "render_csv", "render_text", "stats_summary",
     "RunResult", "random_search", "run_experiment", "run_single",
     "train_single", "validation_objective", "fit_block_counts", "sample_sbm",
-    "derive_rng", "derive_seed", "lineage_record",
+    "derive_rng", "derive_seed",
     "bonferroni_dunn_groups", "critical_difference", "friedman_test",
 ]

@@ -48,10 +48,8 @@ recomputation of FlashAttention (Dao et al. 2022). Like FlashAttention-2
 O(T x NCE_BLOCK_ROWS x r). Threads never change bits: they partition the
 outputs, never a GEMM's reduction, every GEMM keeps the shape it has on
 one thread, and the one sum across blocks is added in block order. T
-comes from what the process can observe (nce_thread_budget): the CPUs it
-may run on divided by OpenBLAS's thread count and by the worker processes
-sharing them, so T > 1 only where those leave a CPU idle, and T is at
-most NCE_MAX_THREADS = 2, so the scratch is at most twice one thread's.
+is process.nce_thread_budget, at most NCE_MAX_THREADS = 2, so the scratch
+is at most twice one thread's.
 
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
@@ -59,9 +57,6 @@ treated as constants (never differentiated).
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
 import threading
 import weakref
 from contextlib import contextmanager
@@ -69,9 +64,10 @@ from contextlib import contextmanager
 import numpy as np
 from scipy import sparse
 
+from .process import NCE_MAX_THREADS, nce_thread_budget, share_one_heap
+
 EPS = 1e-12
 NCE_BLOCK_ROWS = 256  # rows of the InfoNCE score matrix held at a time
-NCE_MAX_THREADS = 2  # InfoNCE row blocks in flight at a time
 
 
 class AllocationTracker:
@@ -464,94 +460,12 @@ def logaddexp(a, b):
     return _make(out, (a, b), backward_fn, "logaddexp")
 
 
-# the thread-count getter of the OpenBLAS numpy wheels bundle (numpy 2,
-# numpy 1)
-_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
-                         "openblas_get_num_threads64_")
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_thread_getter():
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-    try:
-        names = sorted(f for f in os.listdir(libs) if "openblas" in f)
-    except OSError:
-        return None
-    for name in names:
-        try:
-            lib = ctypes.CDLL(os.path.join(libs, name))
-        except OSError:
-            continue
-        for symbol in _OPENBLAS_GET_THREADS:
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                getter.argtypes = ()
-                return getter
-    return None
-
-
-def blas_threads():
-    """The thread count of the OpenBLAS numpy loaded, or None where numpy
-    bundles no OpenBLAS that answers."""
-    getter = _openblas_thread_getter()
-    return None if getter is None else getter()
-
-
-_cpu_sharers = 1  # training processes that split this process's CPUs
-
-
-def share_cpus(processes):
-    """Record that this process is one of `processes` that train at once
-    on the same CPUs (a worker of runner.run_experiment's pool)."""
-    global _cpu_sharers
-    _cpu_sharers = processes
-
-
-def nce_thread_budget():
-    """Threads nce_denominator may run: the CPUs this process may use over
-    OpenBLAS's threads times the processes sharing them (share_cpus), at
-    least 1, 1 where blas_threads() is None, and at most NCE_MAX_THREADS.
-
-    A second Python thread helps only on a core nothing else keeps busy:
-    with OpenBLAS on both cores of a 2-core box, 2 threads made the op
-    slower, and 2 threads in each of 2 worker processes made 4 seeds
-    slower than 1 thread in each. The cap bounds memory, not CPUs: each
-    thread holds one block's scratch, so the op holds at most
-    NCE_MAX_THREADS times the serial loop's, whatever the core count.
-    """
-    blas = blas_threads()
-    if not blas:
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(NCE_MAX_THREADS, cpus // (blas * _cpu_sharers)))
-
-
 def _nce_threads(n_blocks):
     """Threads for one pass over n_blocks row blocks: at most half the
     blocks are in flight, so a pass of fewer than 4 blocks keeps the
     serial loop's scratch (2 blocks in flight at r = 478 pushed a link
     loss's peak past 8 r^2 bytes)."""
     return max(1, min(nce_thread_budget(), n_blocks // 2))
-
-
-M_ARENA_MAX = -8  # glibc mallopt parameter
-
-
-@functools.lru_cache(maxsize=None)
-def _share_one_heap():
-    """Have glibc serve every thread from the main heap, so a helper
-    thread builds no arena of its own (one cost 3.4-4.0 MB of
-    usair-lgrace's peak RSS). Run before the first helper thread starts,
-    so a process that never starts one keeps glibc's defaults; a no-op
-    where the C library is not glibc."""
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-    except OSError:
-        return
-    libc.mallopt(M_ARENA_MAX, 1)
 
 
 def _run_blocks(blocks, threads, body, in_order=None):
@@ -599,7 +513,7 @@ def _run_blocks(blocks, threads, body, in_order=None):
     helpers = [threading.Thread(target=work, daemon=True)
                for _ in range(threads - 1)]
     if helpers:
-        _share_one_heap()
+        share_one_heap()
     for t in helpers:
         t.start()
     work()

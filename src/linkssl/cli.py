@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import traceback
 
 from . import report as report_mod
 from . import runner
@@ -77,17 +76,11 @@ def cmd_split(args):
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    graph = load_dataset(cfg.dataset)
-    failures = []
-    for seed in cfg.seeds:
-        try:
-            result = runner.train_single(graph, cfg, seed)
-        except Exception:
-            failures.append((seed, traceback.format_exc()))
-            continue
-        runner.write_run_dir(args.out, cfg, result)
+    [(_, results, failures)] = runner.run_configs([cfg], out_dir=args.out,
+                                                  k=None)
+    for result in results:
         final = result.loss_history[-1][1] if result.loss_history else None
-        print(f"seed {seed}: trained {cfg.label()}"
+        print(f"seed {result.seed}: trained {cfg.label()}"
               + (f", final loss {final:.6f}" if final is not None else ""))
     _report_failures(failures)
     return 1 if failures else 0
@@ -123,19 +116,17 @@ def _sweep_methods():
 
 def cmd_benchmark(args):
     base = _load_cfg(args)
-    graph = load_dataset(base.dataset)
+    cfgs = [dataclasses.replace(
+        base, model=model,
+        augmentation=dataclasses.replace(base.augmentation, kind=kind))
+        for model, kind in _sweep_methods()]
     any_failure = False
-    for model, kind in _sweep_methods():
-        cfg = dataclasses.replace(
-            base, model=model,
-            augmentation=dataclasses.replace(base.augmentation, kind=kind))
-        rows, failures = runner.run_experiment(cfg, out_dir=args.out,
-                                               graph=graph,
-                                               workers=args.workers)
+    for cfg, results, failures in runner.run_configs(
+            cfgs, out_dir=args.out, workers=args.workers):
         _report_failures(failures)
-        status = f"{len(rows)}/{len(cfg.seeds)} seeds"
-        print(f"{cfg.dataset} {cfg.label()}: {status}")
-        any_failure |= bool(failures) or not rows
+        print(f"{cfg.dataset} {cfg.label()}: "
+              f"{len(results)}/{len(cfg.seeds)} seeds")
+        any_failure |= bool(failures) or not results
     return 1 if any_failure else 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationSpec
 from .datasets import REGISTRY, UNATTRIBUTED_SPLIT
-from .models.nets import EncoderConfig
+from .models.nets import EncoderConfig, as_int
 from .seeding import derive_rng
 
 MODELS = ("gcn_supervised", "grace", "bgrl", "lgrace", "lbgrl")
@@ -62,6 +62,10 @@ class ExperimentConfig:
     seeds: tuple = DEFAULT_EVAL_SEEDS
 
     def __post_init__(self):
+        for name in ("ct_epochs", "batch_size", "proj_hidden"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        object.__setattr__(self, "seeds",
+                           tuple(as_int("seeds", s) for s in self.seeds))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.ct_epochs not in CT_EPOCH_CHOICES:
@@ -89,8 +93,6 @@ class ExperimentConfig:
         if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError("split_fractions must be 3 values summing to 1")
         object.__setattr__(self, "split_fractions", fr)
-        object.__setattr__(self, "seeds",
-                           tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         for i, seed in enumerate(self.seeds):

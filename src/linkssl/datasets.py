@@ -87,7 +87,7 @@ def load_dataset(name, root=None):
         raise FileNotFoundError(
             f"dataset file {path} not found; see README for how to obtain "
             f"the benchmark edge lists")
-    raw, _ = read_edge_pairs(path)
+    raw = read_edge_pairs(path)
     ids, remapped = np.unique(raw, return_inverse=True)
     g = Graph(max(ids.size, info.num_nodes), remapped.reshape(raw.shape))
 

@@ -166,13 +166,12 @@ class EdgeSplit:
 
 
 def read_edge_pairs(path):
-    """Raw (u, v) rows of a whitespace-separated edge-list file, with the
-    1-based line number of each row.
+    """Raw (u, v) rows of a whitespace-separated edge-list file.
 
     '#' lines and blank lines are skipped. Malformed lines raise ValueError
     naming path:line; ids are kept as written, negatives included.
     """
-    pairs, linenos = [], []
+    pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -190,27 +189,9 @@ def read_edge_pairs(path):
                     raise ValueError(f"{path}:{lineno}: non-integer token "
                                      f"{token!r} in {stripped!r}") from exc
             pairs.append(row)
-            linenos.append(lineno)
     if not pairs:
         raise ValueError(f"{path}: no edges found")
-    return np.array(pairs, dtype=np.int64), linenos
-
-
-def load_edge_list(path, n_hint=None):
-    """Parse a whitespace-separated "u v" edge-list file into a Graph.
-
-    '#' lines are comments. Self-loops are dropped, duplicate and reversed
-    pairs deduplicated. Node count is max id + 1, or n_hint if larger.
-    """
-    raw, linenos = read_edge_pairs(path)
-    negative = np.flatnonzero(raw.min(axis=1) < 0)
-    if negative.size:
-        raise ValueError(f"{path}:{linenos[negative[0]]}: negative node id")
-    edges = canonical_edges(raw)
-    n = int(raw.max()) + 1
-    if n_hint is not None:
-        n = max(n, int(n_hint))
-    return Graph(n, edges)
+    return np.array(pairs, dtype=np.int64)
 
 
 def split_sizes(m, fractions):

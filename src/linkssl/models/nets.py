@@ -11,6 +11,7 @@ models' target network is a deep copy of them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,14 @@ import numpy as np
 from .. import autodiff as ad
 from ..graphs import normalized_adjacency
 from ..optim import Parameter
+
+
+def as_int(name, value):
+    """`value` of integer field `name`: numpy ints pass, 100.0 raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} takes integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,8 @@ class EncoderConfig:
     weight_standardization: bool = False
 
     def __post_init__(self):
+        for name in ("n_layers", "layer_size"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not 1 <= self.n_layers <= 4:
             raise ValueError("n_layers must be 1..4")
         if not 64 <= self.layer_size <= 512:

@@ -13,14 +13,13 @@ one (config, seed) pair maps to one bit-exact parameter trajectory.
 from __future__ import annotations
 
 import copy
-import ctypes
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import autodiff as ad
-from .. import community
+from .. import community, process
 from ..augment import make_views
 from ..graphs import sample_negative_pairs
 from ..optim import adam_step, ema_update, zero_grads
@@ -37,8 +36,6 @@ SELF_SUPERVISED = ("grace", "bgrl", "lgrace", "lbgrl")
 # a bootstrapped EMA target instead of contrasted negatives
 LINK_MODELS = ("lgrace", "lbgrl")
 BOOTSTRAPPED = ("bgrl", "lbgrl")
-
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
 
 @dataclass
@@ -82,25 +79,6 @@ def _descend(loss, epoch, model, weight_decay, *groups):
         adam_step(params, lr=lr, weight_decay=weight_decay)
     zero_grads(p for params, _ in groups for p in params)
     return value
-
-
-def _keep_freed_heap():
-    """Have glibc keep the heap a finished step frees for the next step.
-
-    Under glibc's dynamic thresholds a step's graph, freed at once at the
-    heap top, goes back to the system and the next step faults it in again
-    (1.66M minor faults and 4 s of system time per NS-twin BGRL seed).
-    Here arrays below 32 MiB come from the heap and a free top up to 2 GiB
-    is kept; peak RSS is unchanged. Returns False, setting nothing, where
-    the C library is not glibc.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-    except OSError:
-        return False
-    libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    libc.mallopt(M_TRIM_THRESHOLD, 2 ** 31 - 1)
-    return True
 
 
 def _init_state(model, in_dim, cfg, seed):
@@ -166,7 +144,7 @@ def train_encoder(split, spec, model, cfg, seed):
     """
     if model not in SELF_SUPERVISED:
         raise ValueError(f"unknown self-supervised model {model!r}")
-    _keep_freed_heap()
+    process.keep_freed_heap()
     graph = split.train_graph
     block_state = None
     # detect before building the model: Louvain's transient dicts are then
@@ -280,7 +258,7 @@ def train_decoder(state, split, cfg, seed):
 def train_supervised_gcn(split, cfg, seed):
     """Joint encoder+decoder optimization with the decoder loss; same
     architecture as the frozen pipeline, trained end-to-end."""
-    _keep_freed_heap()
+    process.keep_freed_heap()
     graph = split.train_graph
     state = _init_state("gcn_supervised", graph.features.n_cols, cfg, seed)
     decoder = Decoder(cfg.encoder.layer_size, cfg.encoder.layer_size,

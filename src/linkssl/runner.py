@@ -17,13 +17,12 @@ import csv
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .autodiff import blas_threads, nce_thread_budget, share_cpus
+from . import process
 from .config import serialize_config
 from .datasets import load_dataset
 from .graphs import random_link_split, split_sizes
@@ -99,8 +98,8 @@ def _result(seed, row, state, decoder, lineage):
                                  for p in state.encoder.parameters()
                                  + decoder.parameters()},
                      lineage=lineage, detected_blocks=state.detected_blocks,
-                     blas_threads=blas_threads(),
-                     nce_threads=nce_thread_budget())
+                     blas_threads=process.blas_threads(),
+                     nce_threads=process.nce_thread_budget())
 
 
 def run_single(graph, cfg, seed, k=HITS_K):
@@ -149,23 +148,18 @@ def write_run_dir(out_dir, cfg, result):
 
 
 def _aggregate_rows(rows):
-    def stats(key):
-        vals = np.array([r[key] for r in rows])
-        return vals.mean(), vals.std()
-
     cells = []
     for key in ("hits_at_50", "ap", "auc"):
-        mean, std = stats(key)
-        cells.append(f"{mean:.6f}±{std:.6f}")
+        vals = np.array([r[key] for r in rows])
+        cells.append(f"{vals.mean():.6f}±{vals.std():.6f}")
     first = rows[0]
     return (f"{first['dataset']},{first['model']},{first['augmentation']},"
             f"aggregate,{cells[0]},{cells[1]},{cells[2]}")
 
 
-def write_metrics_csv(path, rows, with_aggregate=True):
-    lines = [CSV_HEADER]
-    lines += [format_row(r) for r in rows]
-    if with_aggregate and rows:
+def write_metrics_csv(path, rows):
+    lines = [CSV_HEADER] + [format_row(r) for r in rows]
+    if rows:
         lines.append(_aggregate_rows(rows))
     text = "\n".join(lines) + "\n"
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -174,49 +168,69 @@ def write_metrics_csv(path, rows, with_aggregate=True):
     return text
 
 
-def run_experiment(cfg, out_dir=None, graph=None, workers=1, k=HITS_K):
-    """All configured seeds; failures are recorded and skipped so the
-    remaining seeds still run. Returns (rows, failures), where each failure
-    is (seed, formatted traceback); a worker's traceback is included."""
+def _cell(graph, cfg, seed, k):
+    """run_single, or train_single when k is None, looked up when the cell
+    runs, so a forked pool worker runs what the parent sees."""
+    if k is None:
+        return train_single(graph, cfg, seed)
+    return run_single(graph, cfg, seed, k=k)
+
+
+def run_configs(cfgs, out_dir=None, graph=None, workers=1, k=HITS_K):
+    """Run every seed of the `cfgs` (one dataset) as (config, seed) cells:
+    here in order with one worker, else all on one process pool. Yields
+    (cfg, results, failures) per config after its last cell, failures as
+    (seed, formatted traceback), and writes its run directories and
+    metrics.csv first when `out_dir` is given. k=None trains only."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if k < 1:
+    if k is not None and k < 1:
         raise ValueError(f"hits@k needs k >= 1, got {k}")
     if graph is None:
-        graph = load_dataset(cfg.dataset)
+        graph = load_dataset(cfgs[0].dataset)
+    for cfg in cfgs if k else ():
+        try:
+            n_test = split_sizes(graph.num_edges, cfg.split_fractions)[2]
+        except ValueError:  # too few edges to split: each seed reports it
+            continue
+        if n_test < k:
+            raise ValueError(f"hits@{k} needs k={k} test edges; the split "
+                             f"of {graph.num_edges} edges has {n_test}")
+    cells = [(cfg, seed) for cfg in cfgs for seed in cfg.seeds]
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers, initializer=process.share_cpus,
+                                   initargs=(min(workers, len(cells)),))
     try:
-        n_test = split_sizes(graph.num_edges, cfg.split_fractions)[2]
-    except ValueError:  # too few edges to split: each seed reports it
-        n_test = k
-    if n_test < k:
-        raise ValueError(f"hits@{k} needs k={k} test edges; the split of "
-                         f"{graph.num_edges} edges has {n_test}")
-    rows, failures = [], []
-    with ExitStack() as stack:
-        if workers > 1:
-            sharers = min(workers, len(cfg.seeds))
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=share_cpus,
-                initargs=(sharers,)))
-            calls = [pool.submit(run_single, graph, cfg, seed, k=k).result
-                     for seed in cfg.seeds]
-        else:
-            calls = [partial(run_single, graph, cfg, seed, k=k)
-                     for seed in cfg.seeds]
-        for seed, call in zip(cfg.seeds, calls):
-            try:
-                result = call()
-            except Exception:  # per-seed isolation
-                failures.append((seed, traceback.format_exc()))
-                continue
-            rows.append(result.row)
-            if out_dir is not None:
-                write_run_dir(out_dir, cfg, result)
-    if out_dir is not None and rows:
-        write_metrics_csv(
-            os.path.join(out_dir, cfg.dataset, cfg.label(), "metrics.csv"),
-            rows)
-    return rows, failures
+        calls = iter([partial(_cell, graph, cfg, seed, k) if pool is None
+                      else pool.submit(_cell, graph, cfg, seed, k).result
+                      for cfg, seed in cells])
+        for cfg in cfgs:
+            results, failures = [], []
+            for seed, call in zip(cfg.seeds, calls):
+                try:
+                    result = call()
+                except Exception:  # per-cell isolation
+                    failures.append((seed, traceback.format_exc()))
+                    continue
+                results.append(result)
+                if out_dir is not None:
+                    write_run_dir(out_dir, cfg, result)
+            rows = [r.row for r in results if r.row is not None]
+            if out_dir is not None and rows:
+                write_metrics_csv(os.path.join(
+                    out_dir, cfg.dataset, cfg.label(), "metrics.csv"), rows)
+            yield cfg, results, failures
+    finally:  # a caller that stops early waits for no cell left
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def run_experiment(cfg, out_dir=None, graph=None, workers=1, k=HITS_K):
+    """All seeds of `cfg` through run_configs: (rows, failures), each
+    failure (seed, formatted traceback), a worker's traceback included."""
+    [(_, results, failures)] = run_configs([cfg], out_dir, graph, workers, k)
+    return [r.row for r in results], failures
 
 
 TUNING_SEED = 0

@@ -32,8 +32,3 @@ def derive_rng(root_seed, *labels):
     return np.random.default_rng(
         np.random.SeedSequence(_entropy(root_seed, labels)))
 
-
-def lineage_record(root_seed, labels_list):
-    """Audit rows (label path, derived seed) for a run's seed lineage."""
-    return [(" / ".join(str(p) for p in path), derive_seed(root_seed, *path))
-            for path in labels_list]

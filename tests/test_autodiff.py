@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import linkssl.autodiff as ad
+from linkssl import process
 from linkssl.autodiff import Tensor, backward, grad_check
 from linkssl.optim import Parameter, adam_step, ema_update
 
@@ -449,8 +450,8 @@ def test_run_blocks_reraises_a_failed_block_without_hanging():
     (1, 2, 2, 1), (1, 1, 8, 2), (1, 2, 8, 2), (2, 2, 8, 2), (2, 1, 3, 1)])
 def test_nce_thread_budget_splits_cpus_over_blas_and_workers(
         blas, sharers, cpus, budget, monkeypatch):
-    monkeypatch.setattr(ad, "blas_threads", lambda: blas)
-    monkeypatch.setattr(ad, "_cpu_sharers", sharers)
+    monkeypatch.setattr(process, "blas_threads", lambda: blas)
+    monkeypatch.setattr(process, "_cpu_sharers", sharers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     assert ad.nce_thread_budget() == budget
@@ -461,7 +462,7 @@ def test_nce_denominator_scratch_does_not_grow_with_cpus(symmetric, rng,
                                                          monkeypatch):
     # an 8-CPU host with OpenBLAS on 1 thread: the blocks in flight are
     # capped, so the row-block scratch bound holds as on one thread
-    monkeypatch.setattr(ad, "blas_threads", lambda: 1)
+    monkeypatch.setattr(process, "blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
     r = 6000

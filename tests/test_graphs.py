@@ -11,33 +11,29 @@ from linkssl.datasets import (REGISTRY, DatasetInfo, convert_mat,
                               dataset_available, load_dataset,
                               write_edge_list)
 from linkssl.graphs import (MAX_NODES, FeatureMatrix, Graph, canonical_edges,
-                            load_edge_list, normalized_adjacency,
-                            random_link_split, sample_negative_pairs)
+                            normalized_adjacency, random_link_split,
+                            read_edge_pairs, sample_negative_pairs)
 from linkssl.models.losses import select_link_sets
 
 
-def test_load_edge_list_dedupes_and_drops_self_loops(tmp_path):
+def test_read_edge_pairs_keeps_rows_as_written(tmp_path):
     p = tmp_path / "tiny.txt"
-    p.write_text("0 1\n1 0\n2 2\n")
-    g = load_edge_list(p)
-    assert g.n == 3
-    assert g.edge_set() == {(0, 1)}
+    p.write_text("0 1\n1 0\n2 2\n-1 4\n")
+    assert read_edge_pairs(p).tolist() == [[0, 1], [1, 0], [2, 2], [-1, 4]]
 
 
-def test_load_edge_list_comments_and_hint(tmp_path):
+def test_read_edge_pairs_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# a comment\n0 1\n\n1 2\n")
-    g = load_edge_list(p, n_hint=10)
-    assert g.n == 10
-    assert g.num_edges == 2
+    assert read_edge_pairs(p).tolist() == [[0, 1], [1, 2]]
 
 
-@pytest.mark.parametrize("content", ["0\n", "0 1 2\n", "a b\n", "-1 2\n", ""])
-def test_load_edge_list_rejects_malformed(tmp_path, content):
+@pytest.mark.parametrize("content", ["0\n", "0 1 2\n", "a b\n", ""])
+def test_read_edge_pairs_rejects_malformed(tmp_path, content):
     p = tmp_path / "bad.txt"
     p.write_text(content)
-    with pytest.raises(ValueError):
-        load_edge_list(p)
+    with pytest.raises(ValueError, match="bad.txt"):
+        read_edge_pairs(p)
 
 
 def test_graph_invariants_enforced():
@@ -424,5 +420,4 @@ def test_convert_mat_roundtrip(tmp_path):
     out_path = tmp_path / "toy.txt"
     count = convert_mat(mat_path, out_path)
     assert count == 3
-    g = load_edge_list(out_path)
-    assert g.edge_set() == {(0, 1), (0, 3), (1, 2)}
+    assert read_edge_pairs(out_path).tolist() == [[0, 1], [0, 3], [1, 2]]

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from linkssl import autodiff, cli, report, runner
+from linkssl import cli, process, report, runner
 from linkssl.augment import ALL_KINDS, AugmentationSpec
 from linkssl.cli import main
 from linkssl.community import louvain
@@ -19,10 +19,11 @@ from linkssl.config import (CT_EPOCH_CHOICES, DEFAULT_EVAL_SEEDS,
                             ExperimentConfig, LOSS_FUNCS, SearchSpace,
                             load_config, parse_config, save_config,
                             serialize_config)
-from linkssl.datasets import DATA_ROOT_ENV, REGISTRY
+from linkssl.datasets import (DATA_ROOT_ENV, REGISTRY, DatasetInfo,
+                              write_edge_list)
 from linkssl.graphs import Graph, random_link_split
 from linkssl.models.nets import EncoderConfig
-from linkssl.seeding import derive_rng, derive_seed, lineage_record
+from linkssl.seeding import derive_rng, derive_seed
 
 
 def clique_graph(n_blocks=3, size=8):
@@ -114,6 +115,33 @@ def test_parse_rejects_malformed_line():
 def test_config_validation_rejects(overrides):
     with pytest.raises(ValueError):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (ExperimentConfig, "ct_epochs", 100.0),
+    (ExperimentConfig, "batch_size", 256.0),
+    (ExperimentConfig, "proj_hidden", 256.0),
+    (EncoderConfig, "n_layers", 2.0),
+    (EncoderConfig, "layer_size", 128.0),
+    (ExperimentConfig, "seeds", (1.7,)),
+    (ExperimentConfig, "seeds", (1.7, 1.2)),
+])
+def test_config_rejects_non_integral_integer_fields(build, name, value):
+    # 100.0 passed the range checks and then broke the file round trip and
+    # range(); seed 1.7 ran as seed 1, and (1.7, 1.2) failed as a repeat
+    with pytest.raises(ValueError, match=f"{name} takes integers"):
+        build(**{name: value})
+
+
+def test_config_integer_fields_take_numpy_ints_and_roundtrip():
+    cfg = ExperimentConfig(
+        encoder=EncoderConfig(n_layers=np.int64(3), layer_size=np.int32(192)),
+        ct_epochs=np.int64(100), batch_size=np.int64(320),
+        proj_hidden=np.int16(128), seeds=(np.int64(4), 7))
+    ints = (cfg.ct_epochs, cfg.batch_size, cfg.proj_hidden, *cfg.seeds,
+            cfg.encoder.n_layers, cfg.encoder.layer_size)
+    assert [type(v) for v in ints] == [int] * 7
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("detector", ["leiden", "infomap", "external"])
@@ -270,14 +298,6 @@ def test_changing_root_seed_changes_every_substream():
     assert derive_rng(1, "split").random() != derive_rng(2, "split").random()
 
 
-def test_lineage_record_lists_path_and_seed():
-    record = lineage_record(9, [["split"], ["augment", 0]])
-    assert len(record) == 2
-    for path, seed in record:
-        assert isinstance(path, str) and isinstance(seed, int)
-    assert record[0][1] == derive_seed(9, "split")
-
-
 # ---------------------------------------------------------------- runner
 
 
@@ -383,8 +403,7 @@ def test_run_txt_records_the_training_process_threads(tmp_path,
                                                      monkeypatch):
     # a 2-CPU process over a 1-thread OpenBLAS budgets 2 threads, and
     # each of 2 pool workers (forked, so patched alike) budgets 1
-    monkeypatch.setattr(autodiff, "blas_threads", lambda: 1)
-    monkeypatch.setattr(runner, "blas_threads", lambda: 1)
+    monkeypatch.setattr(process, "blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     g = clique_graph()
@@ -904,6 +923,97 @@ def test_cli_benchmark_covers_every_method(celegans_root, cli_cfg_path,
     assert set(method_dirs) == expected
     sample = (out / "Celegans" / "lgrace_sbm" / "metrics.csv").read_text()
     assert len(sample.splitlines()) == 4  # header + 2 seeds + aggregate
+
+
+SWEEP = [("gcn_supervised", "random"), ("grace", "random"),
+         ("bgrl", "random")]
+
+
+@pytest.fixture
+def toy_sweep(tmp_path, monkeypatch):
+    """A config file for a 60-node "toy" dataset under the data root, with
+    the sweep cut to three methods; 276 edges leave 55 test edges for
+    hits@50."""
+    g = clique_graph(n_blocks=6, size=10)
+    root = tmp_path / "data"
+    root.mkdir()
+    write_edge_list(root / "toy.txt", g.edges)
+    monkeypatch.setitem(REGISTRY, "toy",
+                        DatasetInfo("toy", "toy.txt", g.n, 2 * g.num_edges))
+    monkeypatch.setenv(DATA_ROOT_ENV, str(root))
+    monkeypatch.setattr(cli, "_sweep_methods", lambda: list(SWEEP))
+    path = tmp_path / "toy.cfg"
+    save_config(cheap_cfg(encoder=EncoderConfig(n_layers=1, layer_size=64,
+                                                norm="layer")), path)
+    return str(path)
+
+
+def spy_pools(monkeypatch):
+    pools = []
+
+    class Spy(runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Spy)
+    return pools
+
+
+def test_cli_benchmark_on_one_pool_matches_serial(toy_sweep, tmp_path,
+                                                  monkeypatch):
+    pools = spy_pools(monkeypatch)
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        assert main(["benchmark", "--config", toy_sweep, "--seeds", "1,2,3",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+        assert len(pools) == workers - 1  # one pool over all nine cells
+        outs.append(out / "toy")
+    serial, parallel = outs
+    for model, kind in SWEEP:
+        method = f"{model}_{kind}"
+        assert ((serial / method / "metrics.csv").read_bytes()
+                == (parallel / method / "metrics.csv").read_bytes())
+        for seed in ("1", "2", "3"):
+            a, b = serial / method / seed, parallel / method / seed
+            for name in ("metrics.csv", "loss.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+            with np.load(a / "params.npz") as pa, \
+                    np.load(b / "params.npz") as pb:
+                assert pa.files == pb.files
+                for key in pa.files:
+                    assert np.array_equal(pa[key], pb[key])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_benchmark_cell_failure_spares_every_other_cell(
+        workers, toy_sweep, tmp_path, monkeypatch, capsys):
+    def stub(graph, cfg, seed, k=runner.HITS_K):
+        if (cfg.model, seed) == ("grace", 2):
+            raise RuntimeError("cell exploded")
+        row = {"dataset": cfg.dataset, "model": cfg.model,
+               "augmentation": cfg.augmentation.kind, "seed": seed,
+               "hits_at_50": 0.5, "ap": 0.5, "auc": 0.5}
+        return runner.RunResult(seed=seed, row=row, detector_edges=None,
+                                loss_history=[(0, 1.0)],
+                                lineage=[("split", 0)])
+
+    monkeypatch.setattr(runner, "run_single", stub)
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", toy_sweep, "--seeds", "1,2,3",
+                 "--workers", str(workers), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed 2: FAILED (" in err and "in stub" in err
+    assert "RuntimeError: cell exploded" in err
+    for model, kind in SWEEP:
+        method_dir = out / "toy" / f"{model}_{kind}"
+        seeds = ["1", "3"] if model == "grace" else ["1", "2", "3"]
+        assert sorted(p.name for p in method_dir.iterdir()
+                      if p.is_dir()) == seeds
+        lines = (method_dir / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == [
+            *seeds, "aggregate"]
 
 
 def test_cli_search_writes_best_config(celegans_root, cli_cfg_path,

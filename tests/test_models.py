@@ -874,13 +874,13 @@ def test_freed_step_memory_is_reused_not_faulted_in_again():
     # a step frees its graph at once; a trimmed heap top faults every page
     # in again on the next step (81,601 faults over these 10 cycles with
     # glibc's default thresholds, 0 with the heap kept)
-    from linkssl.models import training
+    from linkssl import process
 
     def step():
         arrays = [np.ones((256, 1024)) for _ in range(16)]  # 16 x 2 MiB
         del arrays
 
-    if not training._keep_freed_heap():
+    if not process.keep_freed_heap():
         pytest.skip("needs glibc")
     import resource
 
