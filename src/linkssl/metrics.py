@@ -5,6 +5,11 @@ All three metrics are rank-based: any strictly monotone transformation of
 the scores leaves them unchanged. Tie conventions: Hits@k uses a strict
 ">" against the threshold, ROC-AUC credits ties 0.5, and AP ranks tied
 negatives above tied positives (pessimistic).
+
+Two reference scorers score the same pairs as a trained model: the
+planted-block oracle, the ceiling on a graph sampled from known block
+counts, and common neighbours on the train graph, the local baseline
+(Liben-Nowell & Kleinberg 2007).
 """
 
 from __future__ import annotations
@@ -69,6 +74,38 @@ def average_precision(s):
     positions = np.flatnonzero(hits) + 1
     precisions = cum_pos[positions - 1] / positions
     return float(precisions.sum() / n_pos)
+
+
+def _pair_columns(pairs):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def planted_block_scorer(counts):
+    """Scorer of the planted-block oracle for a graph sampled from the
+    block-pair counts `counts` (sbm.BlockEdgeCounts): a pair (u, v) scores
+    p(b_u, b_v), its block pair's edge count over that pair's node-pair
+    slots, the edge probability of every pair in it."""
+    block = counts.assignment()
+    prob = counts.counts / np.maximum(counts.slots(), 1)
+
+    def scorer(pairs):
+        u, v = _pair_columns(pairs)
+        return prob[block[u], block[v]]
+
+    return scorer
+
+
+def common_neighbours_scorer(graph):
+    """Scorer of the number of neighbours u and v share in `graph`, the
+    train graph of the split it scores."""
+    adj = graph.adjacency()
+
+    def scorer(pairs):
+        u, v = _pair_columns(pairs)
+        return np.asarray(adj[u].multiply(adj[v]).sum(axis=1)).ravel()
+
+    return scorer
 
 
 def evaluate_split(scorer, split, positives, k, seed):

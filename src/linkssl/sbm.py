@@ -36,9 +36,7 @@ class BlockEdgeCounts:
             raise ValueError("counts must be nonnegative")
         sizes = np.asarray(self.block_sizes, dtype=np.int64)
         object.__setattr__(self, "block_sizes", sizes)
-        slots = np.outer(sizes, sizes)
-        np.fill_diagonal(slots, sizes * (sizes - 1) // 2)
-        over = np.argwhere(np.triu(c > slots))
+        over = np.argwhere(np.triu(c > self.slots()))
         if over.size:
             r, s = over[0]
             if r == s:
@@ -46,6 +44,21 @@ class BlockEdgeCounts:
                     f"intra-block count exceeds slots in block {r}")
             raise ValueError(
                 f"inter-block count exceeds slots for pair ({r},{s})")
+
+    def slots(self):
+        """(B, B) node pairs each block pair can hold: n_r n_s across two
+        blocks, n_r (n_r - 1) / 2 inside one."""
+        sizes = self.block_sizes
+        slots = np.outer(sizes, sizes)
+        np.fill_diagonal(slots, sizes * (sizes - 1) // 2)
+        return slots
+
+    def assignment(self):
+        """The block of each node in [0, n)."""
+        out = np.empty(self.n, dtype=np.int64)
+        for r, members in enumerate(self.members):
+            out[members] = r
+        return out
 
     @property
     def total_edges(self):

@@ -12,9 +12,11 @@ from types import SimpleNamespace
 
 from linkssl import autodiff as ad
 from linkssl.graphs import Graph, random_link_split
-from linkssl.metrics import (ScoreSet, average_precision, evaluate_split,
-                             hits_at_k, roc_auc)
+from linkssl.metrics import (ScoreSet, average_precision,
+                             common_neighbours_scorer, evaluate_split,
+                             hits_at_k, planted_block_scorer, roc_auc)
 from linkssl.models import EncoderConfig, predict_scores, train_decoder
+from linkssl.sbm import BlockEdgeCounts
 from tests.test_models import StubEncoder, toy_cfg
 
 
@@ -208,6 +210,43 @@ def test_evaluate_split_oracle_scorer_is_perfect():
 
     hits, ap, auc = evaluate_split(scorer, split, split.test_pos, 3, 0)
     assert (hits, ap, auc) == (1.0, 1.0, 1.0)
+
+
+def test_planted_block_scorer_scores_each_block_pair_probability():
+    # blocks {0, 1, 2} and {3, 4}: 2 of 3 intra slots in block 0, 1 of 1
+    # in block 1, 1 of 6 slots across
+    counts = BlockEdgeCounts(num_blocks=2, block_sizes=[3, 2],
+                             counts=[[2, 1], [1, 1]],
+                             members=(np.array([0, 2, 4]), np.array([1, 3])),
+                             n=5)
+    scorer = planted_block_scorer(counts)
+    got = scorer(np.array([[0, 2], [2, 4], [1, 3], [0, 1], [3, 4]]))
+    assert np.array_equal(got, [2 / 3, 2 / 3, 1.0, 1 / 6, 1 / 6])
+
+
+def test_common_neighbours_scorer_counts_shared_neighbours():
+    # two triangles {0, 1, 2}, {2, 3, 4} and the edge 1-3
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)])
+    scorer = common_neighbours_scorer(g)
+    got = scorer(np.array([[0, 3], [1, 4], [0, 4], [1, 2], [4, 4]]))
+    assert np.array_equal(got, [2, 2, 1, 2, 2])
+
+
+def test_reference_scorers_rank_a_planted_split():
+    # on two 6-cliques every held-out edge lies inside a block and every
+    # negative across the two: the oracle ranks them all first, and CN,
+    # which scores every negative 0, ties only the held-out edges whose
+    # endpoints share no train neighbour
+    split = _clique_pair_split()
+    counts = BlockEdgeCounts(num_blocks=2, block_sizes=[6, 6],
+                             counts=[[15, 0], [0, 15]],
+                             members=(np.arange(6), np.arange(6, 12)), n=12)
+    oracle = evaluate_split(planted_block_scorer(counts), split,
+                            split.test_pos, 3, 0)
+    cn = evaluate_split(common_neighbours_scorer(split.train_graph), split,
+                        split.test_pos, 3, 0)
+    assert oracle == (1.0, 1.0, 1.0)
+    assert 0.9 < cn[2] < 1.0
 
 
 def test_evaluate_split_random_scorer_auc_near_half():

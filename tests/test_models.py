@@ -641,13 +641,18 @@ def _saved_buffers(loss):
     return list(found.values())
 
 
-def _usair_twin(root):
-    """The benchmark's USAir twin (twin seed 1), written under `root`."""
+def perfbench_twins():
+    """The benchmark's twin generator, perfbench/twins.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "twins.py"
     spec = importlib.util.spec_from_file_location("perfbench_twins", path)
     twins = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(twins)
-    twins.write_twin("USAir", 1, str(root))
+    return twins
+
+
+def _usair_twin(root):
+    """The benchmark's USAir twin (twin seed 1), written under `root`."""
+    perfbench_twins().write_twin("USAir", 1, str(root))
     return load_dataset("USAir", root=root)
 
 
