@@ -121,7 +121,9 @@ def track_allocations():
 
 
 def _as_matrix(values):
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -155,7 +157,8 @@ class _Node:
     def _accumulate_rows(self, lo, hi, contribution, rows):
         """Add `contribution` into rows lo:hi of a (rows, d) grad."""
         if self.grad is None:
-            self.grad = np.zeros((rows, contribution.shape[1]))
+            self.grad = np.zeros((rows, contribution.shape[1]),
+                                 dtype=contribution.dtype)
             self.grad[lo:hi] = contribution
         else:
             self.grad[lo:hi] += contribution
@@ -245,7 +248,7 @@ def backward(loss):
             if parent is not None:
                 stack.append((parent, False))
 
-    root._accumulate(np.ones((1, 1)))
+    root._accumulate(np.ones((1, 1), dtype=loss.values.dtype))
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue  # a leaf keeps its grad; an unreached node has none
@@ -560,7 +563,7 @@ def nce_denominator(anchor, other, tau):
     r = a.shape[0]
     blocks = [(lo, min(lo + NCE_BLOCK_ROWS, r))
               for lo in range(0, r, NCE_BLOCK_ROWS)]
-    out = np.empty((r, 1))
+    out = np.empty((r, 1), dtype=a.dtype)
 
     def forward_block(lo, hi):
         s = _nce_block_scores(a, o, lo, hi, tau)
@@ -619,19 +622,19 @@ def nce_denominator(anchor, other, tau):
 
 
 def tensor_sum(x):
-    shape = x.shape
+    shape, dtype = x.shape, x.values.dtype
 
     def backward_fn(g, nx):
-        nx._accumulate(np.full(shape, g[0, 0]))
+        nx._accumulate(np.full(shape, g[0, 0], dtype=dtype))
 
     return _make(np.sum(x.values).reshape(1, 1), (x,), backward_fn, "sum")
 
 
 def tensor_mean(x):
-    shape, size = x.shape, x.values.size
+    shape, size, dtype = x.shape, x.values.size, x.values.dtype
 
     def backward_fn(g, nx):
-        nx._accumulate(np.full(shape, g[0, 0] / size))
+        nx._accumulate(np.full(shape, g[0, 0] / size, dtype=dtype))
 
     return _make((np.sum(x.values) / size).reshape(1, 1), (x,), backward_fn,
                  "mean")
@@ -673,7 +676,7 @@ def _scatter_rows(g, idx, rows):
     one sparse product, column j of the scatter matrix holding its one entry
     at idx[j]."""
     scatter = sparse.csc_matrix(
-        (np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
+        (np.ones(len(idx), dtype=g.dtype), idx, np.arange(len(idx) + 1)),
         shape=(rows, len(idx)))
     return scatter @ g
 

@@ -175,7 +175,8 @@ def serialize_config(cfg):
 def parse_config(text):
     """Inverse of serialize_config; '#' comments and blank lines allowed.
     Absent keys take the dataclass defaults, so a file without
-    split_fractions gets its dataset's registry split."""
+    split_fractions gets its dataset's registry split. A value that does
+    not parse raises ValueError naming its line and key."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -184,12 +185,17 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        raw[key.strip()] = (lineno, value.strip())
 
     fields = {None: {}, "augmentation": {}, "encoder": {}}
     for key, section, name, conv in _FIELDS:
         if key in raw:
-            fields[section][name] = conv(raw.pop(key))
+            lineno, value = raw.pop(key)
+            try:
+                fields[section][name] = conv(value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {key}={value}: "
+                                 f"{exc}") from None
     cfg = ExperimentConfig(
         augmentation=AugmentationSpec(**fields["augmentation"]),
         encoder=EncoderConfig(**fields["encoder"]), **fields[None])

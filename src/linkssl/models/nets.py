@@ -1,6 +1,10 @@
 """Network building blocks: GCN encoder, MLP heads, and the link decoder.
 
-All parameters are float64 and flow through the reverse-mode autodiff ops.
+Modules train in float32 (TRAIN_DTYPE): every constructor takes a `dtype`
+for its parameters, BN statistics and the constants it builds, so a float64
+model for verification (grad_check) comes from the same code. Weights are
+drawn in float64 and then cast, so the dtype moves no random stream. All
+parameters flow through the reverse-mode autodiff ops.
 Every feature kind takes one first-layer path: features are a fixed X (or
 the identity) times a column mask m, and the first product is
 X (m[:, None] * W), so feature dropout zeroes rows of W and never copies X.
@@ -19,6 +23,8 @@ import numpy as np
 from .. import autodiff as ad
 from ..graphs import normalized_adjacency
 from ..optim import Parameter
+
+TRAIN_DTYPE = np.float32  # every module's default dtype
 
 
 def as_int(name, value):
@@ -51,6 +57,7 @@ class EncoderConfig:
 
 
 def glorot(rng, fan_in, fan_out):
+    """Glorot-uniform (fan_in, fan_out) float64 draw."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -58,9 +65,10 @@ def glorot(rng, fan_in, fan_out):
 class GCNEncoder:
     """Stacked GCN layers: H <- PReLU(Norm(A_hat @ H @ W)) per layer."""
 
-    def __init__(self, in_dim, cfg, rng):
+    def __init__(self, in_dim, cfg, rng, dtype=TRAIN_DTYPE):
         self.cfg = cfg
         self.in_dim = in_dim
+        self.dtype = dtype
         self.weights = []
         self.slopes = []
         self.gammas = []
@@ -69,31 +77,34 @@ class GCNEncoder:
         d_in = in_dim
         for layer in range(cfg.n_layers):
             d_out = cfg.layer_size
-            self.weights.append(Parameter(glorot(rng, d_in, d_out),
-                                          name=f"enc.W{layer}"))
-            self.slopes.append(Parameter(np.full((1, 1), 0.25),
+            self.weights.append(Parameter(
+                glorot(rng, d_in, d_out).astype(dtype), name=f"enc.W{layer}"))
+            self.slopes.append(Parameter(np.full((1, 1), 0.25, dtype=dtype),
                                          name=f"enc.prelu{layer}"))
-            self.gammas.append(Parameter(np.ones((1, d_out)),
+            self.gammas.append(Parameter(np.ones((1, d_out), dtype=dtype),
                                          name=f"enc.gamma{layer}"))
-            self.betas.append(Parameter(np.zeros((1, d_out)),
+            self.betas.append(Parameter(np.zeros((1, d_out), dtype=dtype),
                                         name=f"enc.beta{layer}"))
-            self.bn_states.append({"running_mean": np.zeros((1, d_out)),
-                                   "running_var": np.ones((1, d_out))})
+            self.bn_states.append(
+                {"running_mean": np.zeros((1, d_out), dtype=dtype),
+                 "running_var": np.ones((1, d_out), dtype=dtype)})
             d_in = d_out
 
     def parameters(self):
         return self.weights + self.slopes + self.gammas + self.betas
 
     def _first_product(self, view, weight_tensor):
-        """X (m[:, None] * W) for the view's features X and column mask m;
-        an identity X skips the product."""
+        """X (m[:, None] * W) for the view's features X and column mask m,
+        both in the encoder's dtype; an identity X skips the product."""
         x = view.features
         if x.column_mask is not None:
-            weight_tensor = ad.elementwise_mul(
-                weight_tensor, ad.Tensor(x.column_mask.reshape(-1, 1)))
+            weight_tensor = ad.elementwise_mul(weight_tensor, ad.Tensor(
+                x.column_mask.reshape(-1, 1).astype(self.dtype)))
         if x.dense_values is None:
             return weight_tensor
-        return ad.matmul(ad.Tensor(x.dense_values), weight_tensor)
+        return ad.matmul(ad.Tensor(x.dense_values.astype(self.dtype,
+                                                         copy=False)),
+                         weight_tensor)
 
     def forward(self, view, mode="train"):
         """Embed the view's nodes.
@@ -106,7 +117,7 @@ class GCNEncoder:
             raise ValueError("feature shape does not match encoder input")
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown encoder mode {mode!r}")
-        adj = normalized_adjacency(view)
+        adj = normalized_adjacency(view).astype(self.dtype, copy=False)
         h = None
         for layer in range(self.cfg.n_layers):
             w = self.weights[layer].tensor
@@ -132,11 +143,16 @@ class GCNEncoder:
 class MLP:
     """Two linear layers with ReLU between; returns pre-activation output."""
 
-    def __init__(self, in_dim, hidden_dim, out_dim, rng, name):
-        self.w1 = Parameter(glorot(rng, in_dim, hidden_dim), name=f"{name}.w1")
-        self.b1 = Parameter(np.zeros((1, hidden_dim)), name=f"{name}.b1")
-        self.w2 = Parameter(glorot(rng, hidden_dim, out_dim), name=f"{name}.w2")
-        self.b2 = Parameter(np.zeros((1, out_dim)), name=f"{name}.b2")
+    def __init__(self, in_dim, hidden_dim, out_dim, rng, name,
+                 dtype=TRAIN_DTYPE):
+        self.w1 = Parameter(glorot(rng, in_dim, hidden_dim).astype(dtype),
+                            name=f"{name}.w1")
+        self.b1 = Parameter(np.zeros((1, hidden_dim), dtype=dtype),
+                            name=f"{name}.b1")
+        self.w2 = Parameter(glorot(rng, hidden_dim, out_dim).astype(dtype),
+                            name=f"{name}.w2")
+        self.b2 = Parameter(np.zeros((1, out_dim), dtype=dtype),
+                            name=f"{name}.b2")
         self.name = name
 
     def parameters(self):
@@ -150,33 +166,38 @@ class MLP:
 class Projector(MLP):
     """Contrastive projection head g: embedding -> proj_hidden -> embedding."""
 
-    def __init__(self, dim, proj_hidden, rng):
-        super().__init__(dim, proj_hidden, dim, rng, name="proj")
+    def __init__(self, dim, proj_hidden, rng, dtype=TRAIN_DTYPE):
+        super().__init__(dim, proj_hidden, dim, rng, name="proj",
+                         dtype=dtype)
 
 
 class Predictor(MLP):
     """Online-side prediction head for the asymmetric models."""
 
-    def __init__(self, dim, proj_hidden, rng):
-        super().__init__(dim, proj_hidden, dim, rng, name="pred")
+    def __init__(self, dim, proj_hidden, rng, dtype=TRAIN_DTYPE):
+        super().__init__(dim, proj_hidden, dim, rng, name="pred",
+                         dtype=dtype)
 
 
 class LinkMLP(MLP):
     """Link representation head: MLP over the Hadamard product h_u * h_v."""
 
-    def __init__(self, dim, proj_hidden, rng):
-        super().__init__(dim, proj_hidden, dim, rng, name="link")
+    def __init__(self, dim, proj_hidden, rng, dtype=TRAIN_DTYPE):
+        super().__init__(dim, proj_hidden, dim, rng, name="link",
+                         dtype=dtype)
 
 
 class Decoder:
     """Two linear layers with a ReLU between them; sigmoid applied on top.
 
     Consumes Hadamard products of node embeddings and returns logits via
-    `logits`; `scores` wraps them in a sigmoid.
+    `logits`; `scores` wraps them in a sigmoid taken in float64, since a
+    float32 sigmoid rounds every logit above about 17 to 1.0 and so ties
+    pairs that the logits rank.
     """
 
-    def __init__(self, dim, hidden_dim, rng):
-        self.mlp = MLP(dim, hidden_dim, 1, rng, name="dec")
+    def __init__(self, dim, hidden_dim, rng, dtype=TRAIN_DTYPE):
+        self.mlp = MLP(dim, hidden_dim, 1, rng, name="dec", dtype=dtype)
 
     def parameters(self):
         return self.mlp.parameters()
@@ -185,7 +206,7 @@ class Decoder:
         return self.mlp.forward(z)
 
     def scores(self, z):
-        return ad.sigmoid(self.logits(z))
+        return ad.sigmoid(ad.Tensor(self.logits(z).values.astype(np.float64)))
 
 
 def link_representation(h, edges, mlp):

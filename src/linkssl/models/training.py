@@ -194,11 +194,14 @@ def _decoder_objective(decoder, z, labels):
 
     mean softplus(-sign * logit), sign +1 for positives and -1 for
     negatives: binary cross-entropy on the sigmoid, stable at any logit.
-    Both `loss_func` keys ("bce", "log_sig") select it.
+    Both `loss_func` keys ("bce", "log_sig") select it. The sign and zero
+    constants take the logits' dtype.
     """
     logits = decoder.logits(z)
-    sign = ad.Tensor(np.where(labels.reshape(-1, 1) > 0.5, -1.0, 1.0))
-    zeros = ad.Tensor(np.zeros_like(labels.reshape(-1, 1)))
+    dtype = logits.values.dtype
+    sign = ad.Tensor(np.where(labels.reshape(-1, 1) > 0.5, -1.0,
+                              1.0).astype(dtype))
+    zeros = ad.Tensor(np.zeros((len(labels), 1), dtype=dtype))
     return ad.tensor_mean(ad.logaddexp(zeros, ad.elementwise_mul(logits,
                                                                  sign)))
 
@@ -207,7 +210,8 @@ def _pair_loss(decoder, h, pairs, labels, mask):
     """One decoder batch's forward pass, from embeddings h to the loss."""
     z = hadamard_pairs(h, pairs)
     if mask is not None:
-        z = ad.elementwise_mul(z, ad.Tensor(mask.reshape(1, -1)))
+        z = ad.elementwise_mul(z, ad.Tensor(
+            mask.reshape(1, -1).astype(z.values.dtype)))
     return _decoder_objective(decoder, z, labels)
 
 

@@ -13,15 +13,17 @@ class Parameter:
 
     The wrapped tensor requires gradients and starts with a zero grad so
     that untouched parameters report an all-zero gradient after backward.
+    Its values keep float32 (anything else becomes float64, as every
+    Tensor's do), and its grad and moments take the values' dtype.
     """
 
     __slots__ = ("tensor", "adam_m", "adam_v", "step_count", "name")
 
     def __init__(self, values, name=""):
         self.tensor = Tensor(values, requires_grad=True)
-        self.tensor.grad = np.zeros(self.tensor.shape)
-        self.adam_m = np.zeros(self.tensor.shape)
-        self.adam_v = np.zeros(self.tensor.shape)
+        self.tensor.grad = np.zeros_like(self.tensor.values)
+        self.adam_m = np.zeros_like(self.tensor.values)
+        self.adam_v = np.zeros_like(self.tensor.values)
         self.step_count = 0
         self.name = name
 
@@ -38,7 +40,7 @@ class Parameter:
         return self.tensor.shape
 
     def zero_grad(self):
-        self.tensor.grad = np.zeros(self.tensor.shape)
+        self.tensor.grad = np.zeros_like(self.tensor.values)
 
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.shape})"
@@ -62,7 +64,7 @@ def adam_step(params, lr, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
             p.tensor.values *= 1.0 - lr * weight_decay
         g = p.tensor.grad
         if g is None:
-            g = np.zeros(p.shape)
+            g = np.zeros_like(p.values)
         p.step_count += 1
         work = np.multiply(g, 1.0 - beta1)
         p.adam_m *= beta1

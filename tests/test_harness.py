@@ -133,6 +133,18 @@ def test_config_rejects_non_integral_integer_fields(build, name, value):
         build(**{name: value})
 
 
+@pytest.mark.parametrize("text, where", [
+    ("ct_epochs=100.0\n", "line 1: ct_epochs=100.0: "),
+    ("model=grace\nseeds=1,x\n", "line 2: seeds=1,x: "),
+    ("# tuned\n\ntau=abc\n", "line 3: tau=abc: "),
+])
+def test_parse_config_names_the_line_and_key_of_a_bad_value(text, where):
+    # each raised the bare int()/float() message, naming neither
+    with pytest.raises(ValueError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(where)
+
+
 def test_config_integer_fields_take_numpy_ints_and_roundtrip():
     cfg = ExperimentConfig(
         encoder=EncoderConfig(n_layers=np.int64(3), layer_size=np.int32(192)),

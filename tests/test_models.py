@@ -455,7 +455,7 @@ def test_encoder_permutation_equivariance(norm):
     g_perm = Graph(n, np.array([(inv[u], inv[v]) for u, v in edges]),
                    features=FeatureMatrix.dense(feats[perm]))
     enc = GCNEncoder(5, EncoderConfig(n_layers=2, layer_size=64, norm=norm),
-                     np.random.default_rng(2))
+                     np.random.default_rng(2), dtype=np.float64)
     h = enc.forward(g, mode="train").values
     h_perm = enc.forward(g_perm, mode="train").values
     assert np.allclose(h[perm], h_perm, atol=1e-10)
@@ -538,8 +538,8 @@ def test_encoder_end_to_end_grace_grad_check():
     g = two_triangles()
     enc = GCNEncoder(6, EncoderConfig(n_layers=1, layer_size=64,
                                       norm="layer"),
-                     np.random.default_rng(6))
-    proj = Projector(64, 8, np.random.default_rng(7))
+                     np.random.default_rng(6), dtype=np.float64)
+    proj = Projector(64, 8, np.random.default_rng(7), dtype=np.float64)
     checked = [enc.weights[0].tensor, enc.slopes[0].tensor,
                enc.gammas[0].tensor, enc.betas[0].tensor,
                proj.w1.tensor, proj.b1.tensor]
