@@ -4,7 +4,8 @@ The package trains contrastive node- and link-level encoders (GRACE, BGRL,
 and their link-representation variants) over a family of topology-aware edge
 augmentations, then scores held-out links with Hits@k, average precision,
 and ROC-AUC under a seeded, reproducible benchmark harness. Everything runs
-on a small reverse-mode autodiff over dense float64 numpy arrays.
+on a small reverse-mode autodiff over dense numpy arrays: training in
+float32, gradient checks in float64.
 
 The command line entry point is `linkssl` (see `linkssl.cli`).
 """

@@ -1,11 +1,20 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D arrays.
 
-Every value is a Tensor holding a float64 matrix of shape (rows, cols).
-Scalars are (1, 1) matrices and vectors are single-row or single-column
-matrices. Operations record a backward closure; backward() walks the
-graph once in reverse topological order and accumulates gradients into
-leaf tensors. Gradients persist across backward calls until zeroed, so
-calling backward twice doubles them.
+Every value is a Tensor holding a float32 or float64 matrix of shape
+(rows, cols). Scalars are (1, 1) matrices and vectors are single-row or
+single-column matrices. Operations record a backward closure; backward()
+walks the graph once in reverse topological order and accumulates
+gradients into leaf tensors. Gradients persist across backward calls
+until zeroed, so calling backward twice doubles them.
+
+The ops are dtype-generic. A Tensor keeps float32 values and casts
+anything else to float64; an op fed float32 returns float32 and its rule
+builds float32 gradients, and likewise for float64 (mixed inputs promote
+to float64, as numpy does). The constants an op makes take its input's
+dtype: the backward seed, the tensor_sum and tensor_mean fills,
+nce_denominator's log-denominators, the row scatter of gather_rows and
+pair_product and row_slice's zero grad. Training builds float32 models
+(models.nets); grad_check and the op tests run in float64.
 
 Gradient ownership: a backward_fn hands each array it builds to at most
 one _accumulate call and keeps no reference to it, so the first
@@ -165,7 +174,8 @@ class _Node:
 
 
 class Tensor:
-    """A dense float64 matrix participating in the backward graph.
+    """A dense float32 or float64 matrix participating in the backward
+    graph; values of any other dtype are cast to float64.
 
     An op output that needs grad links to its _Node; a leaf that requires
     grad is its own node, with no rule and no parents, and keeps the grad

@@ -1,10 +1,12 @@
 """Network building blocks: GCN encoder, MLP heads, and the link decoder.
 
-Modules train in float32 (TRAIN_DTYPE): every constructor takes a `dtype`
-for its parameters, BN statistics and the constants it builds, so a float64
-model for verification (grad_check) comes from the same code. Weights are
-drawn in float64 and then cast, so the dtype moves no random stream. All
-parameters flow through the reverse-mode autodiff ops.
+Modules are built in float32 (TRAIN_DTYPE). GCNEncoder, MLP and Projector
+take a `dtype` for their parameters, BN statistics and the constants they
+build, so a float64 model for verification (grad_check) comes from the
+same code. Weights are drawn in float64 and then cast, so the dtype moves
+no random stream. All parameters flow through the reverse-mode autodiff
+ops.
+
 Every feature kind takes one first-layer path: features are a fixed X (or
 the identity) times a column mask m, and the first product is
 X (m[:, None] * W), so feature dropout zeroes rows of W and never copies X.
@@ -174,17 +176,15 @@ class Projector(MLP):
 class Predictor(MLP):
     """Online-side prediction head for the asymmetric models."""
 
-    def __init__(self, dim, proj_hidden, rng, dtype=TRAIN_DTYPE):
-        super().__init__(dim, proj_hidden, dim, rng, name="pred",
-                         dtype=dtype)
+    def __init__(self, dim, proj_hidden, rng):
+        super().__init__(dim, proj_hidden, dim, rng, name="pred")
 
 
 class LinkMLP(MLP):
     """Link representation head: MLP over the Hadamard product h_u * h_v."""
 
-    def __init__(self, dim, proj_hidden, rng, dtype=TRAIN_DTYPE):
-        super().__init__(dim, proj_hidden, dim, rng, name="link",
-                         dtype=dtype)
+    def __init__(self, dim, proj_hidden, rng):
+        super().__init__(dim, proj_hidden, dim, rng, name="link")
 
 
 class Decoder:
@@ -196,8 +196,8 @@ class Decoder:
     pairs that the logits rank.
     """
 
-    def __init__(self, dim, hidden_dim, rng, dtype=TRAIN_DTYPE):
-        self.mlp = MLP(dim, hidden_dim, 1, rng, name="dec", dtype=dtype)
+    def __init__(self, dim, hidden_dim, rng):
+        self.mlp = MLP(dim, hidden_dim, 1, rng, name="dec")
 
     def parameters(self):
         return self.mlp.parameters()

@@ -31,10 +31,10 @@ from linkssl.optim import Parameter, adam_step
 from tests.test_models import toy_cfg
 
 
-def _batch_norm(a, g, b, training=True):
+def _batch_norm(a, g, b, train=True):
     state = {"running_mean": np.zeros((1, a.shape[1]), dtype=a.values.dtype),
              "running_var": np.ones((1, a.shape[1]), dtype=a.values.dtype)}
-    return ad.batch_norm(a, g, b, state, momentum=0.9, training=training)
+    return ad.batch_norm(a, g, b, state, momentum=0.9, training=train)
 
 
 # (name, op over the leaves, leaf shapes); every public op of autodiff
