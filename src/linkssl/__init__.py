@@ -27,7 +27,7 @@ from .models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP, TrainState,
 from .optim import Parameter, adam_step, ema_update
 from .report import build_table, read_result_rows, render_csv, render_text, stats_summary
 from .runner import (TUNING_SEED, RunResult, random_search, run_experiment,
-                     run_single, train_single, validation_objective)
+                     run_single, validation_objective)
 from .sbm import fit_block_counts, sample_sbm
 from .seeding import derive_rng, derive_seed
 from .significance import bonferroni_dunn_groups, critical_difference, friedman_test
@@ -49,7 +49,7 @@ __all__ = [
     "ema_update", "build_table",
     "read_result_rows", "render_csv", "render_text", "stats_summary",
     "RunResult", "random_search", "run_experiment", "run_single",
-    "train_single", "validation_objective", "fit_block_counts", "sample_sbm",
+    "validation_objective", "fit_block_counts", "sample_sbm",
     "derive_rng", "derive_seed",
     "bonferroni_dunn_groups", "critical_difference", "friedman_test",
 ]

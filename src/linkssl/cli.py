@@ -45,20 +45,21 @@ def _parse_seeds(text):
 def _load_cfg(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if getattr(args, "dataset", None):
+    if args.dataset:
         overrides["dataset"] = args.dataset
         # save_config always writes the split, so only a split other than
         # the file dataset's default was chosen; the default one follows
         # --dataset (a USAir search's best_config.txt gives cora 85/5/10)
         if cfg.split_fractions == default_split(cfg.dataset):
             overrides["split_fractions"] = None
-    if getattr(args, "seeds", None):
+    if args.seeds:
         overrides["seeds"] = args.seeds
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def cmd_split(args):
     cfg = _load_cfg(args)
+    runner.check_out_dir(args.out)
     graph = load_dataset(cfg.dataset)
     for seed in cfg.seeds:
         split = runner.seed_split(graph, cfg, seed)
@@ -173,15 +174,23 @@ def cmd_report(args):
     return 0
 
 
-def _add_common(sub, *, workers=False, alpha=False, metric=False,
-                budget=False):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--dataset",
-                     help="dataset name (overrides config; a config split "
-                          "equal to its dataset's default becomes this "
-                          "dataset's default)")
-    sub.add_argument("--seeds", type=_parse_seeds,
-                     help="comma-separated seed list (overrides config)")
+def _add_common(sub, *, results=False, workers=False, budget=False):
+    """--out on every command; a command that reads a results directory
+    takes --alpha and --metric, one that runs seeds the config flags."""
+    if results:
+        sub.add_argument("--alpha", type=float, default=0.05,
+                         help="significance level (default: 0.05)")
+        sub.add_argument("--metric", choices=METRIC_CHOICES,
+                         default="hits_at_50",
+                         help="table metric (default: hits_at_50)")
+    else:
+        sub.add_argument("--config", help="flat key=value config file")
+        sub.add_argument("--dataset",
+                         help="dataset name (overrides config; a config "
+                              "split equal to its dataset's default becomes "
+                              "this dataset's default)")
+        sub.add_argument("--seeds", type=_parse_seeds,
+                         help="comma-separated seed list (overrides config)")
     sub.add_argument("--out", default="results",
                      help="output / results directory (default: results)")
     if workers:
@@ -190,13 +199,6 @@ def _add_common(sub, *, workers=False, alpha=False, metric=False,
     if budget:
         sub.add_argument("--budget", type=int, default=25,
                          help="search trials (default: 25)")
-    if alpha:
-        sub.add_argument("--alpha", type=float, default=0.05,
-                         help="significance level (default: 0.05)")
-    if metric:
-        sub.add_argument("--metric", choices=METRIC_CHOICES,
-                         default="hits_at_50",
-                         help="table metric (default: hits_at_50)")
 
 
 def build_parser():
@@ -217,9 +219,9 @@ def build_parser():
         ("search", cmd_search, "random hyperparameter search",
          {"budget": True}),
         ("stats", cmd_stats, "significance pass over existing results",
-         {"alpha": True, "metric": True}),
+         {"results": True}),
         ("report", cmd_report, "render the aggregate result table",
-         {"alpha": True, "metric": True}),
+         {"results": True}),
     ]
     for name, func, help_text, extras in cmds:
         sub = subs.add_parser(name, help=help_text)
@@ -232,7 +234,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationSpec
 from .datasets import REGISTRY, UNATTRIBUTED_SPLIT
+from .graphs import check_split_fractions
 from .models.nets import EncoderConfig, as_int
 from .seeding import derive_rng
 
@@ -89,10 +90,8 @@ class ExperimentConfig:
         if self.split_fractions is None:
             object.__setattr__(self, "split_fractions",
                                default_split(self.dataset))
-        fr = tuple(float(f) for f in self.split_fractions)
-        if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError("split_fractions must be 3 values summing to 1")
-        object.__setattr__(self, "split_fractions", fr)
+        object.__setattr__(self, "split_fractions",
+                           check_split_fractions(self.split_fractions))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         for i, seed in enumerate(self.seeds):
@@ -176,7 +175,7 @@ def parse_config(text):
     """Inverse of serialize_config; '#' comments and blank lines allowed.
     Absent keys take the dataclass defaults, so a file without
     split_fractions gets its dataset's registry split. A value that does
-    not parse raises ValueError naming its line and key."""
+    not parse or repeats an earlier key raises ValueError naming its line."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -185,7 +184,11 @@ def parse_config(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = (lineno, value.strip())
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line "
+                             f"{raw[key][0]}")
+        raw[key] = (lineno, value.strip())
 
     fields = {None: {}, "augmentation": {}, "encoder": {}}
     for key, section, name, conv in _FIELDS:

@@ -103,13 +103,6 @@ class Graph:
     def num_edges(self):
         return self.edges.shape[0]
 
-    def contains(self, u, v):
-        if u > v:
-            u, v = v, u
-        if not 0 <= u < v < self.n:
-            return False
-        return bool(_member(self.keys, np.int64(u) * self.n + v))
-
     def edge_set(self):
         """The edges as a set of (u, v) tuples; built on demand, for tests."""
         return frozenset(map(tuple, self.edges.tolist()))
@@ -194,17 +187,25 @@ def read_edge_pairs(path):
     return np.array(pairs, dtype=np.int64)
 
 
+def check_split_fractions(fractions):
+    """`fractions` as a (train, val, test) tuple of floats, each in [0, 1]
+    and summing to 1; raises ValueError naming them otherwise."""
+    fr = tuple(float(f) for f in fractions)
+    # a NaN fails the range comparison too
+    if (len(fr) != 3 or not all(0.0 <= f <= 1.0 for f in fr)
+            or abs(sum(fr) - 1.0) > 1e-9):
+        raise ValueError(f"split_fractions {fr} must be 3 values in [0, 1] "
+                         "summing to 1")
+    return fr
+
+
 def split_sizes(m, fractions):
     """(train, val, test) edge counts of a split of m edges.
 
     Validation and test sizes are floor(fraction * m); the remainder goes
     to train, keeping the message-passing graph maximal.
     """
-    f_train, f_val, f_test = fractions
-    if min(f_train, f_val, f_test) < 0:
-        raise ValueError("fractions must be nonnegative")
-    if abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    _, f_val, f_test = check_split_fractions(fractions)
     if m < 3:
         raise ValueError("graph needs at least 3 edges to split")
     n_val = math.floor(f_val * m)
@@ -261,17 +262,6 @@ def _sorted_unique(keys):
     return keys[_run_starts(keys)]
 
 
-def _exclude_keys(exclude, n):
-    """Keys of the valid pairs in `exclude` (any iterable of (u, v));
-    self-loops and pairs with an endpoint outside [0, n) are dropped."""
-    pairs = np.asarray(exclude if isinstance(exclude, np.ndarray)
-                       else list(exclude), dtype=np.int64).reshape(-1, 2)
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    valid = (lo != hi) & (lo >= 0) & (hi < n)
-    return lo[valid] * n + hi[valid]
-
-
 _NO_KEYS = np.zeros(0, dtype=np.int64)
 
 
@@ -319,23 +309,19 @@ def _sample_pair_keys(rng, count, rows, cols, unordered, min_draws,
     return np.concatenate(chosen)
 
 
-def sample_negative_pairs(g, count, exclude=(), seed=0):
-    """Sample `count` distinct unordered non-edges uniformly at random.
+def sample_negative_pairs(g, count, seed=0):
+    """Sample `count` distinct unordered non-edges of `g` uniformly.
 
-    Pairs in g.edges or in `exclude` are never returned. Deterministic
-    given the seed. Raises when fewer than `count` admissible pairs exist.
-    Drawn by `_sample_pair_keys`, 2 * max(missing, 16) pairs per rejection
-    round.
+    Pairs in g.edges are never returned; a caller that must avoid more
+    pairs passes a graph that holds them too. Deterministic given the seed.
+    Raises when fewer than `count` admissible pairs exist. Drawn by
+    `_sample_pair_keys`, 2 * max(missing, 16) pairs per rejection round.
     """
     count = int(count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     n = g.n
-    forbidden = g.keys
-    extra = _exclude_keys(exclude, n)
-    if extra.size:
-        forbidden = _sorted_unique(np.concatenate([forbidden, extra]))
-    admissible = n * (n - 1) // 2 - forbidden.size
+    admissible = n * (n - 1) // 2 - g.num_edges
     if count > admissible:
         raise ValueError(f"requested {count} negative pairs but only "
                          f"{admissible} non-edges exist")
@@ -343,5 +329,5 @@ def sample_negative_pairs(g, count, exclude=(), seed=0):
         return np.zeros((0, 2), dtype=np.int64)
     keys = _sample_pair_keys(np.random.default_rng(seed), count, n, n,
                              unordered=True, min_draws=32,
-                             forbidden=forbidden)
+                             forbidden=g.keys)
     return np.stack([keys // n, keys % n], axis=1)

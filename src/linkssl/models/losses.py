@@ -78,8 +78,9 @@ def select_link_sets(view1, view2, rng_seed=None):
         return edge_pos, None
     if not common.size:  # no positives, so no negatives either
         return edge_pos, edge_pos
-    edge_neg = sample_negative_pairs(view1, len(edge_pos),
-                                     seed=rng_seed, exclude=view2.edges)
+    # the union of the views holds every pair that negatives must avoid
+    union = view1.with_edges(np.concatenate([view1.edges, view2.edges]))
+    edge_neg = sample_negative_pairs(union, len(edge_pos), seed=rng_seed)
     return edge_pos, edge_neg
 
 

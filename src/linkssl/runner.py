@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
+import tempfile
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -103,20 +104,16 @@ def _result(seed, row, state, decoder, lineage):
 
 
 def run_single(graph, cfg, seed, k=HITS_K):
-    """One seed end to end: training stages plus held-out evaluation."""
+    """One seed end to end: training stages plus held-out evaluation; with
+    k None, training only, and the result carries no metrics row."""
     split, state, decoder, lineage = _train_stages(graph, cfg, seed)
+    if k is None:
+        return _result(seed, None, state, decoder, lineage)
     hits, ap, auc = _score(split, state, decoder, lineage, split.test_pos, k)
     row = {"dataset": cfg.dataset, "model": cfg.model,
            "augmentation": cfg.augmentation.kind, "seed": seed,
            "hits_at_50": hits, "ap": ap, "auc": auc}
     return _result(seed, row, state, decoder, lineage)
-
-
-def train_single(graph, cfg, seed):
-    """Training stages only; the result carries checkpoints and the loss
-    curve but no metrics row."""
-    _, state, decoder, lineage = _train_stages(graph, cfg, seed)
-    return _result(seed, None, state, decoder, lineage)
 
 
 def write_run_dir(out_dir, cfg, result):
@@ -168,11 +165,17 @@ def write_metrics_csv(path, rows):
     return text
 
 
+def check_out_dir(out_dir):
+    """Make `out_dir` and open a file in it, so that an unusable output
+    directory fails before any seed or trial runs, not after."""
+    os.makedirs(out_dir, exist_ok=True)
+    with tempfile.TemporaryFile(dir=out_dir):
+        pass
+
+
 def _cell(graph, cfg, seed, k):
-    """run_single, or train_single when k is None, looked up when the cell
-    runs, so a forked pool worker runs what the parent sees."""
-    if k is None:
-        return train_single(graph, cfg, seed)
+    """run_single, looked up when the cell runs, so a forked pool worker
+    runs what the parent sees."""
     return run_single(graph, cfg, seed, k=k)
 
 
@@ -186,6 +189,8 @@ def run_configs(cfgs, out_dir=None, graph=None, workers=1, k=HITS_K):
         raise ValueError(f"workers must be >= 1, got {workers}")
     if k is not None and k < 1:
         raise ValueError(f"hits@k needs k >= 1, got {k}")
+    if out_dir is not None:
+        check_out_dir(out_dir)
     if graph is None:
         graph = load_dataset(cfgs[0].dataset)
     for cfg in cfgs if k else ():
@@ -253,6 +258,8 @@ def random_search(space, base_cfg, seed, graph=None, objective=None,
     validation objective; returns (best config, trial log). Trials that
     raise score -inf; all trials failing is an error, raised after the log
     with every trial's error is written."""
+    if out_dir is not None:
+        check_out_dir(out_dir)
     if objective is None:
         if graph is None:
             graph = load_dataset(base_cfg.dataset)
@@ -270,7 +277,6 @@ def random_search(space, base_cfg, seed, graph=None, objective=None,
         else:
             trial_log.append((idx, trial_cfg, score, ""))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "search_log.csv"), "w",
                   newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

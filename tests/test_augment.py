@@ -255,8 +255,8 @@ def test_scom_intra_block_edges_survive_preferentially():
     trials = 500
     for s in range(trials):
         out = drop_edges(g, probs, seed=s)
-        survived_bridge += out.contains(0, 4)
-        survived_intra += out.contains(0, 1)
+        survived_bridge += (0, 4) in out.edge_set()
+        survived_intra += (0, 1) in out.edge_set()
     assert survived_bridge < survived_intra
 
 

@@ -267,7 +267,7 @@ def test_one_epoch_trains_and_saves_float32(model, monkeypatch, tmp_path):
     cfg = toy_cfg(model=model, ct_epochs=1, n_layers=2, norm="batch",
                   mask_input=True, augmentation=AugmentationSpec(),
                   split_fractions=(0.7, 0.1, 0.2))
-    result = runner.train_single(_float32_graph(), cfg, seed=3)
+    result = runner.run_single(_float32_graph(), cfg, seed=3, k=None)
 
     assert stepped and set(stepped) == {np.dtype(TRAIN_DTYPE)}
     arrays = []

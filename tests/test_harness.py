@@ -5,6 +5,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import math
 import os
 import re
 
@@ -21,7 +22,7 @@ from linkssl.config import (CT_EPOCH_CHOICES, DEFAULT_EVAL_SEEDS,
                             serialize_config)
 from linkssl.datasets import (DATA_ROOT_ENV, REGISTRY, DatasetInfo,
                               write_edge_list)
-from linkssl.graphs import Graph, random_link_split
+from linkssl.graphs import Graph, random_link_split, split_sizes
 from linkssl.models.nets import EncoderConfig
 from linkssl.seeding import derive_rng, derive_seed
 
@@ -143,6 +144,36 @@ def test_parse_config_names_the_line_and_key_of_a_bad_value(text, where):
     with pytest.raises(ValueError) as info:
         parse_config(text)
     assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5),
+                                       (0.5, 0.5, math.inf),
+                                       (1.2, -0.1, -0.1), (0.9, 0.2, -0.1)])
+@pytest.mark.parametrize("build", ["constructor", "parse_config",
+                                   "split_sizes"])
+def test_split_fractions_reject_non_finite_and_out_of_range(build,
+                                                            fractions):
+    # nan slipped past the sum check and split 87 edges into 1 train, 43
+    # valid and 43 test; (1.2, -0.1, -0.1) built and failed once per seed
+    text = ",".join(repr(f) for f in fractions)
+    calls = {
+        "constructor": lambda: ExperimentConfig(split_fractions=fractions),
+        "parse_config": lambda: parse_config(f"split_fractions={text}\n"),
+        "split_sizes": lambda: split_sizes(87, fractions)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"split_fractions {fractions} must be 3 values in [0, 1]")):
+        calls[build]()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tau=0.3\ntau=0.7\n", "line 2: key 'tau' repeats line 1"),
+    ("seeds=1,2\n# again\n seeds = 3\n",
+     "line 3: key 'seeds' repeats line 1"),
+])
+def test_parse_config_rejects_a_repeated_key(text, message):
+    # the last line won silently: tau 0.7, seeds (3,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(text)
 
 
 def test_config_integer_fields_take_numpy_ints_and_roundtrip():
@@ -430,10 +461,10 @@ def test_run_txt_records_the_training_process_threads(tmp_path,
             assert lines[-2:] == ["blas_threads 1", f"nce_threads {budget}"]
 
 
-def test_train_single_skips_metrics(tmp_path):
+def test_run_single_without_k_skips_metrics(tmp_path):
     g = clique_graph()
     cfg = cheap_cfg(seeds=(4,))
-    result = runner.train_single(g, cfg, seed=4)
+    result = runner.run_single(g, cfg, seed=4, k=None)
     assert result.row is None
     assert result.loss_history and result.parameters
     runner.write_run_dir(tmp_path, cfg, result)
@@ -1113,6 +1144,42 @@ def test_cli_missing_data_root_is_an_error(tmp_path, monkeypatch, capsys):
     assert DATA_ROOT_ENV in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command",
+                         ["split", "train", "evaluate", "benchmark", "search"])
+def test_cli_unusable_out_fails_before_any_work(command, celegans_root,
+                                                cli_cfg_path, tmp_path,
+                                                monkeypatch, capsys):
+    # evaluate trained seed 1 and then died in write_run_dir; search ran
+    # every trial before making its directory
+    ran = []
+
+    def spy(*args, **kwargs):
+        ran.append(args)
+
+    for name in ("seed_split", "run_single", "validation_objective"):
+        monkeypatch.setattr(runner, name, spy)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main([command, "--config", cli_cfg_path,
+                 "--out", str(blocker / "out")]) == 1
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+@pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.cfg"),
+                                         ("--dataset", "USAir"),
+                                         ("--seeds", "9")])
+def test_cli_stats_and_report_reject_run_flags(command, flag, value,
+                                               tmp_path, capsys):
+    # both accepted these flags and ignored them
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, value, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_cli_rejects_malformed_seed_list():
     with pytest.raises(SystemExit):
         main(["evaluate", "--seeds", "one,two"])
@@ -1149,10 +1216,10 @@ def test_cli_reports_out_of_range_seed(tmp_path, capsys):
 
 def test_cli_train_failure_reports_traceback(celegans_root, cli_cfg_path,
                                              tmp_path, monkeypatch, capsys):
-    def boom(graph, cfg, seed):
+    def boom(graph, cfg, seed, k=runner.HITS_K):
         raise RuntimeError("encoder exploded")
 
-    monkeypatch.setattr(runner, "train_single", boom)
+    monkeypatch.setattr(runner, "run_single", boom)
     assert main(["train", "--config", cli_cfg_path, "--seeds", "5",
                  "--out", str(tmp_path / "ckpt")]) == 1
     err = capsys.readouterr().err

@@ -1049,7 +1049,7 @@ def test_supervised_gcn_never_detects_blocks(louvain_calls):
         model="gcn_supervised", augmentation=AugmentationSpec(kind="sbm"),
         encoder=EncoderConfig(n_layers=1, layer_size=64, norm="layer"),
         ct_epochs=100, proj_hidden=64, seeds=(1,))
-    result = runner.train_single(two_triangles(), cfg, seed=1)
+    result = runner.run_single(two_triangles(), cfg, seed=1, k=None)
     assert louvain_calls == []
     assert result.detector_edges is None
 
