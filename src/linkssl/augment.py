@@ -8,10 +8,10 @@ Kinds:
                importance = mean endpoint block strength, plus an
                intra-block bonus)
   sbm          view 1 = input graph unchanged, view 2 = fresh microcanonical
-               SBM sample respecting the supplied block state
+               SBM sample from the supplied block-pair counts
   sbm2         both views are fresh SBM samples
   sbm_oracle   same view structure as sbm; the blocks are detected on the
-               known graph, which holds every edge of the full graph
+               full graph the split was cut from, test edges included
 
 The non-SBM kinds differ only in their importance scores. One scheme,
 reconstructed from the centrality-guided augmentation convention, turns
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sbm import fit_block_counts, sample_sbm
+from .sbm import sample_sbm
 
 SBM_KINDS = ("sbm", "sbm2", "sbm_oracle")
 ADAPTIVE_KINDS = ("deg", "evc", "pr")
@@ -127,13 +127,11 @@ def centrality(g, kind):
     raise KeyError(f"unknown centrality kind {kind!r}")
 
 
-def _block_strengths(g, b):
+def _block_strengths(blocks):
     """Internal density of each block: intra_edges(c) / C(size_c, 2), with 0
     for singleton blocks."""
-    counts = fit_block_counts(g, b)
-    sizes = counts.block_sizes.astype(np.float64)
-    slots = sizes * (sizes - 1.0) / 2.0
-    return np.where(slots > 0, np.diag(counts.counts) / np.maximum(slots, 1.0),
+    slots = np.diag(blocks.slots())
+    return np.where(slots > 0, np.diag(blocks.counts) / np.maximum(slots, 1),
                     0.0)
 
 
@@ -151,11 +149,11 @@ def _importance(g, spec, b):
         return None
     u, v = g.edges[:, 0], g.edges[:, 1]
     if spec.kind == "scom":
-        strengths = _block_strengths(g, b)
-        scores = strengths[b.assignment]
-        same_block = b.assignment[u] == b.assignment[v]
-        edges = 0.5 * (scores[u] + scores[v])
-        edges = edges + float(strengths.mean()) * same_block
+        strengths = _block_strengths(b)
+        block = b.assignment()
+        scores = strengths[block]
+        edges = (0.5 * (scores[u] + scores[v])
+                 + float(strengths.mean()) * (block[u] == block[v]))
     else:
         scores = centrality(g, CENTRALITY_BY_KIND[spec.kind])
         edges = 0.5 * (np.log1p(scores[u]) + np.log1p(scores[v]))
@@ -192,18 +190,18 @@ def _sub_seeds(seed, count):
 
 
 def make_views(g, spec, b=None, seed=0):
-    """Produce the two training views for one epoch. Pure in (g, spec, b, seed)."""
+    """Produce the two training views for one epoch. Pure in (g, spec, b, seed);
+    `b` is g's `sbm.BlockEdgeCounts`, which `scom` and the SBM kinds read."""
     if spec.needs_block_state() and b is None:
         raise ValueError(f"kind={spec.kind!r} requires a block state")
 
     if spec.kind in SBM_KINDS:
-        counts = fit_block_counts(g, b)
         s1, s2 = _sub_seeds(seed, 2)
         if spec.kind == "sbm2":
-            view1 = sample_sbm(counts, s1).with_features(g.features)
+            view1 = sample_sbm(b, s1).with_features(g.features)
         else:
             view1 = g
-        view2 = sample_sbm(counts, s2).with_features(g.features)
+        view2 = sample_sbm(b, s2).with_features(g.features)
         return view1, view2
 
     e1, e2, f1, f2 = _sub_seeds(seed, 4)

@@ -135,6 +135,7 @@ def cmd_search(args):
     base = _load_cfg(args)
     space = SearchSpace(budget=args.budget)
     seed = args.seeds[0] if args.seeds else runner.TUNING_SEED
+    print(f"search seed {seed}")
     best, log = runner.random_search(space, base, seed=seed,
                                      out_dir=args.out)
     scores = [score for _, _, score, _ in log]
@@ -190,7 +191,8 @@ def _add_common(sub, *, results=False, workers=False, budget=False):
                               "split equal to its dataset's default becomes "
                               "this dataset's default)")
         sub.add_argument("--seeds", type=_parse_seeds,
-                         help="comma-separated seed list (overrides config)")
+                         help="comma-separated seed list (overrides config; "
+                              "search takes one)")
     sub.add_argument("--out", default="results",
                      help="output / results directory (default: results)")
     if workers:
@@ -231,7 +233,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "search" and len(args.seeds or ()) > 1:
+        parser.error("argument --seeds: search takes one seed")
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:

@@ -138,24 +138,21 @@ class Graph:
 
 @dataclass(frozen=True)
 class EdgeSplit:
-    """Train/val/test partition of a graph's edges.
-
-    The message-passing graph contains train edges only; validation and
-    test positives are never added back at inference time.
+    """Train/val/test partition of the edges of `graph`, which holds every
+    known positive, so sampled negatives avoid it. The message-passing
+    graph contains train edges only; validation and test positives are
+    never added back at inference time.
     """
 
+    graph: Graph
     train_graph: Graph
-    train_pos: np.ndarray
     val_pos: np.ndarray
     test_pos: np.ndarray
     seed: int
 
-    def known_graph(self):
-        """The train graph with every known positive (train, val and test)
-        added as an edge: the pairs that sampled negatives must avoid."""
-        return self.train_graph.with_edges(np.concatenate(
-            [self.train_graph.edges, self.train_pos, self.val_pos,
-             self.test_pos]))
+    @property
+    def train_pos(self):
+        return self.train_graph.edges
 
 
 def read_edge_pairs(path):
@@ -219,13 +216,11 @@ def random_link_split(g, fractions, seed):
     n_train, n_val, _ = split_sizes(g.num_edges, fractions)
     order = np.random.default_rng(seed).permutation(g.num_edges)
     shuffled = g.edges[order]
-    train_pos = canonical_edges(shuffled[:n_train])
     val_pos = canonical_edges(shuffled[n_train:n_train + n_val])
     test_pos = canonical_edges(shuffled[n_train + n_val:])
-    train_graph = g.with_edges(train_pos)
-    for arr in (train_pos, val_pos, test_pos):
+    for arr in (val_pos, test_pos):
         arr.setflags(write=False)
-    return EdgeSplit(train_graph=train_graph, train_pos=train_pos,
+    return EdgeSplit(graph=g, train_graph=g.with_edges(shuffled[:n_train]),
                      val_pos=val_pos, test_pos=test_pos, seed=int(seed))
 
 

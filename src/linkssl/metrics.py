@@ -116,7 +116,7 @@ def evaluate_split(scorer, split, positives, k, seed):
     heuristic score the same pairs."""
     if len(positives) == 0:
         raise ValueError("no held-out positives to score")
-    neg = sample_negative_pairs(split.known_graph(), len(positives),
+    neg = sample_negative_pairs(split.graph, len(positives),
                                 seed=derive_seed(seed, "eval_negatives"))
     s = ScoreSet(scorer(positives), scorer(neg))
     return hits_at_k(s, k), average_precision(s), roc_auc(s)

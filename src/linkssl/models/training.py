@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import autodiff as ad
-from .. import community, process
+from .. import community, process, sbm
 from ..augment import make_views
 from ..graphs import sample_negative_pairs
 from ..optim import adam_step, ema_update, zero_grads
@@ -135,9 +135,9 @@ def _encoder_loss(state, v1, v2, edge_pos, edge_neg, cfg):
 def train_encoder(split, spec, model, cfg, seed):
     """Self-supervised encoder training on the train graph only.
 
-    An augmentation that needs blocks gets them from Louvain, run once on
-    the train graph, or for sbm_oracle on the known graph, whose edges are
-    exactly the full graph's. Each epoch embeds both views, takes node
+    An augmentation that needs blocks fits them once: the train graph's
+    edges tallied under Louvain's partition of the train graph (for
+    sbm_oracle, of split.graph). Each epoch embeds both views, takes node
     rows (GRACE, BGRL) or shared-link rows (L-GRACE, L-BGRL), and contrasts
     them (InfoNCE) or bootstraps them (target copy plus predictor). Epochs
     whose views share no edge (link models only) are skipped with a warning.
@@ -146,25 +146,25 @@ def train_encoder(split, spec, model, cfg, seed):
         raise ValueError(f"unknown self-supervised model {model!r}")
     process.keep_freed_heap()
     graph = split.train_graph
-    block_state = None
-    # detect before building the model: Louvain's transient dicts are then
-    # freed before the parameters are allocated (the other order raised
-    # peak RSS by 1-6 MB on the NS twin)
+    blocks = None
+    # Louvain before the model, so its transient dicts are freed before the
+    # parameters are allocated, and the tally after: on the NS twin the other
+    # orders raised peak RSS by 1-6 MB and by 1-2 MB
     if spec.needs_block_state():
-        detected = (split.known_graph() if spec.kind == "sbm_oracle"
-                    else graph)
+        detected = split.graph if spec.kind == "sbm_oracle" else graph
         detection_seed = derive_seed(seed, "detection")
-        block_state = community.louvain(detected, detection_seed)
+        partition = community.louvain(detected, detection_seed)
     state = _init_state(model, graph.features.n_cols, cfg, seed)
-    if block_state is not None:
+    if spec.needs_block_state():
+        blocks = sbm.fit_block_counts(graph, partition)
         state.detection_seed = detection_seed
         state.detector_edges = detected.num_edges
-        state.detected_blocks = block_state.num_blocks
+        state.detected_blocks = blocks.num_blocks
     params = state.online_parameters()
 
     edge_pos = edge_neg = None
     for epoch in range(cfg.ct_epochs):
-        v1, v2 = make_views(graph, spec, block_state,
+        v1, v2 = make_views(graph, spec, blocks,
                             seed=derive_seed(seed, "augment", epoch))
         if model in LINK_MODELS:
             negatives = (None if model in BOOTSTRAPPED
@@ -226,7 +226,6 @@ def _decoder_batches(split, cfg, seed, epochs, dim):
     train_pos = split.train_pos
     if len(train_pos) == 0:
         raise ValueError("decoder training needs at least one positive edge")
-    known = split.known_graph()
     batch = min(cfg.batch_size, len(train_pos))
     for epoch in range(epochs):
         order = derive_rng(seed, "decoder_order", epoch).permutation(
@@ -238,7 +237,7 @@ def _decoder_batches(split, cfg, seed, epochs, dim):
         for bi, start in enumerate(range(0, len(train_pos), batch)):
             pos = train_pos[order[start:start + batch]]
             neg = sample_negative_pairs(
-                known, len(pos),
+                split.graph, len(pos),
                 seed=derive_seed(seed, "decoder_neg", epoch, bi))
             labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
             yield epoch, np.concatenate([pos, neg]), labels, mask

@@ -255,40 +255,35 @@ def validation_objective(graph, cfg, k=HITS_K):
 def random_search(space, base_cfg, seed, graph=None, objective=None,
                   out_dir=None, k=HITS_K):
     """Uniform random search over `space.budget` trials, scored by the
-    validation objective; returns (best config, trial log). Trials that
-    raise score -inf; all trials failing is an error, raised after the log
-    with every trial's error is written."""
+    validation objective; returns (best config, trial log). Each trial
+    appends its row to `search_log.csv` as it ends. Trials that raise score
+    -inf; all trials failing is an error, raised after the log with every
+    trial's error is written."""
     if out_dir is not None:
         check_out_dir(out_dir)
     if objective is None:
-        if graph is None:
-            graph = load_dataset(base_cfg.dataset)
-
-        def objective(cfg):
-            return validation_objective(graph, cfg, k=k)
+        graph = load_dataset(base_cfg.dataset) if graph is None else graph
+        objective = partial(validation_objective, graph, k=k)
 
     trial_log = []
-    for idx, trial_cfg in enumerate(space.trials(base_cfg, seed)):
-        try:
-            score = float(objective(trial_cfg))
-        except Exception as exc:
-            score = float("-inf")
-            trial_log.append((idx, trial_cfg, score, str(exc)))
-        else:
-            trial_log.append((idx, trial_cfg, score, ""))
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "search_log.csv"), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("trial", "score", "error", "config"))
-            for idx, cfg, score, err in trial_log:
-                flat = serialize_config(cfg).replace("\n", ";")
-                writer.writerow((idx, repr(score), err, flat))
+    log_path = (os.devnull if out_dir is None
+                else os.path.join(out_dir, "search_log.csv"))
+    with open(log_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("trial", "score", "error", "config"))
+        for idx, trial_cfg in enumerate(space.trials(base_cfg, seed)):
+            try:
+                score, err = float(objective(trial_cfg)), ""
+            except Exception as exc:
+                score, err = float("-inf"), str(exc)
+            trial_log.append((idx, trial_cfg, score, err))
+            flat = serialize_config(trial_cfg).replace("\n", ";")
+            writer.writerow((idx, repr(score), err, flat))
+            fh.flush()  # a killed search keeps every finished trial
     if all(score == float("-inf") for _, _, score, _ in trial_log):
         raise RuntimeError(f"every search trial failed; trial 0: "
                            f"{trial_log[0][3]}")
-    best_idx = max(range(len(trial_log)), key=lambda i: trial_log[i][2])
-    best_cfg = trial_log[best_idx][1]
+    best_cfg = max(trial_log, key=lambda trial: trial[2])[1]
     if out_dir is not None:
         with open(os.path.join(out_dir, "best_config.txt"), "w") as fh:
             fh.write(serialize_config(best_cfg))

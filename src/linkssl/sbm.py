@@ -24,7 +24,7 @@ class BlockEdgeCounts:
     num_blocks: int
     block_sizes: np.ndarray
     counts: np.ndarray  # (B, B) symmetric; intra-block counted once
-    members: tuple  # index arrays per block, covering [0, n)
+    members: tuple  # index arrays per block, partitioning [0, n)
     n: int
 
     def __post_init__(self):
@@ -34,8 +34,15 @@ class BlockEdgeCounts:
             raise ValueError("counts must be symmetric")
         if (c < 0).any():
             raise ValueError("counts must be nonnegative")
+        if len(self.members) != self.num_blocks:
+            raise ValueError("members must hold num_blocks index arrays")
         sizes = np.asarray(self.block_sizes, dtype=np.int64)
         object.__setattr__(self, "block_sizes", sizes)
+        if not np.array_equal(sizes, [len(mm) for mm in self.members]):
+            raise ValueError("block_sizes must equal the member counts")
+        ids = np.sort(np.concatenate([np.arange(0), *self.members]))
+        if not np.array_equal(ids, np.arange(self.n)):
+            raise ValueError(f"members must partition [0, n={self.n})")
         over = np.argwhere(np.triu(c > self.slots()))
         if over.size:
             r, s = over[0]

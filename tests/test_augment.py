@@ -14,6 +14,7 @@ from linkssl.augment import (ALL_KINDS, AugmentationSpec, centrality,
                              mask_features, _importance)
 from linkssl.community import BlockState, louvain
 from linkssl.graphs import FeatureMatrix, Graph
+from linkssl.sbm import fit_block_counts
 
 
 def k(n, offset=0):
@@ -237,7 +238,7 @@ def test_adaptive_mask_protects_high_centrality_columns():
 
 def test_community_strength_values():
     g = Graph(7, k(3) + [(3, 4), (4, 5)] )
-    b = BlockState(np.array([0, 0, 0, 1, 1, 1, 2]), 3)
+    b = fit_block_counts(g, BlockState(np.array([0, 0, 0, 1, 1, 1, 2]), 3))
     # under identity features a column's importance is its node's strength
     _, strength = _importance(g, AugmentationSpec(kind="scom"), b)
     assert strength[0] == pytest.approx(1.0)       # triangle block
@@ -248,7 +249,7 @@ def test_community_strength_values():
 def test_scom_intra_block_edges_survive_preferentially():
     edges = k(4) + k(4, offset=4) + [(0, 4)]
     g = Graph(8, edges)
-    b = BlockState(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2)
+    b = fit_block_counts(g, BlockState(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2))
     importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     probs = drop_probabilities(importance, 0.5, 0.9, "community")
     survived_bridge = survived_intra = 0
@@ -262,7 +263,7 @@ def test_scom_intra_block_edges_survive_preferentially():
 
 def test_scom_single_block_uniform_fallback():
     g = Graph(5, k(5))
-    b = BlockState(np.zeros(5, dtype=int), 1)
+    b = fit_block_counts(g, BlockState(np.zeros(5, dtype=int), 1))
     importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     with pytest.warns(UserWarning, match="degenerate"):
         probs = drop_probabilities(importance, 0.4, 0.9, "community")
@@ -296,7 +297,7 @@ def test_make_views_random_zero_rates_identity():
 
 def test_make_views_sbm_first_view_unchanged():
     g = Graph(6, k(3) + k(3, offset=3))
-    b = louvain(g, seed=0)
+    b = fit_block_counts(g, louvain(g, seed=0))
     spec = AugmentationSpec(kind="sbm")
     v1, v2 = make_views(g, spec, b=b, seed=1)
     assert v1.edge_set() == g.edge_set()
@@ -308,7 +309,7 @@ def test_make_views_sbm2_two_fresh_samples():
     pool = k(12)
     idx = rng.choice(len(pool), size=30, replace=False)
     g = Graph(12, [pool[i] for i in idx])
-    b = louvain(g, seed=0)
+    b = fit_block_counts(g, louvain(g, seed=0))
     spec = AugmentationSpec(kind="sbm2")
     seen_diff = False
     for s in range(20):
@@ -342,7 +343,7 @@ def test_make_views_pure_given_seed():
 
 def test_make_views_never_adds_self_loops_or_new_nodes():
     g = big_random_graph(n=18, m=50, seed=10)
-    b = louvain(g, seed=0)
+    b = fit_block_counts(g, louvain(g, seed=0))
     for kind in ("random", "deg", "evc", "pr", "scom", "sbm", "sbm2"):
         spec = AugmentationSpec(kind=kind)
         with warnings.catch_warnings():
@@ -386,7 +387,7 @@ def test_make_views_fingerprint_is_frozen():
     rate_sets = [(0.2, 0.2, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
                  (0.9, 0.5, 0.9, 0.3)]
     for g in _fingerprint_graphs():
-        b = BlockState(np.arange(g.n) % 3, 3)
+        b = fit_block_counts(g, BlockState(np.arange(g.n) % 3, 3))
         for kind in ALL_KINDS:
             for rates in rate_sets:
                 for cutoff in (0.9, 0.7):

@@ -91,6 +91,21 @@ def test_split_partition_property(m, seed):
     assert s.train_graph.edge_set() == parts[0]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_split_graph_keys_are_the_union_of_its_parts(seed):
+    # split.graph is what negatives avoid: its keys are exactly the sorted
+    # union of the train, validation and test keys
+    rng = np.random.default_rng(seed)
+    g = Graph(40, rng.integers(0, 40, size=(120, 2)))
+    s = random_link_split(g, (0.7, 0.1, 0.2), seed=seed)
+    n = s.graph.n
+    union = np.sort(np.concatenate([p[:, 0] * n + p[:, 1] for p in (
+        s.train_pos, s.val_pos, s.test_pos)]))
+    assert np.array_equal(s.graph.keys, union)
+    assert s.train_pos is s.train_graph.edges
+    assert not s.train_pos.flags.writeable
+
+
 def test_normalized_adjacency_path_constants():
     nadj = normalized_adjacency(path_graph(3)).toarray()
     # degrees with self-loops are (2, 3, 2)

@@ -1096,6 +1096,65 @@ def test_cli_search_fails_when_a_trial_fails(celegans_root, cli_cfg_path,
     assert best.tau == max(trials[0].tau, trials[2].tau)
 
 
+def test_random_search_streams_each_finished_trial(tmp_path):
+    # a search interrupted in trial 2 leaves the header and trials 0 and 1,
+    # which were on disk before trial 2 began
+    log = tmp_path / "search_log.csv"
+    done, on_disk = [], []
+
+    def objective(cfg):
+        on_disk.append(len(log.read_text().splitlines()))
+        if len(done) == 2:
+            raise KeyboardInterrupt
+        done.append(cfg)
+        return cfg.tau
+
+    with pytest.raises(KeyboardInterrupt):
+        runner.random_search(SearchSpace(budget=5), cheap_cfg(), seed=4,
+                             objective=objective, out_dir=tmp_path)
+    assert on_disk[1:] == [2, 3]
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["trial", "score", "error", "config"]
+    assert [row[0] for row in rows[1:]] == ["0", "1"]
+    assert [float(row[1]) for row in rows[1:]] == [cfg.tau for cfg in done]
+    assert not (tmp_path / "best_config.txt").exists()
+
+
+@pytest.mark.parametrize("flags, seed", [([], runner.TUNING_SEED),
+                                         (["--seeds", "7"], 7)])
+def test_cli_search_uses_one_seed_and_says_which(cli_cfg_path, tmp_path,
+                                                 monkeypatch, capsys, flags,
+                                                 seed):
+    # the config's seeds are (1,); the search seed is the flag's or
+    # TUNING_SEED, and no trial trains
+    seen = []
+
+    def stub(space, base_cfg, seed, out_dir=None):
+        seen.append(seed)
+        return base_cfg, [(0, base_cfg, 0.5, "")]
+
+    monkeypatch.setattr(runner, "random_search", stub)
+    assert main(["search", "--config", cli_cfg_path, *flags,
+                 "--out", str(tmp_path / "s")]) == 0
+    assert seen == [seed]
+    assert f"search seed {seed}\n" in capsys.readouterr().out
+
+
+def test_cli_search_rejects_more_than_one_seed(cli_cfg_path, tmp_path,
+                                               monkeypatch, capsys):
+    def stub(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(runner, "random_search", stub)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--config", cli_cfg_path, "--seeds", "1,2,3",
+              "--out", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seeds: search takes one seed" in err
+
+
 def test_cli_search_rejects_budget_below_one(tmp_path, capsys):
     assert main(["search", "--budget", "0", "--out", str(tmp_path)]) == 1
     assert "error: search budget 0 must be >= 1" in capsys.readouterr().err

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from linkssl import autodiff as ad
-from linkssl import community, runner
+from linkssl import augment, community, runner, sbm
 from linkssl.augment import AugmentationSpec
 from linkssl.community import louvain
 from linkssl.augment import make_views
@@ -1035,13 +1035,34 @@ def test_train_encoder_detects_blocks_once_on_the_right_graph(kind,
     state = train_encoder(split, AugmentationSpec(kind=kind), "grace",
                           toy_cfg(ct_epochs=2), seed=2)
     if kind == "sbm_oracle":
-        expected = [split.known_graph().num_edges]
+        expected = [split.graph.num_edges]
     elif kind in ("sbm", "sbm2", "scom"):
         expected = [split.train_graph.num_edges]
     else:
         expected = []
     assert louvain_calls == expected
     assert state.detector_edges == (expected[0] if expected else None)
+
+
+@pytest.mark.parametrize("kind", ["sbm_oracle", "sbm", "sbm2", "scom",
+                                  "random", "deg"])
+def test_train_encoder_fits_blocks_once_per_call(kind, monkeypatch):
+    # the views of every epoch read one BlockEdgeCounts, tallied on the
+    # train graph; augment itself never fits one
+    fit = sbm.fit_block_counts
+    fitted = []
+
+    def spy(g, b):
+        fitted.append(g.num_edges)
+        return fit(g, b)
+
+    monkeypatch.setattr(sbm, "fit_block_counts", spy)
+    split = _toy_split()
+    train_encoder(split, AugmentationSpec(kind=kind), "grace",
+                  toy_cfg(ct_epochs=4), seed=2)
+    needs_blocks = kind in ("sbm_oracle", "sbm", "sbm2", "scom")
+    assert fitted == ([split.train_graph.num_edges] if needs_blocks else [])
+    assert not hasattr(augment, "fit_block_counts")
 
 
 def test_supervised_gcn_never_detects_blocks(louvain_calls):

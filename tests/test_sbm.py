@@ -100,7 +100,8 @@ def test_sample_uniform_over_admissible_pairs():
 def sbm_views(g, seed, kind="sbm2", b=None):
     """make_views' SBM views under a Louvain partition of g."""
     b = louvain(g, seed=0) if b is None else b
-    return make_views(g, AugmentationSpec(kind=kind), b=b, seed=seed)
+    return make_views(g, AugmentationSpec(kind=kind),
+                      b=fit_block_counts(g, b), seed=seed)
 
 
 def test_sbm_augment_forced_on_two_triangles():
@@ -263,3 +264,23 @@ def test_counts_validation_names_the_first_overfull_pair():
         BlockEdgeCounts(num_blocks=3, block_sizes=np.array([2, 2, 1]),
                         counts=np.array([[1, 0, 3], [0, 2, 0], [3, 0, 0]]),
                         members=members, n=5)
+
+
+@pytest.mark.parametrize("fields, message", [
+    # sizes that contradict two 2-node blocks
+    ({"block_sizes": np.array([4, 4])}, "block_sizes"),
+    # one block declared, two member arrays
+    ({"num_blocks": 1, "block_sizes": np.array([2]),
+      "counts": np.array([[0]])}, "members must hold num_blocks"),
+    # a member id outside [0, n)
+    ({"members": (np.array([0, 1]), np.array([2, 7]))}, r"\[0, n=4\)"),
+    # a node in two blocks, another in none
+    ({"members": (np.array([0, 1]), np.array([1, 2]))}, r"\[0, n=4\)"),
+])
+def test_counts_validation_rejects_members_that_contradict_fields(fields,
+                                                                  message):
+    base = {"num_blocks": 2, "block_sizes": np.array([2, 2]),
+            "counts": np.array([[1, 0], [0, 1]]),
+            "members": (np.array([0, 1]), np.array([2, 3])), "n": 4}
+    with pytest.raises(ValueError, match=message):
+        BlockEdgeCounts(**{**base, **fields})
