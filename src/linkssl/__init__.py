@@ -12,7 +12,7 @@ The command line entry point is `linkssl` (see `linkssl.cli`).
 
 from .augment import ADAPTIVE_KINDS, ALL_KINDS, SBM_KINDS, AugmentationSpec, make_views
 from .autodiff import Tensor, backward, grad_check, track_allocations
-from .community import BlockState, louvain, modularity
+from .community import louvain, modularity
 from .config import (DEFAULT_EVAL_SEEDS, ExperimentConfig, SearchSpace,
                      load_config, parse_config, save_config, serialize_config)
 from .datasets import (DATA_ROOT_ENV, REGISTRY, UNATTRIBUTED_NAMES,
@@ -35,7 +35,7 @@ from .significance import bonferroni_dunn_groups, critical_difference, friedman_
 __all__ = [
     "ADAPTIVE_KINDS", "ALL_KINDS", "SBM_KINDS", "AugmentationSpec",
     "make_views", "Tensor", "backward", "grad_check", "track_allocations",
-    "BlockState", "louvain", "modularity",
+    "louvain", "modularity",
     "DEFAULT_EVAL_SEEDS", "TUNING_SEED", "ExperimentConfig", "SearchSpace",
     "load_config", "parse_config", "save_config", "serialize_config",
     "DATA_ROOT_ENV", "REGISTRY", "UNATTRIBUTED_NAMES", "convert_mat",

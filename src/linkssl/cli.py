@@ -28,8 +28,6 @@ from .config import (ExperimentConfig, MODELS, SearchSpace, default_split,
                      load_config, serialize_config)
 from .datasets import DATA_ROOT_ENV, load_dataset, write_edge_list
 
-METRIC_CHOICES = ("hits_at_50", "ap", "auc")
-
 
 def _parse_seeds(text):
     try:
@@ -52,7 +50,8 @@ def _load_cfg(args):
         # --dataset (a USAir search's best_config.txt gives cora 85/5/10)
         if cfg.split_fractions == default_split(cfg.dataset):
             overrides["split_fractions"] = None
-    if args.seeds:
+    # search's --seeds seeds the trial stream; its trials keep the config's
+    if args.seeds and args.command != "search":
         overrides["seeds"] = args.seeds
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
@@ -181,7 +180,7 @@ def _add_common(sub, *, results=False, workers=False, budget=False):
     if results:
         sub.add_argument("--alpha", type=float, default=0.05,
                          help="significance level (default: 0.05)")
-        sub.add_argument("--metric", choices=METRIC_CHOICES,
+        sub.add_argument("--metric", choices=report_mod.METRICS,
                          default="hits_at_50",
                          help="table metric (default: hits_at_50)")
     else:
@@ -192,7 +191,8 @@ def _add_common(sub, *, results=False, workers=False, budget=False):
                               "this dataset's default)")
         sub.add_argument("--seeds", type=_parse_seeds,
                          help="comma-separated seed list (overrides config; "
-                              "search takes one)")
+                              "search takes one, which seeds its trial "
+                              "stream)")
     sub.add_argument("--out", default="results",
                      help="output / results directory (default: results)")
     if workers:

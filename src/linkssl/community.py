@@ -1,4 +1,4 @@
-"""Community detection producing the block state for SBM-style augmentation.
+"""Community detection producing the partition for SBM-style augmentation.
 
 Louvain is the one detector: implemented from scratch (iterated local
 moving plus graph aggregation, resolution fixed at 1.0) and run by
@@ -8,36 +8,12 @@ moving plus graph aggregation, resolution fixed at 1.0) and run by
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .sbm import fit_block_counts
+
 GAIN_TOLERANCE = 1e-7
-
-
-@dataclass(frozen=True)
-class BlockState:
-    """A node -> block partition with dense 0-based block ids."""
-
-    assignment: np.ndarray
-    num_blocks: int
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
-        object.__setattr__(self, "assignment", a)
-        if a.size and (a.min() < 0 or a.max() >= self.num_blocks):
-            raise ValueError("block ids must be dense in [0, num_blocks)")
-        present = np.unique(a)
-        if a.size and len(present) != self.num_blocks:
-            raise ValueError("every block id in [0, num_blocks) must occur")
-
-    def members(self):
-        """Tuple of index arrays, one per block."""
-        order = np.argsort(self.assignment, kind="stable")
-        sorted_blocks = self.assignment[order]
-        boundaries = np.searchsorted(sorted_blocks, np.arange(self.num_blocks + 1))
-        return tuple(order[boundaries[b]:boundaries[b + 1]]
-                     for b in range(self.num_blocks))
 
 
 def relabel_dense(raw_assignment):
@@ -51,19 +27,15 @@ def relabel_dense(raw_assignment):
     return out, len(mapping)
 
 
-def modularity(g, b):
-    """Newman modularity Q = sum_c [ e_c/m - (d_c/2m)^2 ]."""
-    if len(b.assignment) != g.n:
-        raise ValueError("partition must cover every node")
+def modularity(g, assignment):
+    """Newman modularity Q = sum_c [ e_c/m - (d_c/2m)^2 ], read from the
+    block-pair counts of the partition putting node i in assignment[i]."""
+    counts = fit_block_counts(g, assignment).counts
     m = g.num_edges
     if m == 0:
         return 0.0
-    assign = b.assignment
-    intra = np.zeros(b.num_blocks)
-    np.add.at(intra, assign[g.edges[:, 0]],
-              (assign[g.edges[:, 0]] == assign[g.edges[:, 1]]).astype(float))
-    block_degree = np.zeros(b.num_blocks)
-    np.add.at(block_degree, assign, g.degrees().astype(float))
+    intra = np.diag(counts)
+    block_degree = counts.sum(axis=1) + intra
     return float(np.sum(intra / m - (block_degree / (2.0 * m)) ** 2))
 
 
@@ -124,14 +96,15 @@ def _aggregate(neighbors, self_weight, community):
 
 
 def louvain(g, seed=0):
-    """Louvain partition of g; node visit order is shuffled by the seed.
+    """Louvain partition of g as an int64 array of dense block ids, one per
+    node; node visit order is shuffled by the seed.
 
     Iterates local moving and aggregation until the modularity gain of a
     full level drops below 1e-7.
     """
     if g.num_edges == 0:
         warnings.warn("louvain on an edgeless graph: every node is its own block")
-        return BlockState(assignment=np.arange(g.n), num_blocks=g.n)
+        return np.arange(g.n, dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     neighbors = [dict() for _ in range(g.n)]
@@ -178,8 +151,7 @@ def louvain(g, seed=0):
             break
         prev_q = q_level
 
-    assignment, num_blocks = relabel_dense(node_to_super)
-    return BlockState(assignment=assignment, num_blocks=num_blocks)
+    return relabel_dense(node_to_super)[0]
 
 
 def _weighted_modularity(community, comm_internal, comm_total, two_m):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, read_edge_pairs
+from .graphs import Graph, canonical_edges, read_edge_pairs
 
 DATA_ROOT_ENV = "LINKSSL_DATA_ROOT"
 
@@ -116,7 +116,11 @@ def write_edge_list(path, edges, header=None):
 
 def convert_mat(mat_path, out_path, key="net"):
     """Convert a .mat adjacency file (sparse matrix under `key`) to the
-    edge-list text format. Used to import the standard benchmark graphs."""
+    edge-list text format. Used to import the standard benchmark graphs.
+
+    The edges are the upper triangle of the symmetrized nonzero pattern: an
+    entry stored on either side of the diagonal is an edge, an explicitly
+    stored zero is not, and the diagonal is dropped."""
     from scipy.io import loadmat
     from scipy import sparse as sp
 
@@ -124,8 +128,9 @@ def convert_mat(mat_path, out_path, key="net"):
     if key not in contents:
         candidates = [k for k in contents if not k.startswith("__")]
         raise KeyError(f"{mat_path}: no {key!r} entry; found {candidates}")
-    adj = sp.csr_matrix(contents[key])
-    coo = sp.triu(adj, k=1).tocoo()
-    pairs = np.stack([coo.row, coo.col], axis=1)
+    adj = sp.coo_matrix(contents[key])
+    stored = adj.data != 0
+    pairs = canonical_edges(np.stack([adj.row[stored], adj.col[stored]],
+                                     axis=1))
     write_edge_list(out_path, pairs, header=f"converted from {mat_path}")
     return pairs.shape[0]

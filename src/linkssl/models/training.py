@@ -49,7 +49,6 @@ class TrainState:
     target_link_mlp: LinkMLP | None = None
     tracked: list = field(default_factory=list)  # (target, online) pairs
     epoch: int = 0
-    seed: int = 0
     loss_history: list = field(default_factory=list)
     # set when the augmentation needed blocks: Louvain's seed, the edge
     # count of the graph it ran on, and the number of blocks it found
@@ -86,7 +85,7 @@ def _init_state(model, in_dim, cfg, seed):
     rng = derive_rng(seed, "init")
     encoder = GCNEncoder(in_dim, cfg.encoder, rng)
     d = cfg.encoder.layer_size
-    state = TrainState(model=model, encoder=encoder, seed=seed)
+    state = TrainState(model=model, encoder=encoder)
     if model in LINK_MODELS:
         state.link_mlp = LinkMLP(d, cfg.proj_hidden, rng)
     elif model in SELF_SUPERVISED and model not in BOOTSTRAPPED:

@@ -72,35 +72,29 @@ class BlockEdgeCounts:
         return int(np.triu(self.counts).sum())
 
 
-def fit_block_counts(g, b):
-    """Tally g's edges by endpoint blocks under partition b."""
-    if len(b.assignment) != g.n:
-        raise ValueError("partition must cover every node of g")
-    counts = np.zeros((b.num_blocks, b.num_blocks), dtype=np.int64)
+def fit_block_counts(g, assignment):
+    """Tally g's edges by endpoint blocks, node i in block assignment[i]; an
+    unused id is an empty block. Members are listed in ascending order."""
+    assignment = np.asarray(assignment, dtype=np.int64)
+    if assignment.shape != (g.n,):
+        raise ValueError(f"expected one block id per node of g (n={g.n})")
+    if assignment.size and assignment.min() < 0:
+        raise ValueError("block ids must be nonnegative")
+    num_blocks = int(assignment.max()) + 1 if assignment.size else 0
+    counts = np.zeros((num_blocks, num_blocks), dtype=np.int64)
     if g.num_edges:
-        br = b.assignment[g.edges[:, 0]]
-        bs = b.assignment[g.edges[:, 1]]
+        br = assignment[g.edges[:, 0]]
+        bs = assignment[g.edges[:, 1]]
         np.add.at(counts, (br, bs), 1)
         np.add.at(counts, (bs, br), 1)
         # intra-block edges were double-counted by the symmetric tally
         np.fill_diagonal(counts, np.diag(counts) // 2)
-    members = b.members()
-    sizes = np.array([len(mm) for mm in members], dtype=np.int64)
-    return BlockEdgeCounts(num_blocks=b.num_blocks, block_sizes=sizes,
+    sizes = np.bincount(assignment, minlength=num_blocks)
+    ends = np.cumsum(sizes)
+    order = np.argsort(assignment, kind="stable")
+    members = tuple(order[end - size:end] for size, end in zip(sizes, ends))
+    return BlockEdgeCounts(num_blocks=num_blocks, block_sizes=sizes,
                            counts=counts, members=members, n=g.n)
-
-
-def _sample_block_pair(c, r, s, rng):
-    """The c.counts[r, s] edges between blocks r and s (inside block r when
-    r == s): distinct node pairs, uniform without replacement.
-
-    Pair keys are lo * size + hi (lo < hi) inside a block and i * size_s + j
-    across two blocks, over block-local indices.
-    """
-    rows, cols = c.members[r], c.members[s]
-    keys = _sample_pair_keys(rng, int(c.counts[r, s]), rows.size, cols.size,
-                             unordered=r == s, min_draws=16)
-    return np.stack([rows[keys // cols.size], cols[keys % cols.size]], axis=1)
 
 
 def sample_sbm(c, seed=0):
@@ -108,11 +102,23 @@ def sample_sbm(c, seed=0):
 
     fit_block_counts of the sample under the same partition reproduces c
     exactly, for every seed. Block pairs are drawn in row-major order of the
-    upper triangle; pairs with no edges draw nothing.
+    upper triangle; pairs with no edges draw nothing. Each pair's keys lie
+    at its own offset in one key space and map to node pairs at once,
+    through the members concatenated in block order.
     """
     rng = np.random.default_rng(seed)
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for r, s in zip(*np.nonzero(np.triu(c.counts))):
-        edges.append(_sample_block_pair(c, r, s, rng))
-    return Graph(c.n, np.concatenate(edges))
-
+    r, s = np.nonzero(np.triu(c.counts))
+    rows, cols = c.block_sizes[r], c.block_sizes[s]
+    offsets = np.cumsum(rows * cols) - rows * cols
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        offset + _sample_pair_keys(rng, int(count), int(a), int(b),
+                                   unordered=i == j, min_draws=16)
+        for offset, count, a, b, i, j
+        in zip(offsets, c.counts[r, s], rows, cols, r, s)])
+    pair = np.searchsorted(offsets, keys, side="right") - 1
+    local = keys - offsets[pair]
+    nodes = np.concatenate([np.zeros(0, dtype=np.int64), *c.members])
+    first = np.cumsum(c.block_sizes) - c.block_sizes
+    return Graph(c.n, np.stack([nodes[first[r][pair] + local // cols[pair]],
+                                nodes[first[s][pair] + local % cols[pair]]],
+                               axis=1))

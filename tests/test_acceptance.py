@@ -19,7 +19,7 @@ import pytest
 from linkssl import autodiff as ad
 from linkssl import runner
 from linkssl.augment import AugmentationSpec, make_views
-from linkssl.community import BlockState, louvain
+from linkssl.community import louvain
 from linkssl.config import ExperimentConfig, SearchSpace
 from linkssl.datasets import (DATA_ROOT_ENV, REGISTRY, UNATTRIBUTED_NAMES,
                               dataset_available, load_dataset)
@@ -241,7 +241,7 @@ def _check_sbm_count_preservation(rng, n_samples=1000):
     pairs = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(140, 2))
              if u != v]
     g = Graph(n, pairs)
-    b = BlockState(assignment=np.arange(n) % 3, num_blocks=3)
+    b = np.arange(n) % 3
     counts = fit_block_counts(g, b)
     for sample_seed in range(n_samples):
         resampled = sample_sbm(counts, seed=sample_seed)
@@ -256,7 +256,7 @@ def _check_louvain_two_cliques():
                      for i in range(10) for j in range(i + 1, 10))
     edges.append((0, 10))  # bridge
     state = louvain(Graph(20, edges), seed=0)
-    first, second = state.assignment[:10], state.assignment[10:]
+    first, second = state[:10], state[10:]
     assert len(set(first)) == 1
     assert len(set(second)) == 1
     assert first[0] != second[0]

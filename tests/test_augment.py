@@ -12,7 +12,7 @@ import pytest
 from linkssl.augment import (ALL_KINDS, AugmentationSpec, centrality,
                              drop_edges, drop_probabilities, make_views,
                              mask_features, _importance)
-from linkssl.community import BlockState, louvain
+from linkssl.community import louvain
 from linkssl.graphs import FeatureMatrix, Graph
 from linkssl.sbm import fit_block_counts
 
@@ -238,7 +238,7 @@ def test_adaptive_mask_protects_high_centrality_columns():
 
 def test_community_strength_values():
     g = Graph(7, k(3) + [(3, 4), (4, 5)] )
-    b = fit_block_counts(g, BlockState(np.array([0, 0, 0, 1, 1, 1, 2]), 3))
+    b = fit_block_counts(g, np.array([0, 0, 0, 1, 1, 1, 2]))
     # under identity features a column's importance is its node's strength
     _, strength = _importance(g, AugmentationSpec(kind="scom"), b)
     assert strength[0] == pytest.approx(1.0)       # triangle block
@@ -249,7 +249,7 @@ def test_community_strength_values():
 def test_scom_intra_block_edges_survive_preferentially():
     edges = k(4) + k(4, offset=4) + [(0, 4)]
     g = Graph(8, edges)
-    b = fit_block_counts(g, BlockState(np.array([0, 0, 0, 0, 1, 1, 1, 1]), 2))
+    b = fit_block_counts(g, np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     probs = drop_probabilities(importance, 0.5, 0.9, "community")
     survived_bridge = survived_intra = 0
@@ -263,7 +263,7 @@ def test_scom_intra_block_edges_survive_preferentially():
 
 def test_scom_single_block_uniform_fallback():
     g = Graph(5, k(5))
-    b = fit_block_counts(g, BlockState(np.zeros(5, dtype=int), 1))
+    b = fit_block_counts(g, np.zeros(5, dtype=int))
     importance, _ = _importance(g, AugmentationSpec(kind="scom"), b)
     with pytest.warns(UserWarning, match="degenerate"):
         probs = drop_probabilities(importance, 0.4, 0.9, "community")
@@ -387,7 +387,7 @@ def test_make_views_fingerprint_is_frozen():
     rate_sets = [(0.2, 0.2, 0.1, 0.1), (0.0, 0.0, 0.0, 0.0),
                  (0.9, 0.5, 0.9, 0.3)]
     for g in _fingerprint_graphs():
-        b = fit_block_counts(g, BlockState(np.arange(g.n) % 3, 3))
+        b = fit_block_counts(g, np.arange(g.n) % 3)
         for kind in ALL_KINDS:
             for rates in rate_sets:
                 for cutoff in (0.9, 0.7):

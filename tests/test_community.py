@@ -5,7 +5,7 @@ import pytest
 
 import networkx as nx
 
-from linkssl.community import BlockState, louvain, modularity, relabel_dense
+from linkssl.community import louvain, modularity, relabel_dense
 from linkssl.graphs import Graph
 
 
@@ -13,34 +13,34 @@ def two_triangles():
     return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
-def blocks_of(state):
+def blocks_of(assignment):
     groups = {}
-    for node, b in enumerate(state.assignment):
+    for node, b in enumerate(assignment):
         groups.setdefault(int(b), set()).add(node)
     return set(frozenset(s) for s in groups.values())
 
 
 def test_modularity_two_triangles_by_triangle():
-    b = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2)
+    b = np.array([0, 0, 0, 1, 1, 1])
     assert modularity(two_triangles(), b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_modularity_single_block_is_zero():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    b = BlockState(np.zeros(5, dtype=int), 1)
+    b = np.zeros(5, dtype=int)
     assert modularity(g, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modularity_triangle_singletons():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    b = BlockState(np.array([0, 1, 2]), 3)
+    b = np.array([0, 1, 2])
     assert modularity(g, b) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 def test_modularity_invariant_under_relabeling():
     g = two_triangles()
-    b1 = BlockState(np.array([0, 0, 0, 1, 1, 1]), 2)
-    b2 = BlockState(np.array([1, 1, 1, 0, 0, 0]), 2)
+    b1 = np.array([0, 0, 0, 1, 1, 1])
+    b2 = np.array([1, 1, 1, 0, 0, 0])
     assert modularity(g, b1) == modularity(g, b2)
 
 
@@ -50,13 +50,12 @@ def test_modularity_matches_networkx_oracle():
     idx = rng.choice(len(pool), size=30, replace=False)
     g = Graph(14, [pool[i] for i in idx])
     assignment = rng.integers(0, 3, size=14)
-    _, nb = relabel_dense(assignment)
-    b = BlockState(*relabel_dense(assignment))
+    b, num_blocks = relabel_dense(assignment)
     nxg = nx.Graph(list(map(tuple, g.edges.tolist())))
     nxg.add_nodes_from(range(14))
     communities = [
-        {i for i in range(14) if b.assignment[i] == c}
-        for c in range(b.num_blocks)
+        {i for i in range(14) if b[i] == c}
+        for c in range(num_blocks)
     ]
     expected = nx.algorithms.community.modularity(nxg, communities)
     assert modularity(g, b) == pytest.approx(expected, abs=1e-12)
@@ -64,14 +63,14 @@ def test_modularity_matches_networkx_oracle():
 
 def test_louvain_recovers_two_triangles():
     state = louvain(two_triangles(), seed=0)
-    assert state.num_blocks == 2
+    assert state.dtype == np.int64 and state.max() == 1
     assert blocks_of(state) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
 
 def test_louvain_single_block_on_complete_graph():
     g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     state = louvain(g, seed=1)
-    assert state.num_blocks == 1
+    assert state.tolist() == [0] * 5
 
 
 def test_louvain_recovers_bridged_cliques():
@@ -84,9 +83,9 @@ def test_louvain_recovers_bridged_cliques():
     # the recovered partition beats the coarser single-block partition and
     # a finer random refinement
     q_found = modularity(g, state)
-    q_single = modularity(g, BlockState(np.zeros(20, dtype=int), 1))
+    q_single = modularity(g, np.zeros(20, dtype=int))
     finer = np.array([0] * 5 + [1] * 5 + [2] * 5 + [3] * 5)
-    q_finer = modularity(g, BlockState(finer, 4))
+    q_finer = modularity(g, finer)
     assert q_found > q_single and q_found > q_finer
 
 
@@ -98,23 +97,23 @@ def test_louvain_never_below_single_block_quality():
         g = Graph(16, [pool[i] for i in idx])
         state = louvain(g, seed=trial)
         assert modularity(g, state) >= modularity(
-            g, BlockState(np.zeros(16, dtype=int), 1)) - 1e-12
+            g, np.zeros(16, dtype=int)) - 1e-12
 
 
 def test_louvain_deterministic_given_seed():
     g = two_triangles()
     a = louvain(g, seed=5)
     b = louvain(g, seed=5)
-    assert np.array_equal(a.assignment, b.assignment)
+    assert np.array_equal(a, b)
 
 
 def test_louvain_edgeless_graph_warns_singletons():
     g = Graph(4, [])
     with pytest.warns(UserWarning):
         state = louvain(g, seed=0)
-    assert state.num_blocks == 4
+    assert state.tolist() == [0, 1, 2, 3]
 
 
-def test_block_state_validates_dense_ids():
-    with pytest.raises(ValueError):
-        BlockState(np.array([0, 2]), 2)  # id 1 missing
+def test_modularity_reads_sparse_ids_as_empty_blocks():
+    dense = modularity(two_triangles(), np.array([0, 0, 0, 1, 1, 1]))
+    assert modularity(two_triangles(), np.array([0, 0, 0, 5, 5, 5])) == dense

@@ -433,3 +433,19 @@ def test_convert_mat_roundtrip(tmp_path):
     count = convert_mat(mat_path, out_path)
     assert count == 3
     assert read_edge_pairs(out_path).tolist() == [[0, 1], [0, 3], [1, 2]]
+
+
+def test_convert_mat_reads_the_symmetrized_nonzero_pattern(tmp_path):
+    # (1, 0) and (2, 1) are stored below the diagonal only, (0, 2) is an
+    # explicitly stored zero and (3, 3) a self-loop
+    from scipy import sparse
+    from scipy.io import savemat
+
+    adj = sparse.csc_matrix(
+        ([1.0, 1.0, 0.0, 1.0], ([1, 2, 0, 3], [0, 1, 2, 3])), shape=(4, 4))
+    assert adj.nnz == 4
+    mat_path = tmp_path / "lower.mat"
+    savemat(mat_path, {"net": adj})
+    out_path = tmp_path / "lower.txt"
+    assert convert_mat(mat_path, out_path) == 2
+    assert read_edge_pairs(out_path).tolist() == [[0, 1], [1, 2]]

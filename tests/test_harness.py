@@ -439,7 +439,7 @@ def test_run_txt_records_block_detection_on_the_train_graph(tmp_path):
     assert lines[0] == f"lineage detection {detection_seed}"
     assert f"lineage train {train_seed}" in lines
     assert f"detector_input_edges {train_graph.num_edges}" in lines
-    assert f"detected_blocks {blocks.num_blocks}" in lines
+    assert f"detected_blocks {blocks.max() + 1}" in lines
 
 
 def test_run_txt_records_the_training_process_threads(tmp_path,
@@ -1127,17 +1127,18 @@ def test_cli_search_uses_one_seed_and_says_which(cli_cfg_path, tmp_path,
                                                  monkeypatch, capsys, flags,
                                                  seed):
     # the config's seeds are (1,); the search seed is the flag's or
-    # TUNING_SEED, and no trial trains
+    # TUNING_SEED, the trials evaluate the config's seeds, and no trial
+    # trains
     seen = []
 
     def stub(space, base_cfg, seed, out_dir=None):
-        seen.append(seed)
+        seen.append((seed, base_cfg.seeds))
         return base_cfg, [(0, base_cfg, 0.5, "")]
 
     monkeypatch.setattr(runner, "random_search", stub)
     assert main(["search", "--config", cli_cfg_path, *flags,
                  "--out", str(tmp_path / "s")]) == 0
-    assert seen == [seed]
+    assert seen == [(seed, (1,))]
     assert f"search seed {seed}\n" in capsys.readouterr().out
 
 
