@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import Graph
 from .sbm import sample_sbm
 
 SBM_KINDS = ("sbm", "sbm2", "sbm_oracle")
@@ -74,7 +75,7 @@ def drop_edges(g, p, seed):
     if g.num_edges == 0 or np.ndim(p) == 0 and p == 0.0:
         return g
     keep = np.random.default_rng(seed).random(g.num_edges) >= p
-    return g.with_edges(g.edges[keep])
+    return Graph.from_keys(g.n, g.keys[keep], g.features)
 
 
 def mask_features(x, p, seed):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationSpec
 from .datasets import REGISTRY, UNATTRIBUTED_SPLIT
-from .graphs import check_split_fractions
+from .graphs import check_split_fractions, read_lines
 from .models.nets import EncoderConfig, as_int
 from .seeding import derive_rng
 
@@ -208,8 +208,7 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config("".join(read_lines(path)))
 
 
 def save_config(cfg, path):

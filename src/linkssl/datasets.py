@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, canonical_edges, read_edge_pairs
+from .graphs import Graph, read_edge_pairs
 
 DATA_ROOT_ENV = "LINKSSL_DATA_ROOT"
 
@@ -130,7 +130,7 @@ def convert_mat(mat_path, out_path, key="net"):
         raise KeyError(f"{mat_path}: no {key!r} entry; found {candidates}")
     adj = sp.coo_matrix(contents[key])
     stored = adj.data != 0
-    pairs = canonical_edges(np.stack([adj.row[stored], adj.col[stored]],
-                                     axis=1))
+    pairs = Graph(max(adj.shape),
+                  np.stack([adj.row[stored], adj.col[stored]], axis=1)).edges
     write_edge_list(out_path, pairs, header=f"converted from {mat_path}")
     return pairs.shape[0]

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from linkssl.datasets import (REGISTRY, DatasetInfo, convert_mat,
                               dataset_available, load_dataset,
                               write_edge_list)
-from linkssl.graphs import (MAX_NODES, FeatureMatrix, Graph, canonical_edges,
+from linkssl.augment import drop_edges
+from linkssl.graphs import (MAX_NODES, FeatureMatrix, Graph,
                             normalized_adjacency, random_link_split,
-                            read_edge_pairs, sample_negative_pairs)
+                            read_edge_pairs, sample_negative_pairs,
+                            split_sizes)
 from linkssl.models.losses import select_link_sets
 
 
@@ -33,6 +35,13 @@ def test_read_edge_pairs_rejects_malformed(tmp_path, content):
     p = tmp_path / "bad.txt"
     p.write_text(content)
     with pytest.raises(ValueError, match="bad.txt"):
+        read_edge_pairs(p)
+
+
+def test_read_edge_pairs_names_an_undecodable_file(tmp_path):
+    p = tmp_path / "binary.txt"
+    p.write_bytes(b"0 1\n\xff\xfe 2\n")
+    with pytest.raises(ValueError, match="binary.txt"):
         read_edge_pairs(p)
 
 
@@ -151,7 +160,7 @@ def test_negative_sampling_infeasible_count_raises():
 def test_negative_sampling_exclusion_property(seed, count):
     g = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
     exclude = {(0, 5), (2, 9), (3, 17)}
-    union = g.with_edges(np.concatenate([g.edges, sorted(exclude)]))
+    union = Graph(g.n, np.concatenate([g.edges, sorted(exclude)]))
     out = sample_negative_pairs(union, count, seed=seed)
     seen = set(map(tuple, out.tolist()))
     assert len(seen) == count
@@ -261,7 +270,7 @@ def test_negative_sampling_matches_reference_stream(case, dense, seed, data):
     expected = _reference_sample_negative_pairs(g, count, exclude, seed)
     # the union graph of g and the valid exclusions replays the reference's
     # stream, which drops the wild pairs itself
-    union = g.with_edges(np.concatenate(
+    union = Graph(g.n, np.concatenate(
         [g.edges, np.array(sorted(excluded), dtype=np.int64).reshape(-1, 2)]))
     out = sample_negative_pairs(union, count, seed=seed)
     assert out.dtype == np.int64 and np.array_equal(out, expected)
@@ -298,27 +307,25 @@ def _reference_canonical_edges(edges):
 
 @st.composite
 def raw_pairs(draw):
-    # a few ids, small or far apart, so pairs repeat, reverse and self-loop
-    ids = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1,
-                        max_size=8))
+    # a node count, small or huge, and a few ids in [0, n), so pairs
+    # repeat, reverse and self-loop
+    n = draw(st.sampled_from([1, 2, 5, 40, 10 ** 9, MAX_NODES]))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     node = st.sampled_from(ids)
-    return draw(st.lists(st.tuples(node, node), max_size=30))
+    return n, draw(st.lists(st.tuples(node, node), max_size=30))
 
 
 @settings(max_examples=100, deadline=None)
-@given(pairs=raw_pairs())
-def test_canonical_edges_matches_unique_reference(pairs):
-    out = canonical_edges(pairs)
+@given(n_pairs=raw_pairs())
+def test_graph_edges_match_unique_reference(n_pairs):
+    n, pairs = n_pairs
+    out = Graph(n, pairs).edges
     expected = _reference_canonical_edges(pairs)
     assert out.dtype == np.int64 and out.shape == expected.shape
     assert np.array_equal(out, expected)
 
 
 def test_pair_keys_reject_spans_that_overflow_int64():
-    widest = [(0, MAX_NODES - 1)]
-    assert canonical_edges(widest).tolist() == [list(widest[0])]
-    with pytest.raises(ValueError, match="span"):
-        canonical_edges([(-1, MAX_NODES)])
     # the largest key, (n - 2) * n + n - 1, still fits int64
     top = [(0, MAX_NODES - 1), (MAX_NODES - 2, MAX_NODES - 1)]
     assert Graph(MAX_NODES, top).keys.tolist() == [
@@ -332,6 +339,54 @@ def test_graph_keys_sorted_and_read_only():
     assert g.keys.tolist() == [1, 2, 14, 19]
     with pytest.raises(ValueError):
         g.keys[0] = 7
+
+
+def test_graph_rejects_a_negative_node_count():
+    with pytest.raises(ValueError, match="node count"):
+        Graph(-5, [])
+
+
+@pytest.mark.parametrize("loop", [(5, 5), (-1, -1)])
+def test_graph_range_checks_self_loops_before_dropping_them(loop):
+    with pytest.raises(ValueError, match="outside"):
+        Graph(3, [(0, 1), loop])
+
+
+def _assert_canonical(edges, pairs, n, keys=None):
+    """`edges` (and `keys`) equal Graph(n, pairs)'s and are read-only."""
+    expected = Graph(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    assert edges.dtype == np.int64 and np.array_equal(edges, expected.edges)
+    assert not edges.flags.writeable
+    if keys is not None:
+        assert keys.dtype == np.int64 and np.array_equal(keys, expected.keys)
+        assert not keys.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 30), data=st.data(), seed=st.integers(0, 2 ** 31))
+def test_derived_graphs_equal_their_canonicalized_pairs(n, data, seed):
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     max_size=3 * n)
+    g = Graph(n, data.draw(pairs))
+    for p in (0.3, 0.7):
+        keep = np.random.default_rng(seed).random(g.num_edges) >= p
+        view = drop_edges(g, p, seed)
+        _assert_canonical(view.edges, g.edges[keep], n, view.keys)
+    masked = g.with_features(FeatureMatrix.dense(np.ones((n, 2))))
+    _assert_canonical(masked.edges, g.edges, n, masked.keys)
+    other = Graph(n, data.draw(pairs))
+    pos, _ = select_link_sets(g, other)
+    _assert_canonical(pos, sorted(g.edge_set() & other.edge_set()), n)
+    if g.num_edges < 3:
+        return
+    fractions = (0.6, 0.2, 0.2)
+    s = random_link_split(g, fractions, seed)
+    n_train, n_val, _ = split_sizes(g.num_edges, fractions)
+    order = np.random.default_rng(seed).permutation(g.num_edges)
+    train, val, test = np.split(g.edges[order], [n_train, n_train + n_val])
+    _assert_canonical(s.train_graph.edges, train, n, s.train_graph.keys)
+    _assert_canonical(s.val_pos, val, n)
+    _assert_canonical(s.test_pos, test, n)
 
 
 def _uncached_normalized_adjacency(g):
@@ -348,7 +403,7 @@ def test_normalized_adjacency_cached_per_graph():
     assert normalized_adjacency(g) is cached
     assert np.allclose(cached.toarray(), _uncached_normalized_adjacency(g))
     for edges in (g.edges, g.edges[:2]):
-        child = g.with_edges(edges)
+        child = Graph(g.n, edges)
         assert normalized_adjacency(child) is not cached
         assert np.allclose(normalized_adjacency(child).toarray(),
                            _uncached_normalized_adjacency(child))

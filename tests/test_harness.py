@@ -1204,6 +1204,26 @@ def test_cli_missing_data_root_is_an_error(tmp_path, monkeypatch, capsys):
     assert DATA_ROOT_ENV in capsys.readouterr().err
 
 
+def test_cli_names_the_line_of_an_id_outside_int64(tmp_path, monkeypatch,
+                                                   capsys):
+    path = tmp_path / REGISTRY["USAir"].filename
+    path.write_text("0 1\n3 99999999999999999999\n")
+    monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
+    rc = main(["split", "--dataset", "USAir", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{path}:2: id 99999999999999999999 outside int64" in (
+        capsys.readouterr().err)
+
+
+def test_cli_names_an_undecodable_config(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(b"model = grace\n\xff\n")
+    rc = main(["split", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 @pytest.mark.parametrize("command",
                          ["split", "train", "evaluate", "benchmark", "search"])
 def test_cli_unusable_out_fails_before_any_work(command, celegans_root,
