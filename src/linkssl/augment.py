@@ -131,7 +131,7 @@ def centrality(g, kind):
 def _block_strengths(blocks):
     """Internal density of each block: intra_edges(c) / C(size_c, 2), with 0
     for singleton blocks."""
-    slots = np.diag(blocks.slots())
+    slots = blocks.block_sizes * (blocks.block_sizes - 1) // 2
     return np.where(slots > 0, np.diag(blocks.counts) / np.maximum(slots, 1),
                     0.0)
 

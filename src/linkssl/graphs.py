@@ -54,7 +54,9 @@ MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 def _pairs(keys, n):
     """(m, 2) int64 node pairs (u, v) of the pair keys u * n + v."""
-    return np.stack([keys // n, keys % n], axis=1)
+    pairs = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 class Graph:
@@ -257,49 +259,117 @@ def _sorted_unique(keys):
 
 _NO_KEYS = np.zeros(0, dtype=np.int64)
 
+# first rounds of more draws go alone: a batch would sort them slower
+_BATCH_DRAWS = 1024
 
-def _sample_pair_keys(rng, count, rows, cols, unordered, min_draws,
+
+def _sample_pair_keys(rng, counts, rows, cols, unordered, min_draws,
                       forbidden=_NO_KEYS):
-    """`count` (>= 1) distinct pair keys i * cols + j, uniform without
-    replacement over the pairs (i, j) of [0, rows) x [0, cols) whose keys
-    are not in the sorted `forbidden`; `unordered` pairs are those with
-    i < j (rows == cols).
+    """counts[r] >= 1 distinct keys of each disjoint range r, range by range,
+    drawn from `rng` exactly as one call per range would draw them.
 
-    Rejection sampling draws max(min_draws, 2 * missing) pairs per round
-    (self-pairs dropped when unordered) and accepts them in draw order, each
-    if it is not forbidden and not yet chosen; the scan is vectorized per
-    round. When more than half of the admissible keys are needed, they are
-    enumerated in sorted order instead and `rng.choice` picks from them.
+    Range r holds offset[r] + i * cols[r] + j for (i, j) in [0, rows[r]) x
+    [0, cols[r]), i < j if unordered[r]; offset[r] sums rows * cols before r.
+    Each range is uniform without replacement over its keys not in the
+    sorted `forbidden`. A range needing over half of those enumerates them
+    for `rng.choice`; the others draw rounds of max(min_draws, 2 * missing)
+    i, then j, and accept new keys in draw order. A run of such ranges draws
+    its first rounds in one array-bound `rng.integers` call, which consumes
+    the stream as the scalar calls do; the generator is rewound to the first
+    range of the run left short, which goes on alone.
     """
-    total = rows * (rows - 1) // 2 if unordered else rows * cols
-    if count * 2 > total - forbidden.size:
+    if len(counts) == 1:  # nothing to batch: spare the per-range arrays
+        return _sample_range(rng, int(counts[0]), int(rows[0]), int(cols[0]),
+                             bool(unordered[0]), 0, min_draws, forbidden)
+    counts, rows, cols = (np.asarray(a, dtype=np.int64)
+                          for a in (counts, rows, cols))
+    unordered = np.asarray(unordered, dtype=bool)
+    offsets = np.cumsum(rows * cols) - rows * cols
+    admissible = (np.where(unordered, rows * (rows - 1) // 2, rows * cols)
+                  - np.searchsorted(forbidden, offsets + rows * cols)
+                  + np.searchsorted(forbidden, offsets))
+    batched = (2 * counts <= np.minimum(admissible, _BATCH_DRAWS)).tolist()
+    chosen, r = [_NO_KEYS], 0
+    while r < len(batched):
+        end = r
+        while end < len(batched) and batched[end]:
+            end += 1
+        if end - r > 1:
+            part = slice(r, end)
+            keys, short = _first_rounds(
+                rng, counts[part], rows[part], cols[part], unordered[part],
+                offsets[part], min_draws, forbidden)
+            chosen.append(keys)
+            r += short
+            if r == end:
+                continue
+        chosen.append(_sample_range(
+            rng, int(counts[r]), int(rows[r]), int(cols[r]),
+            bool(unordered[r]), int(offsets[r]), min_draws, forbidden))
+        r += 1
+    return np.concatenate(chosen)
+
+
+def _sample_range(rng, count, rows, cols, unordered, offset, min_draws,
+                  forbidden):
+    """One range alone, with scalar bounds."""
+    size = rows * cols
+    lo, hi = np.searchsorted(forbidden, [offset, offset + size])
+    if 2 * count > (rows * (rows - 1) // 2 if unordered else size) - hi + lo:
+        pool = np.arange(offset, offset + size, dtype=np.int64)
         if unordered:
-            i, j = np.triu_indices(rows, k=1)
-            pool = i.astype(np.int64) * cols + j
-        else:
-            pool = np.arange(total, dtype=np.int64)
+            i, j = np.divmod(pool - offset, cols)
+            pool = pool[i < j]
         pool = pool[~_member(forbidden, pool)]
         return pool[rng.choice(pool.size, size=count, replace=False)]
-
     chosen = []
-    missing = count
-    while missing:
-        draws = max(min_draws, 2 * missing)
+    while count:
+        draws = max(min_draws, 2 * count)
         i = rng.integers(0, rows, size=draws)
         j = rng.integers(0, cols, size=draws)
-        if unordered:
-            keep = i != j
-            i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
-        keys = i * cols + j
-        keys = keys[~_member(forbidden, keys)]
-        # the first draw of each key in the round, in draw order
-        order = np.argsort(keys, kind="stable")
-        accepted = keys[np.sort(order[_run_starts(keys[order])])][:missing]
-        chosen.append(accepted)
-        missing -= accepted.size
-        if missing:
-            forbidden = np.sort(np.concatenate([forbidden, accepted]))
+        if unordered:  # min * cols + max, as max = i + j - min
+            keys = (np.minimum(i, j) * (cols - 1) + (i + j))[i != j]
+        else:
+            keys = i * cols + j
+        chosen.append(_first_draws(keys + offset, forbidden)[:count])
+        count -= chosen[-1].size
+        if count:
+            forbidden = np.sort(np.concatenate([forbidden, chosen[-1]]))
     return np.concatenate(chosen)
+
+
+def _first_draws(keys, forbidden):
+    """Each key not in `forbidden` at its first draw, in draw order."""
+    keys = keys[~_member(forbidden, keys)]
+    order = np.argsort(keys, kind="stable")
+    return keys[np.sort(order[_run_starts(keys[order])])]
+
+
+def _first_rounds(rng, counts, rows, cols, unordered, offsets, min_draws,
+                  forbidden):
+    """The first rounds of a run of ranges from one `rng.integers` call: the
+    keys of the ranges before the first left short and that range's index
+    (the run's length if none is), where `rng` is rewound to."""
+    draws = np.repeat(np.maximum(min_draws, 2 * counts), 2)  # i, then j
+    highs = np.repeat(np.stack([rows, cols], axis=1).ravel(), draws)
+    state = rng.bit_generator.state
+    drawn = rng.integers(0, highs)
+    is_i = np.repeat(np.arange(draws.size) % 2 == 0, draws)
+    i, j = drawn[is_i], drawn[~is_i]
+    which = np.repeat(np.arange(counts.size), draws[::2])
+    pair = unordered[which]
+    lo = np.where(pair, np.minimum(i, j), i)  # min * cols + max when a pair
+    keys = offsets[which] + lo * cols[which] + (i + j - lo)
+    keys = _first_draws(keys[~pair | (i != j)], forbidden)
+    which = np.searchsorted(offsets + rows * cols, keys, side="right")
+    found = np.bincount(which, minlength=counts.size)
+    short = int(np.append(np.flatnonzero(found < counts), counts.size)[0])
+    if short < counts.size:
+        rng.bit_generator.state = state
+        rng.integers(0, highs[:draws[:2 * short].sum()])
+    # each range keeps its first `count` keys
+    rank = np.arange(keys.size) - (np.cumsum(found) - found)[which]
+    return keys[(rank < counts[which]) & (which < short)], short
 
 
 def sample_negative_pairs(g, count, seed=0):
@@ -307,8 +377,9 @@ def sample_negative_pairs(g, count, seed=0):
 
     Pairs in g.edges are never returned; a caller that must avoid more
     pairs passes a graph that holds them too. Deterministic given the seed.
-    Raises when fewer than `count` admissible pairs exist. Drawn by
-    `_sample_pair_keys`, 2 * max(missing, 16) pairs per rejection round.
+    Raises when fewer than `count` admissible pairs exist. Drawn as the one
+    range of a `_sample_pair_keys` call, 2 * max(missing, 16) pairs per
+    rejection round.
     """
     count = int(count)
     if count < 0:
@@ -320,7 +391,6 @@ def sample_negative_pairs(g, count, seed=0):
                          f"{admissible} non-edges exist")
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    keys = _sample_pair_keys(np.random.default_rng(seed), count, n, n,
-                             unordered=True, min_draws=32,
-                             forbidden=g.keys)
+    keys = _sample_pair_keys(np.random.default_rng(seed), [count], [n], [n],
+                             [True], min_draws=32, forbidden=g.keys)
     return _pairs(keys, n)

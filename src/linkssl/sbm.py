@@ -9,7 +9,7 @@ replacement from the admissible node pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,10 @@ class BlockEdgeCounts:
     counts: np.ndarray  # (B, B) symmetric; intra-block counted once
     members: tuple  # index arrays per block, partitioning [0, n)
     n: int
+    # built once here for every draw: the nonzero block pairs (r <= s) in
+    # row-major order and the members concatenated in block order
+    pairs: tuple = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -40,8 +44,9 @@ class BlockEdgeCounts:
         object.__setattr__(self, "block_sizes", sizes)
         if not np.array_equal(sizes, [len(mm) for mm in self.members]):
             raise ValueError("block_sizes must equal the member counts")
-        ids = np.sort(np.concatenate([np.arange(0), *self.members]))
-        if not np.array_equal(ids, np.arange(self.n)):
+        nodes = np.concatenate([np.zeros(0, dtype=np.int64), *self.members])
+        object.__setattr__(self, "nodes", nodes)
+        if not np.array_equal(np.sort(nodes), np.arange(self.n)):
             raise ValueError(f"members must partition [0, n={self.n})")
         over = np.argwhere(np.triu(c > self.slots()))
         if over.size:
@@ -51,6 +56,7 @@ class BlockEdgeCounts:
                     f"intra-block count exceeds slots in block {r}")
             raise ValueError(
                 f"inter-block count exceeds slots for pair ({r},{s})")
+        object.__setattr__(self, "pairs", np.nonzero(np.triu(c)))
 
     def slots(self):
         """(B, B) node pairs each block pair can hold: n_r n_s across two
@@ -63,8 +69,8 @@ class BlockEdgeCounts:
     def assignment(self):
         """The block of each node in [0, n)."""
         out = np.empty(self.n, dtype=np.int64)
-        for r, members in enumerate(self.members):
-            out[members] = r
+        out[self.nodes] = np.repeat(np.arange(self.num_blocks),
+                                    self.block_sizes)
         return out
 
     @property
@@ -101,24 +107,19 @@ def sample_sbm(c, seed=0):
     """Sample a simple undirected graph realizing the block-pair counts.
 
     fit_block_counts of the sample under the same partition reproduces c
-    exactly, for every seed. Block pairs are drawn in row-major order of the
-    upper triangle; pairs with no edges draw nothing. Each pair's keys lie
-    at its own offset in one key space and map to node pairs at once,
-    through the members concatenated in block order.
+    exactly, for every seed. Each nonzero block pair (r <= s, row-major) is
+    one key range of a single `_sample_pair_keys` call, which draws them in
+    that order; pairs with no edges draw nothing. The keys map to node
+    pairs at once, through the members concatenated in block order.
     """
-    rng = np.random.default_rng(seed)
-    r, s = np.nonzero(np.triu(c.counts))
+    r, s = c.pairs
     rows, cols = c.block_sizes[r], c.block_sizes[s]
-    offsets = np.cumsum(rows * cols) - rows * cols
-    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        offset + _sample_pair_keys(rng, int(count), int(a), int(b),
-                                   unordered=i == j, min_draws=16)
-        for offset, count, a, b, i, j
-        in zip(offsets, c.counts[r, s], rows, cols, r, s)])
-    pair = np.searchsorted(offsets, keys, side="right") - 1
-    local = keys - offsets[pair]
-    nodes = np.concatenate([np.zeros(0, dtype=np.int64), *c.members])
+    counts = c.counts[r, s]
+    keys = _sample_pair_keys(np.random.default_rng(seed), counts, rows, cols,
+                             r == s, min_draws=16)
+    pair = np.repeat(np.arange(counts.size), counts)
+    i, j = np.divmod(keys - (np.cumsum(rows * cols) - rows * cols)[pair],
+                     cols[pair])
     first = np.cumsum(c.block_sizes) - c.block_sizes
-    return Graph(c.n, np.stack([nodes[first[r][pair] + local // cols[pair]],
-                                nodes[first[s][pair] + local % cols[pair]]],
-                               axis=1))
+    return Graph(c.n, np.stack([c.nodes[first[r][pair] + i],
+                                c.nodes[first[s][pair] + j]], axis=1))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from linkssl.datasets import (REGISTRY, DatasetInfo, convert_mat,
                               dataset_available, load_dataset,
                               write_edge_list)
+from linkssl import graphs
 from linkssl.augment import drop_edges
 from linkssl.graphs import (MAX_NODES, FeatureMatrix, Graph,
                             normalized_adjacency, random_link_split,
@@ -274,6 +275,122 @@ def test_negative_sampling_matches_reference_stream(case, dense, seed, data):
         [g.edges, np.array(sorted(excluded), dtype=np.int64).reshape(-1, 2)]))
     out = sample_negative_pairs(union, count, seed=seed)
     assert out.dtype == np.int64 and np.array_equal(out, expected)
+
+
+def _reference_one_range(rng, count, rows, cols, unordered, min_draws,
+                         forbidden):
+    """One range per call, as the sampler drew every range before runs of
+    ranges were batched: the stream the multi-range sampler must replay."""
+    total = rows * (rows - 1) // 2 if unordered else rows * cols
+    if count * 2 > total - forbidden.size:
+        if unordered:
+            i, j = np.triu_indices(rows, k=1)
+            pool = i.astype(np.int64) * cols + j
+        else:
+            pool = np.arange(total, dtype=np.int64)
+        pool = pool[~np.isin(pool, forbidden)]
+        return pool[rng.choice(pool.size, size=count, replace=False)]
+    chosen = []
+    missing = count
+    while missing:
+        draws = max(min_draws, 2 * missing)
+        i = rng.integers(0, rows, size=draws)
+        j = rng.integers(0, cols, size=draws)
+        if unordered:
+            keep = i != j
+            i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+        keys = i * cols + j
+        keys = keys[~np.isin(keys, forbidden)]
+        order = np.argsort(keys, kind="stable")
+        starts = np.ones(keys.size, dtype=bool)
+        starts[1:] = keys[order][1:] != keys[order][:-1]
+        accepted = keys[np.sort(order[starts])][:missing]
+        chosen.append(accepted)
+        missing -= accepted.size
+        if missing:
+            forbidden = np.sort(np.concatenate([forbidden, accepted]))
+    return np.concatenate(chosen)
+
+
+def _random_range(rng):
+    """(count, rows, cols, unordered, sorted local forbidden keys): sparse
+    or dense counts, up to 90% of the pairs forbidden, and a single column
+    or a first round over the batch cap now and then."""
+    shape = rng.integers(0, 8)
+    if shape == 0:
+        rows, cols, unordered = 60, 60, False  # 2 * count may pass 1,024
+    else:
+        unordered = bool(rng.integers(0, 2))
+        rows = int(rng.integers(2 if unordered else 1, 30))
+        cols = rows if unordered else (1 if shape == 1
+                                       else int(rng.integers(1, 30)))
+    if unordered:
+        i, j = np.triu_indices(rows, k=1)
+        slots = i.astype(np.int64) * cols + j
+    else:
+        slots = np.arange(rows * cols, dtype=np.int64)
+    banned = rng.choice([0.0, 0.3, 0.6, 0.9])
+    forbidden = np.sort(rng.choice(slots, size=int(banned * slots.size),
+                                   replace=False))
+    admissible = slots.size - forbidden.size
+    if admissible == 0:
+        return None
+    half = admissible // 2
+    count = (int(rng.integers(1, half + 1)) if half and rng.integers(0, 3)
+             else int(rng.integers(half + 1, admissible + 1)))
+    return count, rows, cols, unordered, forbidden
+
+
+def test_multi_range_sampler_replays_one_range_calls(monkeypatch):
+    first_rounds = graphs._first_rounds
+    rewinds = []
+
+    def spy(rng, counts, *args):
+        keys, short = first_rounds(rng, counts, *args)
+        rewinds.append(short < counts.size)
+        return keys, short
+
+    monkeypatch.setattr(graphs, "_first_rounds", spy)
+    layouts = np.random.default_rng(29)
+    for case in range(600):
+        ranges = [r for r in (_random_range(layouts)
+                              for _ in range(layouts.integers(1, 12)))
+                  if r is not None]
+        if not ranges:
+            continue
+        counts, rows, cols, unordered, local = zip(*ranges)
+        min_draws = int(layouts.choice([1, 2, 16]))
+        sizes = np.array(rows) * np.array(cols)
+        offsets = np.cumsum(sizes) - sizes
+        seed = int(layouts.integers(0, 2 ** 32))
+        ref = np.random.default_rng(seed)
+        expected = np.concatenate([
+            offset + _reference_one_range(ref, *r[:4], min_draws, r[4])
+            for offset, r in zip(offsets, ranges)])
+        rng = np.random.default_rng(seed)
+        out = graphs._sample_pair_keys(
+            rng, counts, rows, cols, unordered, min_draws,
+            forbidden=np.concatenate([o + f for o, f in zip(offsets, local)]))
+        assert np.array_equal(out, expected), case
+        assert rng.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62), case
+    assert sum(rewinds) >= 10 and len(rewinds) > sum(rewinds)
+
+
+def test_array_bounds_consume_the_stream_as_scalar_calls():
+    # _sample_pair_keys draws a run of ranges in one rng.integers call with
+    # an array of bounds and relies on it replaying these scalar calls
+    bounds = [1, 2, 41, 1589, 2 ** 40, 41, 1]
+    sizes = [3, 5, 8, 13, 4, 2, 6]
+    scalar = np.random.default_rng(7)
+    expected = np.concatenate([scalar.integers(0, high, size=size)
+                               for high, size in zip(bounds, sizes)])
+    batched = np.random.default_rng(7)
+    out = batched.integers(0, np.repeat(np.array(bounds, dtype=np.int64),
+                                        sizes))
+    message = ("numpy's array-bound rng.integers no longer replays scalar "
+               "calls; graphs._sample_pair_keys relies on it")
+    assert np.array_equal(out, expected), message
+    assert batched.integers(0, 2 ** 62) == scalar.integers(0, 2 ** 62), message
 
 
 @settings(max_examples=60, deadline=None)

@@ -261,6 +261,15 @@ def test_sample_matches_reference_stream(c, seed):
     assert out.num_edges == c.total_edges
 
 
+@settings(max_examples=100, deadline=None)
+@given(c=block_counts())
+def test_assignment_inverts_the_members(c):
+    expected = np.empty(c.n, dtype=np.int64)
+    for r, members in enumerate(c.members):
+        expected[members] = r
+    assert np.array_equal(c.assignment(), expected)
+
+
 def test_sample_matches_reference_on_louvain_fit():
     # a sparse graph with many blocks: most block pairs hold no edges
     rng = np.random.default_rng(5)
