@@ -12,9 +12,9 @@ anything else to float64; an op fed float32 returns float32 and its rule
 builds float32 gradients, and likewise for float64 (mixed inputs promote
 to float64, as numpy does). The constants an op makes take its input's
 dtype: the backward seed, the tensor_sum and tensor_mean fills,
-nce_denominator's log-denominators, the row scatter of gather_rows and
-pair_product and row_slice's zero grad. Training builds float32 models
-(models.nets); grad_check and the op tests run in float64.
+nce_denominator's log-denominators and gradient scale, the row scatter of
+gather_rows and pair_product and row_slice's zero grad. Training builds
+float32 models (models.nets); grad_check and the op tests run in float64.
 
 Gradient ownership: a backward_fn hands each array it builds to at most
 one _accumulate call and keeps no reference to it, so the first
@@ -33,13 +33,14 @@ output that needs grad points to its node, which holds the op's rule, the
 nodes of its parents and the grad flowing in; the rule's closure holds
 only the arrays it reads (operands for matmul, elementwise_mul, logaddexp
 and prelu, the output for relu, sigmoid and the normalizations, the
-(n, d) input and the two index arrays for pair_product, shapes, bounds or
-indices for the rest). So an op output's values die with the tensor
-unless a rule saved them, and the graph, which lives as long as the
-loss's node, holds just the nodes and the saved arrays. backward() frees
-only intermediate grads, so backward on the same loss can run again. The
-training steps pass each loss straight into the call that differentiates
-it, so no graph outlives its step.
+(n, d) input and the two index arrays for pair_product, the inputs and
+the gradients it built for nce_denominator, shapes, bounds or indices for
+the rest). So an op output's values die with the tensor unless a rule
+saved them, and the graph, which lives as long as the loss's node, holds
+just the nodes and the saved arrays. backward() frees only intermediate
+grads, so backward on the same loss can run again. The training steps
+pass each loss straight into the call that differentiates it, so no graph
+outlives its step.
 
 Each link row is kept once. pair_product builds the rows x[u] * x[v] and
 gathers the (k, d) endpoints again in backward instead of saving them
@@ -47,18 +48,19 @@ gathers the (k, d) endpoints again in backward instead of saving them
 view, so the InfoNCE losses normalize both views' rows as one stacked
 array and read the positive pairs from views of it.
 
-The InfoNCE denominator (nce_denominator) keeps no score matrix. Both of
-its passes walk the r x r scores in blocks of NCE_BLOCK_ROWS rows, and
-backward recomputes each block's softmax from the kept (r, 1)
-log-denominators: one more GEMM per block buys O(NCE_BLOCK_ROWS x r)
-scratch in place of r x r arrays. This is the blockwise softmax with
-recomputation of FlashAttention (Dao et al. 2022). Like FlashAttention-2
-(Dao 2023) it runs the row blocks on T threads, so the scratch is
-O(T x NCE_BLOCK_ROWS x r). Threads never change bits: they partition the
-outputs, never a GEMM's reduction, every GEMM keeps the shape it has on
-one thread, and the one sum across blocks is added in block order. T
-is process.nce_thread_budget, at most NCE_MAX_THREADS = 2, so the scratch
-is at most twice one thread's.
+The InfoNCE denominator (nce_denominator) keeps no score matrix and
+returns only the mean its callers take. One pass walks the r x r scores
+in blocks of NCE_BLOCK_ROWS rows, scores each block once and turns the
+block into its softmax weights in place, so the input gradients are built
+in the forward and held until backward hands them over: O(NCE_BLOCK_ROWS
+x r) scratch in place of r x r arrays, the blockwise softmax of
+FlashAttention (Dao et al. 2022) fused with its loss's backward. Like
+FlashAttention-2 (Dao 2023) it runs the row blocks on T threads, so the
+scratch is O(T x NCE_BLOCK_ROWS x r). Threads never change bits: they
+partition the outputs, never a GEMM's reduction, every GEMM keeps the
+shape it has on one thread, and the one sum across blocks is added in
+block order. T is process.nce_thread_budget, at most NCE_MAX_THREADS = 2,
+so the scratch is at most twice one thread's.
 
 Sparse adjacency matrices enter only through sparse_matmul and are
 treated as constants (never differentiated).
@@ -66,6 +68,7 @@ treated as constants (never differentiated).
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from contextlib import contextmanager
@@ -77,6 +80,7 @@ from .process import NCE_MAX_THREADS, nce_thread_budget, share_one_heap
 
 EPS = 1e-12
 NCE_BLOCK_ROWS = 256  # rows of the InfoNCE score matrix held at a time
+NCE_EXP_ROWS = 32  # rows of a block whose log-sum-exp exp is in flight
 
 
 class AllocationTracker:
@@ -536,99 +540,93 @@ def _run_blocks(blocks, threads, body, in_order=None):
         raise errors[0]
 
 
-def _nce_block_scores(a, o, lo, hi, tau):
-    """Rows lo:hi of the scaled score matrix a @ o.T / tau, own column -inf."""
-    s = a[lo:hi] @ o.T
-    s *= 1.0 / tau
-    np.fill_diagonal(s[:, lo:hi], -np.inf)
-    return s
-
-
 def nce_denominator(anchor, other, tau):
-    """InfoNCE log-denominators log sum_{j != i} exp(a_i . o_j / tau), (r, 1).
+    """The InfoNCE mean log-denominator mean_i log sum_{j != i}
+    exp(a_i . o_j / tau), a (1, 1) tensor.
 
     Row i contrasts anchor row i against every row of `other` except row i.
-    Both passes walk the r x r score matrix in blocks of NCE_BLOCK_ROWS
-    rows, and only the (r, 1) result is kept: backward recomputes each
-    block's scores and takes its softmax from the result. The blocks run
-    on _nce_threads threads, so the op's scratch is
-    O(T x NCE_BLOCK_ROWS x r) and no r x r array ever exists.
-    Passing the same tensor twice (GRACE's stacked views) makes the scores
-    symmetric, so row block i of the gradient weights W + W^T is
-    exp(s - out_i) scale_i + exp(s - out_j^T) scale_j, one product per block.
+    One pass walks the r x r scores in blocks of NCE_BLOCK_ROWS rows and
+    scores each block once. It takes the block's log-sum-exp with its exp
+    over slices of NCE_EXP_ROWS rows, so the scores survive, turns them in
+    place into the mean's softmax weights W = exp(s - out_i) (1/r) / tau,
+    and builds the gradients of the inputs that need one: the anchor's
+    W @ o block by block, the other's W^T @ a summed over blocks. One
+    tensor passed twice (GRACE's stacked views) is the case o = a: its node
+    receives the anchor's gradient, then the other's. The blocks run on
+    _nce_threads threads, so the scratch is O(T x NCE_BLOCK_ROWS x r) and
+    no r x r array ever exists. The graph holds the (r, d) gradients until
+    backward scales them by the upstream scalar and hands them over; a
+    second backward on the same loss runs the pass again.
 
-    The bits do not depend on T. Each block writes its own rows of `out`
-    and of the anchor's gradient, every GEMM has the shape it has on one
-    thread (splitting a block's score GEMM into row halves changed bits),
-    and the other tensor's gradient, a sum over blocks, gains block b's
-    part only after block b-1's, in NCE_BLOCK_ROWS-row chunks that keep
-    the reduction over the block's rows whole.
+    The bits do not depend on T. Each block writes its own rows of the
+    log-denominators and of the anchor's gradient, every GEMM has the shape
+    it has on one thread (splitting a block's score GEMM into row halves
+    changed bits), and the other's gradient gains block b's part only
+    after block b-1's, in NCE_BLOCK_ROWS-row chunks that keep the
+    reduction over the block's rows whole.
     """
     if anchor.shape != other.shape:
         raise ValueError(f"nce_denominator needs equal shapes, got "
                          f"{anchor.shape} and {other.shape}")
     if anchor.shape[0] < 2:
         raise ValueError("nce_denominator needs at least 2 rows")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     a, o = anchor.values, other.values
     r = a.shape[0]
     blocks = [(lo, min(lo + NCE_BLOCK_ROWS, r))
               for lo in range(0, r, NCE_BLOCK_ROWS)]
-    out = np.empty((r, 1), dtype=a.dtype)
+    # the mean's gradient constant, built as tensor_mean's rule builds it
+    scale = np.full((1, 1), a.dtype.type(1) / r, dtype=a.dtype) / tau
+    na, no = _node_of(anchor), _node_of(other)
 
-    def forward_block(lo, hi):
-        s = _nce_block_scores(a, o, lo, hi, tau)
-        m = np.max(s, axis=1, keepdims=True)
-        s -= m
-        np.exp(s, out=s)
-        out[lo:hi] = m + np.log(np.sum(s, axis=1, keepdims=True))
-
-    _run_blocks(blocks, _nce_threads(len(blocks)), forward_block)
-
-    def backward_fn(g, na, no):
-        scale = g / tau
-        threads = _nce_threads(len(blocks))
-        if na is no:  # one tensor passed twice; distinct ones never share
-            da = np.empty_like(a)
-
-            def symmetric_block(lo, hi):
-                # off the diagonal s_ij <= out_j, so exp(s - out_j) <= 1
-                w = _nce_block_scores(a, a, lo, hi, tau)
-                wt = w - out.T
-                np.exp(wt, out=wt)
-                wt *= scale.T
-                w -= out[lo:hi]
-                np.exp(w, out=w)
-                w *= scale[lo:hi]
-                w += wt
-                np.matmul(w, a, out=da[lo:hi])
-
-            _run_blocks(blocks, threads, symmetric_block)
-            na._accumulate(da)
-            return
-        da = np.empty_like(a) if na is not None else None
-        do = np.zeros_like(o) if no is not None else None
+    def run_pass():
+        out = np.empty((r, 1), dtype=a.dtype)
+        da = None if na is None else np.empty_like(a)
+        do = None if no is None else np.zeros_like(o)
 
         def block(lo, hi):
-            w = _nce_block_scores(a, o, lo, hi, tau)
-            w -= out[lo:hi]
-            np.exp(w, out=w)
-            w *= scale[lo:hi]
+            s = a[lo:hi] @ o.T
+            s *= 1.0 / tau
+            np.fill_diagonal(s[:, lo:hi], -np.inf)
+            m = np.max(s, axis=1, keepdims=True)
+            for i in range(0, hi - lo, NCE_EXP_ROWS):
+                rows = slice(i, i + NCE_EXP_ROWS)
+                e = s[rows] - m[rows]
+                np.exp(e, out=e)
+                out[lo:hi][rows] = m[rows] + np.log(
+                    np.sum(e, axis=1, keepdims=True))
+            s -= out[lo:hi]
+            np.exp(s, out=s)
+            s *= scale
             if da is not None:
-                np.matmul(w, o, out=da[lo:hi])
-            return w
+                np.matmul(s, o, out=da[lo:hi])
+            return s
 
         def add_to_do(lo, hi, w):
             for j0, j1 in blocks:
                 do[j0:j1] += w[:, j0:j1].T @ a[lo:hi]
 
-        _run_blocks(blocks, threads, block,
+        _run_blocks(blocks, _nce_threads(len(blocks)), block,
                     None if do is None else add_to_do)
-        if da is not None:
-            na._accumulate(da)
-        if do is not None:
-            no._accumulate(do)
+        return out, da, do
 
-    return _make(out, (anchor, other), backward_fn, "nce_denominator")
+    out, *grads = run_pass()
+    if _tracker is not None:  # the graph holds them until backward
+        for grad in grads:
+            if grad is not None:
+                _tracker.record_array(grad)
+
+    def backward_fn(g, na, no):
+        da, do = grads or run_pass()[1:]  # an earlier backward took them
+        grads.clear()
+        for node, grad in ((na, da), (no, do)):
+            if node is not None:
+                grad *= g
+                node._accumulate(grad)
+
+    return _make((np.sum(out) / r).reshape(1, 1), (anchor, other),
+                 backward_fn, "nce_denominator")
 
 
 def tensor_sum(x):

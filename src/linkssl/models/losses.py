@@ -3,13 +3,15 @@
 The link-level objectives are the node-level ones over link rows: L-GRACE
 is GRACE's InfoNCE with sampled negative links, and L-BGRL uses bgrl_loss
 as it is. Both InfoNCE objectives stack their two views' anchors and
-contrasted rows and take every denominator from one op over their 2k x 2k
-scores with each row's own column masked (autodiff.nce_denominator), the
-NT-Xent form of SimCLR that GRACE adopts. The op scores those rows in
-blocks and keeps none of them, so its scratch is O(NCE_BLOCK_ROWS x 2k),
-not (2k)^2. For GRACE k is the node count; for L-GRACE it is the number of
-links shared by the two views, which is not smaller than the node count on
-dense graphs: on PB (n = 1222) k is about 7.5k.
+contrasted rows and take the mean log-denominator from one op over their
+2k x 2k scores with each row's own column masked (autodiff.nce_denominator),
+the NT-Xent form of SimCLR that GRACE adopts. The op scores those rows in
+blocks once, builds its input gradients in the same pass and keeps no
+score, so its scratch is O(NCE_BLOCK_ROWS x 2k), not (2k)^2, and the
+loss's forward does the op's gradient work. For GRACE k is the node count;
+for L-GRACE it is the number of links shared by the two views, which is
+not smaller than the node count on dense graphs: on PB (n = 1222) k is
+about 7.5k.
 
 The views' rows are stacked before one row_l2_normalize, whose output is
 the array the denominator reads; the positive scores come from row_slice
@@ -26,8 +28,8 @@ from ..graphs import Graph, sample_negative_pairs
 
 
 def _nce_gap(den, rows, tau):
-    """mean(den) - mean(pos) for the stacked rows [view 1; view 2] and their
-    denominators.
+    """den - mean(pos) for the stacked rows [view 1; view 2] and their mean
+    log-denominator den.
 
     Each direction shares the positive score pos_i = rows_i . rows_{k+i} /
     tau, so this is the mean of the two directions' den - pos. The two
@@ -36,7 +38,7 @@ def _nce_gap(den, rows, tau):
     k = rows.shape[0] // 2
     pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(
         ad.row_slice(rows, 0, k), ad.row_slice(rows, k, 2 * k))), 1.0 / tau)
-    return ad.sub(ad.tensor_mean(den), ad.tensor_mean(pos))
+    return ad.sub(den, ad.tensor_mean(pos))
 
 
 def _stacked_unit_rows(first, second):
@@ -54,8 +56,6 @@ def grace_loss(u_emb, v_emb, projector, tau):
     """
     if u_emb.shape != v_emb.shape:
         raise ValueError("views must embed the same node set")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     both = _stacked_unit_rows(projector.forward(u_emb),
                               projector.forward(v_emb))
     return _nce_gap(ad.nce_denominator(both, both, tau), both, tau)
@@ -95,8 +95,6 @@ def lgrace_loss(z1_pos, z2_pos, z1_neg, z2_neg, tau):
     (positive and negative sets are index-aligned and equally sized).
     Symmetrized over the two views; returns the scalar loss to minimize.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     if z1_pos.shape != z2_pos.shape or z1_neg.shape != z2_neg.shape:
         raise ValueError("view link sets must align")
     if z1_pos.shape[0] == 0:

@@ -53,15 +53,17 @@ def share_cpus(processes):
 
 
 def nce_thread_budget():
-    """Threads nce_denominator may run: this process's CPUs over OpenBLAS's
-    threads times the processes sharing them, in [1, NCE_MAX_THREADS].
+    """Threads nce_denominator's one pass may run: this process's CPUs over
+    OpenBLAS's threads times the processes sharing them, in
+    [1, NCE_MAX_THREADS].
 
     A second Python thread helps only on a core nothing else keeps busy:
     with OpenBLAS on both cores of a 2-core box, 2 threads made the op
     slower, and 2 threads in each of 2 worker processes made 4 seeds
     slower than 1 thread in each. The cap bounds memory, not CPUs: each
-    thread holds one block's scratch, so the op holds at most
-    NCE_MAX_THREADS times the serial loop's, whatever the core count.
+    thread holds one block's scores, which become its softmax weights, so
+    the op holds at most NCE_MAX_THREADS times the serial loop's scratch,
+    whatever the core count.
     """
     blas = blas_threads()
     if not blas:

@@ -106,10 +106,6 @@ def test_non_scalar_backward_rejected():
 # --- gradient checks per op (tolerance 1e-6) --------------------------------
 
 
-# unequal per-row weights on a (5, 1) output, so each row's upstream
-# gradient differs
-ROW_WEIGHTS = Tensor(np.linspace(-1.0, 2.0, 5).reshape(-1, 1))
-
 OP_CASES = [
     ("matmul", lambda a, b: ad.tensor_sum(ad.sigmoid(ad.matmul(a, b))),
      [(4, 3), (3, 5)]),
@@ -143,10 +139,10 @@ OP_CASES = [
         ad.row_slice(a, 0, 2), ad.row_slice(a, 3, 5)))), [(6, 3)]),
     ("mask_diagonal", lambda a: ad.tensor_sum(
         ad.logsumexp_rows(ad.mask_diagonal(a))), [(4, 4)]),
-    ("nce_denominator", lambda a, b: ad.tensor_sum(ad.elementwise_mul(
-        ad.nce_denominator(a, b, 0.5), ROW_WEIGHTS)), [(5, 3), (5, 3)]),
-    ("nce_denominator_symmetric", lambda a: ad.tensor_sum(ad.elementwise_mul(
-        ad.nce_denominator(a, a, 0.5), ROW_WEIGHTS)), [(5, 3)]),
+    ("nce_denominator", lambda a, b: ad.tensor_sum(ad.sigmoid(
+        ad.nce_denominator(a, b, 0.5))), [(5, 3), (5, 3)]),
+    ("nce_denominator_symmetric", lambda a: ad.tensor_sum(ad.sigmoid(
+        ad.nce_denominator(a, a, 0.5))), [(5, 3)]),
     ("standardize_cols", lambda a: ad.tensor_sum(
         ad.sigmoid(ad.standardize_cols(a))), [(5, 3)]),
 ]
@@ -233,28 +229,46 @@ def test_logsumexp_all_minus_inf_row_contributes_nothing():
 
 
 def test_nce_denominator_two_rows_is_the_other_score():
-    # with two rows each denominator holds one term, a_i . o_j / tau, j != i
+    # with two rows each denominator holds one term, a_i . o_j / tau, j != i,
+    # and the op returns their mean
     a = Tensor([[1.0, 2.0], [3.0, -1.0]])
     o = Tensor([[0.5, 0.0], [2.0, 1.0]])
     out = ad.nce_denominator(a, o, 0.5)
-    assert out.values[0, 0] == pytest.approx(8.0, abs=1e-12)  # (2 + 2) / .5
-    assert out.values[1, 0] == pytest.approx(3.0, abs=1e-12)  # 1.5 / .5
+    assert out.shape == (1, 1)
+    assert out.item() == pytest.approx((8.0 + 3.0) / 2, abs=1e-12)
+    # shared: both rows score a_0 . a_1 = 1
+    assert ad.nce_denominator(a, a, 0.5).item() == pytest.approx(2.0,
+                                                                abs=1e-12)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_nce_denominator_repeated_backward_leaves_output_intact(symmetric,
                                                                 rng):
-    # backward recomputes each softmax block from the kept (r, 1) output; a
-    # backward that wrote into that output would make the second pass add a
-    # different gradient
-    a = leaf(rng, (6, 3))
-    o = a if symmetric else leaf(rng, (6, 3))
-    loss = ad.tensor_sum(ad.sigmoid(ad.nce_denominator(a, o, 0.3)))
+    # the first backward hands over the gradients the forward built; the
+    # second runs the pass again and adds the same arrays: the anchor's
+    # gradient, then the other's, which for one tensor passed twice are
+    # the arrays two distinct tensors of its values receive
+    values = rng.normal(size=(2 * ad.NCE_BLOCK_ROWS + 7, 3))
+    a, o = (Tensor(values, requires_grad=True) for _ in range(2))
+    out = ad.nce_denominator(a, o, 0.3)
+    loss = ad.tensor_sum(ad.sigmoid(out))
     backward(loss)
-    first = [a.grad.copy(), o.grad.copy()]
+    da, do = a.grad.copy(), o.grad.copy()
+    kept = out.values.copy()
+    if symmetric:
+        a = o = Tensor(values, requires_grad=True)
+        out = ad.nce_denominator(a, a, 0.3)
+        assert out.values.tobytes() == kept.tobytes()
+        loss = ad.tensor_sum(ad.sigmoid(out))
+        backward(loss)
+        assert np.array_equal(a.grad, da + do)
     backward(loss)
-    assert np.array_equal(a.grad, 2.0 * first[0])
-    assert np.array_equal(o.grad, 2.0 * first[1])
+    assert out.values.tobytes() == kept.tobytes()
+    if symmetric:
+        assert np.array_equal(a.grad, (da + do) + da + do)
+    else:
+        assert np.array_equal(a.grad, 2.0 * da)
+        assert np.array_equal(o.grad, 2.0 * do)
 
 
 def test_nce_denominator_records_no_square_array(rng):
@@ -305,20 +319,32 @@ def test_nce_denominator_rejects_bad_shapes(rng):
         ad.nce_denominator(leaf(rng, (1, 3)), leaf(rng, (1, 3)), 0.5)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_nce_denominator_rejects_a_tau_not_finite_and_positive(tau,
+                                                               symmetric,
+                                                               rng):
+    # tau = 0 would divide by zero and a negative tau negate every score
+    a = leaf(rng, (4, 3))
+    o = a if symmetric else leaf(rng, (4, 3))
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        ad.nce_denominator(a, o, tau)
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_nce_denominator_gradient_across_row_blocks(symmetric, rng):
-    # positive inputs and weights make every gradient coordinate a sum of
-    # positive terms: over ~1000 coordinates, a signed draw leaves some
-    # near zero, where central differences cannot resolve 1e-6 relative
-    # (a dense kept-softmax op reads the same errors, up to 2.6e-5, there)
+    # positive inputs make every gradient coordinate a sum of positive
+    # terms: over ~1000 coordinates, a signed draw leaves some near zero,
+    # where central differences cannot resolve 1e-6 relative (a dense
+    # kept-softmax op reads the same errors, up to 2.6e-5, there); the
+    # factor makes the upstream gradient differ from 1
     r = ad.NCE_BLOCK_ROWS + 3
-    weights = Tensor(rng.uniform(0.5, 2.0, size=(r, 1)))
     inputs = [Tensor(rng.uniform(0.5, 1.5, size=(r, 2)), requires_grad=True)
               for _ in range(1 if symmetric else 2)]
 
     def fn(a, b=None):
-        return ad.tensor_sum(ad.elementwise_mul(
-            ad.nce_denominator(a, a if b is None else b, 0.5), weights))
+        return ad.scalar_mul(
+            ad.nce_denominator(a, a if b is None else b, 0.5), 1.7)
 
     assert grad_check(fn, inputs) < 1e-6
 
@@ -345,17 +371,18 @@ B = ad.NCE_BLOCK_ROWS
 @pytest.mark.parametrize("r", [2, B - 1, B, B + 1, 2 * B + 5])
 @pytest.mark.parametrize("grads", ["anchor", "other", "both", "shared"])
 def test_nce_denominator_matches_dense_softmax(r, grads, rng):
-    tau = 0.2
+    # the mean's gradient c / r reaches every row, c the upstream scalar
+    tau, c = 0.2, rng.normal()
     a = rng.normal(size=(r, 4))
     o = a if grads == "shared" else rng.normal(size=(r, 4))
-    g = rng.normal(size=(r, 1))
     anchor = Tensor(a, requires_grad=grads != "other")
     other = anchor if grads == "shared" else Tensor(
         o, requires_grad=grads != "anchor")
     out = ad.nce_denominator(anchor, other, tau)
-    backward(ad.tensor_sum(ad.elementwise_mul(out, Tensor(g))))
-    want, da, do = _dense_nce(a, o, g, tau)
-    assert np.max(np.abs(out.values - want)) <= 1e-12
+    backward(ad.scalar_mul(out, c))
+    want, da, do = _dense_nce(a, o, np.full((r, 1), c / r), tau)
+    assert out.shape == (1, 1)
+    assert abs(out.item() - np.mean(want)) <= 1e-12 * max(1.0, abs(out.item()))
     if grads == "shared":
         _assert_close_grad(anchor.grad, da + do)
         return
@@ -384,27 +411,76 @@ def test_nce_denominator_scratch_is_row_blocks(symmetric, rng):
     assert peak < 8 * r * r / 4
 
 
-def _nce_with_threads(monkeypatch, threads, a, o, weights):
+def _nce_with_threads(monkeypatch, threads, a, o, upstream=1.0):
     monkeypatch.setattr(ad, "_nce_threads", lambda n_blocks: threads)
     anchor = Tensor(a, requires_grad=True)
     other = anchor if o is None else Tensor(o, requires_grad=True)
     out = ad.nce_denominator(anchor, other, 0.5)
-    backward(ad.tensor_sum(ad.elementwise_mul(out, weights)))
+    backward(ad.scalar_mul(out, upstream))
     return out.values, anchor.grad, other.grad
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_nce_denominator_bits_do_not_depend_on_threads(symmetric, rng,
                                                        monkeypatch):
-    # unequal row weights make each row's softmax scale differ
     r = 4 * ad.NCE_BLOCK_ROWS + 5
     a = rng.normal(size=(r, 16))
     o = None if symmetric else rng.normal(size=(r, 16))
-    weights = Tensor(rng.uniform(0.5, 2.0, size=(r, 1)))
-    serial = _nce_with_threads(monkeypatch, 1, a, o, weights)
-    threaded = _nce_with_threads(monkeypatch, 2, a, o, weights)
+    serial = _nce_with_threads(monkeypatch, 1, a, o, 1.7)
+    threaded = _nce_with_threads(monkeypatch, 2, a, o, 1.7)
     for got, want in zip(threaded, serial):
         assert np.array_equal(got, want)
+
+
+def _two_pass_nce(a, o, tau):
+    """The mean log-denominator and both input gradients by the two-pass
+    arithmetic the op replaced, step for step: a forward that keeps the
+    (r, 1) log-denominators, then a backward that scores each block again
+    under tensor_mean's gradient (1/r) / tau."""
+    r = a.shape[0]
+    blocks = [(lo, min(lo + B, r)) for lo in range(0, r, B)]
+
+    def scores(lo, hi):
+        s = a[lo:hi] @ o.T
+        s *= 1.0 / tau
+        np.fill_diagonal(s[:, lo:hi], -np.inf)
+        return s
+
+    out = np.empty((r, 1), dtype=a.dtype)
+    for lo, hi in blocks:
+        s = scores(lo, hi)
+        m = np.max(s, axis=1, keepdims=True)
+        s -= m
+        np.exp(s, out=s)
+        out[lo:hi] = m + np.log(np.sum(s, axis=1, keepdims=True))
+    scale = np.full((r, 1), a.dtype.type(1) / r, dtype=a.dtype) / tau
+    da, do = np.empty_like(a), np.zeros_like(o)
+    for lo, hi in blocks:
+        w = scores(lo, hi)
+        w -= out[lo:hi]
+        np.exp(w, out=w)
+        w *= scale[lo:hi]
+        np.matmul(w, o, out=da[lo:hi])
+        for j0, j1 in blocks:
+            do[j0:j1] += w[:, j0:j1].T @ a[lo:hi]
+    return (np.sum(out) / r).reshape(1, 1), da, do
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nce_denominator_keeps_the_two_pass_bits_on_distinct_inputs(
+        threads, dtype, rng, monkeypatch):
+    # L-GRACE's inputs: unit rows, the other's drawn apart from the
+    # anchor's, over five row blocks
+    r = 4 * B + 5
+    a, o = rng.normal(size=(2, r, 32))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    o /= np.linalg.norm(o, axis=1, keepdims=True)
+    a, o = a.astype(dtype), o.astype(dtype)
+    got = _nce_with_threads(monkeypatch, threads, a, o)
+    for g, want in zip(got, _two_pass_nce(a, o, 0.5)):
+        assert g.dtype == want.dtype
+        assert g.tobytes() == want.tobytes()
 
 
 def test_run_blocks_keeps_block_order_for_the_ordered_step():
