@@ -39,8 +39,9 @@ the rest). So an op output's values die with the tensor unless a rule
 saved them, and the graph, which lives as long as the loss's node, holds
 just the nodes and the saved arrays. backward() frees only intermediate
 grads, so backward on the same loss can run again. The training steps
-pass each loss straight into the call that differentiates it, so no graph
-outlives its step.
+pass each loss term straight into the call that differentiates it, and
+build a step's next term only after the last one is dropped, so no graph
+outlives its term.
 
 Each link row is kept once. pair_product builds the rows x[u] * x[v] and
 gathers the (k, d) endpoints again in backward instead of saving them

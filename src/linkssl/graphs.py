@@ -229,10 +229,17 @@ def normalized_adjacency(g):
     Computed once per graph and cached on it; callers must not modify it.
     """
     if g._norm_adj is None:
-        a_tilde = g.adjacency() + sparse.identity(g.n, format="csr")
-        deg = np.asarray(a_tilde.sum(axis=1)).reshape(-1)
-        d_half = sparse.diags(1.0 / np.sqrt(deg))
-        g._norm_adj = (d_half @ a_tilde @ d_half).tocsr()
+        n, (u, v) = g.n, g.edges.T
+        # both orientations and the self-loops as row-major keys r * n + c
+        keys = np.sort(np.concatenate([g.keys, v * n + u,
+                                       np.arange(n) * (n + 1)]))
+        rows, cols = np.divmod(keys, n)
+        counts = np.bincount(rows, minlength=n)  # degree + 1
+        d_half = 1.0 / np.sqrt(counts)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        g._norm_adj = sparse.csr_matrix(
+            (d_half[rows] * d_half[cols], cols, indptr), shape=(n, n))
     return g._norm_adj
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from linkssl.datasets import (REGISTRY, DatasetInfo, convert_mat,
                               dataset_available, load_dataset,
@@ -512,6 +513,32 @@ def _uncached_normalized_adjacency(g):
         a[u, v] = a[v, u] = 1.0
     d = 1.0 / np.sqrt(a.sum(axis=1))
     return d[:, None] * a * d[None, :]
+
+
+def _composed_normalized_adjacency(g):
+    # the sparse composition normalized_adjacency replaced, kept as its
+    # reference: scaled A + I, two sparse products and tocsr()
+    a_tilde = g.adjacency() + sparse.identity(g.n, format="csr")
+    d_half = sparse.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1))
+                                        .reshape(-1)))
+    return (d_half @ a_tilde @ d_half).tocsr()
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (7, 3), (90, 400),
+                                  (332, 2126)])
+def test_normalized_adjacency_keeps_the_composed_bytes(n, m):
+    rng = np.random.default_rng(n + m)
+    g = Graph(n, rng.integers(0, max(n, 1), size=(m, 2)))
+    got, want = normalized_adjacency(g), _composed_normalized_adjacency(g)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    x = rng.normal(size=(n, 5)).astype(np.float32)
+    for transpose in (False, True):
+        a, b = got.astype(np.float32), want.astype(np.float32)
+        if transpose:
+            a, b = a.T, b.T
+        assert (a @ x).tobytes() == (b @ x).tobytes()
 
 
 def test_normalized_adjacency_cached_per_graph():

@@ -30,9 +30,10 @@ from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
                             link_representation, predict_scores,
                             select_link_sets, train_decoder, train_encoder,
                             train_supervised_gcn)
-from linkssl.models.training import (DECODER_EPOCHS, SELF_SUPERVISED,
-                                     _decoder_objective, _encoder_loss,
-                                     _init_state)
+from linkssl.models.training import (BOOTSTRAPPED, DECODER_EPOCHS,
+                                     LINK_MODELS, SELF_SUPERVISED,
+                                     _decoder_objective, _descend,
+                                     _encoder_terms, _init_state, _rows)
 from linkssl.optim import zero_grads
 from linkssl.seeding import derive_seed
 from scipy import sparse
@@ -682,7 +683,7 @@ def test_one_lgrace_step_keeps_each_link_row_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(state.encoder, "forward", keep)
     refs = _output_values(monkeypatch, "concat_rows", "row_l2_normalize")
-    loss = _encoder_loss(state, v1, v2, edge_pos, edge_neg, cfg)
+    (loss,) = _encoder_terms(state, v1, v2, edge_pos, edge_neg, cfg)
     saved = _saved_buffers(loss)
 
     endpoints = [h[edges[:, side]] for h in embeddings
@@ -717,6 +718,47 @@ def test_bgrl_graph_drops_the_cosine_product(monkeypatch):
     assert product() is None and cos() is None
     ad.backward(loss)
     assert pred.grad.shape == (6, 3)
+
+
+@pytest.mark.parametrize("model", BOOTSTRAPPED)
+def test_bootstrapped_branch_graph_dies_before_the_next_branch(model,
+                                                               monkeypatch):
+    # the predictor's ReLU output is saved for its second matmul's rule, so
+    # it lives as long as its branch's graph: alive at that branch's
+    # backward, dead when the second branch's online forward starts
+    split = _planted_split()
+    cfg = toy_cfg(model=model)
+    state = _init_state(model, split.train_graph.features.n_cols, cfg, seed=3)
+    v1, v2 = make_views(split.train_graph, AugmentationSpec(), None, seed=3)
+    edge_pos = (select_link_sets(v1, v2, None)[0] if model in LINK_MODELS
+                else None)
+    refs = _output_values(monkeypatch, "relu")
+    relus = refs["relu"]
+    alive_at_forward, alive_at_backward = [], []
+
+    def forward(view, mode="train", _forward=state.encoder.forward):
+        alive_at_forward.append([ref() is not None for ref in relus])
+        return _forward(view, mode)
+
+    def backward(loss, _backward=ad.backward):
+        alive_at_backward.append([ref() is not None for ref in relus])
+        return _backward(loss)
+
+    monkeypatch.setattr(state.encoder, "forward", forward)
+    monkeypatch.setattr(ad, "backward", backward)
+    value = _descend(_encoder_terms(state, v1, v2, edge_pos, None, cfg), 0,
+                     model, cfg.weight_decay,
+                     (state.online_parameters(), cfg.gnn_lr))
+    assert np.isfinite(value)
+    assert len(alive_at_forward) == len(alive_at_backward) == 2
+    # the target rows' ReLUs (L-BGRL's link MLP) come first and need no graph
+    targets = 2 if model in LINK_MODELS else 0
+    assert alive_at_forward[0] == [False] * targets
+    first = alive_at_backward[0]
+    assert first[-1]  # branch 1's predictor ReLU, read by its backward
+    assert len(alive_at_forward[1]) == len(first)
+    assert not any(alive_at_forward[1])
+    assert not any(ref() is not None for ref in relus)
 
 
 # ---------------------------------------------------------------- train loops
@@ -763,7 +805,7 @@ def _gathered_pair_product(x, u, v):
 def _per_part_gap(den, rows1, rows2, tau):
     pos = ad.scalar_mul(ad.row_sum(ad.elementwise_mul(rows1, rows2)),
                         1.0 / tau)
-    return ad.sub(ad.tensor_mean(den), ad.tensor_mean(pos))
+    return ad.sub(den, ad.tensor_mean(pos))
 
 
 def _per_part_grace_loss(u_emb, v_emb, projector, tau):
@@ -831,6 +873,57 @@ def test_training_keeps_the_bits_of_the_per_part_compositions(model,
     assert not np.isnan(before[-1][:, 1]).any()
 
 
+def _joint_bootstrap_terms(state, v1, v2, edge_pos, edge_neg, cfg):
+    """The bootstrapped step before branches were differentiated one at a
+    time, kept as a reference: both online branches, then both target
+    rows, joined by ad.add under one backward."""
+    h1 = state.encoder.forward(v1, mode="train")
+    h2 = state.encoder.forward(v2, mode="train")
+    z1 = _rows(h1, edge_pos, state.link_mlp)
+    z2 = _rows(h2, edge_pos, state.link_mlp)
+    t1 = _rows(state.target_encoder.forward(v1, mode="train"),
+               edge_pos, state.target_link_mlp)
+    t2 = _rows(state.target_encoder.forward(v2, mode="train"),
+               edge_pos, state.target_link_mlp)
+    yield ad.add(bgrl_loss(state.predictor.forward(z1), t2),
+                 bgrl_loss(state.predictor.forward(z2), t1))
+
+
+@pytest.mark.parametrize("model", BOOTSTRAPPED)
+def test_bootstrapped_branches_keep_the_bits_of_the_joint_step(model,
+                                                               monkeypatch):
+    from linkssl.models import training
+
+    split = _planted_split()
+    spec = AugmentationSpec(drop_edge_rate_1=0.2, drop_edge_rate_2=0.2)
+    cfg = toy_cfg(ct_epochs=4, encoder=EncoderConfig(
+        n_layers=2, layer_size=64, norm="batch"))
+    backward_calls = []
+
+    def trajectory():
+        backward_calls.clear()
+        st = train_encoder(split, spec, model, cfg, seed=6)
+        return ([p.values.copy() for p in st.online_parameters()]
+                + [t.values.copy() for t, _ in st.tracked]
+                + [s[key].copy() for enc in (st.encoder, st.target_encoder)
+                   for s in enc.bn_states for key in sorted(s)]
+                + [np.array(st.loss_history)])
+
+    def count(loss, _backward=ad.backward):
+        backward_calls.append(1)
+        return _backward(loss)
+
+    monkeypatch.setattr(ad, "backward", count)
+    now = trajectory()
+    assert len(backward_calls) == 2 * cfg.ct_epochs
+    monkeypatch.setattr(training, "_encoder_terms", _joint_bootstrap_terms)
+    before = trajectory()
+    assert len(backward_calls) == cfg.ct_epochs
+    assert len(now) == len(before)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(now, before))
+    assert not np.isnan(before[-1][:, 1]).any()
+
+
 @pytest.mark.parametrize("stage", [*SELF_SUPERVISED, "decoder",
                                    "gcn_supervised"])
 def test_each_step_drops_its_graph_before_the_next(stage, monkeypatch):
@@ -863,15 +956,17 @@ def test_each_step_drops_its_graph_before_the_next(stage, monkeypatch):
         state = _init_state("grace", split.train_graph.features.n_cols, cfg,
                             seed=2)
         train_decoder(state, split, cfg, seed=2)
-        assert len(losses) == DECODER_EPOCHS
+        steps = terms = DECODER_EPOCHS
     elif stage == "gcn_supervised":
         train_supervised_gcn(split, cfg, seed=2)
-        assert len(losses) == 3
+        steps = terms = 3
     else:
         spec = AugmentationSpec(drop_edge_rate_1=0.0, drop_edge_rate_2=0.0)
         train_encoder(split, spec, stage, cfg, seed=2)
-        assert len(losses) == 3
-    assert len(live) == len(losses)
+        # a bootstrapped step differentiates its two branches one by one
+        steps, terms = 3, 6 if stage in BOOTSTRAPPED else 3
+    assert len(losses) == terms
+    assert len(live) == steps
     assert live == [0] * len(live)
 
 
@@ -1208,6 +1303,29 @@ def test_train_supervised_gcn_separates_cliques():
     cross = [(u, v) for u in range(4) for v in range(4, 8)]
     neg = predict_scores(state, dec, split.train_graph, cross)
     assert pos.mean() > neg.mean() + 0.2
+
+
+def test_train_supervised_gcn_records_each_epochs_mean_batch_loss(
+        monkeypatch):
+    from linkssl.models import training
+
+    split = _toy_split()
+    cfg = toy_cfg(model="gcn_supervised", ct_epochs=4, batch_size=2)
+    values = []
+
+    def keep_value(*args, _descend=training._descend):
+        values.append(_descend(*args))
+        return values[-1]
+
+    monkeypatch.setattr(training, "_descend", keep_value)
+    state, _ = train_supervised_gcn(split, cfg, seed=5)
+    batches = -(-len(split.train_pos) // cfg.batch_size)
+    assert batches > 1 and len(values) == cfg.ct_epochs * batches
+    assert [e for e, _ in state.loss_history] == list(range(cfg.ct_epochs))
+    assert all(np.isfinite(v) for _, v in state.loss_history)
+    assert [v for _, v in state.loss_history] == [
+        float(np.mean(values[e * batches:(e + 1) * batches]))
+        for e in range(cfg.ct_epochs)]
 
 
 def test_embed_uses_eval_mode_running_stats():
