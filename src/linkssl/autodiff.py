@@ -13,14 +13,18 @@ builds float32 gradients, and likewise for float64 (mixed inputs promote
 to float64, as numpy does). The constants an op makes take its input's
 dtype: the backward seed, the tensor_sum and tensor_mean fills,
 nce_denominator's log-denominators and gradient scale, the row scatter of
-gather_rows and pair_product and row_slice's zero grad. Training builds
-float32 models (models.nets); grad_check and the op tests run in float64.
+gather_rows, pair_product and pair_mlp and row_slice's zero grad. Training
+builds float32 models (models.nets); grad_check and the op tests run in
+float64.
 
 Gradient ownership: a backward_fn hands each array it builds to at most
 one _accumulate call and keeps no reference to it, so the first
 contribution a node receives becomes its grad without a copy and later
 ones are added into it in place. `add` is the one op whose upstream
 gradient can reach two parents unchanged; it copies for the second.
+pair_mlp hands a bias its share of the upstream gradient, which for one
+row is that gradient itself, and copies it then, since its rule goes on
+reading the gradient.
 `row_slice` adds its gradient into rows of the parent's grad in place
 (_accumulate_rows), which the same ownership makes safe.
 
@@ -33,21 +37,25 @@ output that needs grad points to its node, which holds the op's rule, the
 nodes of its parents and the grad flowing in; the rule's closure holds
 only the arrays it reads (operands for matmul, elementwise_mul, logaddexp
 and prelu, the output for relu, sigmoid and the normalizations, the
-(n, d) input and the two index arrays for pair_product, the inputs and
-the gradients it built for nce_denominator, shapes, bounds or indices for
-the rest). So an op output's values die with the tensor unless a rule
-saved them, and the graph, which lives as long as the loss's node, holds
-just the nodes and the saved arrays. backward() frees only intermediate
-grads, so backward on the same loss can run again. The training steps
-pass each loss term straight into the call that differentiates it, and
-build a step's next term only after the last one is dropped, so no graph
-outlives its term.
+(n, d) input and the two index arrays for pair_product, those and the
+four parameter arrays for pair_mlp, the inputs and the gradients it built
+for nce_denominator, shapes, bounds or indices for the rest). So an op
+output's values die with the tensor unless a rule saved them, and the
+graph, which lives as long as the loss's node, holds just the nodes and
+the saved arrays. backward() frees only intermediate grads, so backward
+on the same loss can run again. The training steps pass each loss term
+straight into the call that differentiates it, and build a step's next
+term only after the last one is dropped, so no graph outlives its term.
 
-Each link row is kept once. pair_product builds the rows x[u] * x[v] and
-gathers the (k, d) endpoints again in backward instead of saving them
-(recomputation, Chen et al. 2016, arXiv:1604.06174); row_slice returns a
-view, so the InfoNCE losses normalize both views' rows as one stacked
-array and read the positive pairs from views of it.
+A link set's graph keeps only its endpoints. pair_product builds the
+rows x[u] * x[v] and gathers the (k, d) endpoints again in backward
+instead of saving them (recomputation, Chen et al. 2016,
+arXiv:1604.06174). pair_mlp, the link MLP over those rows, recomputes
+the rows and its (k, h) hidden layer in backward the same way, at one
+extra (k x d)(d x h) GEMM per link set, so an L-GRACE step's graph holds
+no link-MLP activation. row_slice returns a view, so the InfoNCE losses
+normalize both views' rows as one stacked array and read the positive
+pairs from views of it.
 
 The InfoNCE denominator (nce_denominator) keeps no score matrix and
 returns only the mean its callers take. One pass walks the r x r scores
@@ -712,31 +720,94 @@ def _pair_ids(ids, rows):
     return idx
 
 
+def _scatter_pair_grad(nx, g, xv, u, v):
+    """Add the gradient of the rows x[u] * x[v] into x's node: g * x[v]
+    scattered into rows u, then g * x[u] into rows v, the order in which
+    the gather_rows rules of the composition run."""
+    rows = xv.shape[0]
+    for dst, src in ((u, v), (v, u)):
+        part = xv[src]
+        part *= g
+        nx._accumulate(_scatter_rows(part, dst, rows))
+        del part
+
+
 def pair_product(x, u, v):
     """The rows x[u] * x[v], one per pair (u[j], v[j]), as one op.
 
     Equal to elementwise_mul(gather_rows(x, u), gather_rows(x, v)), bit for
     bit in both passes, but its rule keeps x's values and the two index
     arrays instead of the two gathered (k, d) endpoint arrays. Backward
-    gathers them again: it scatters g * x[v] into rows u, then g * x[u]
-    into rows v, the order in which the composition's gather_rows rules
-    run. An id outside [0, rows) raises ValueError, where numpy indexing
-    would wrap a negative one.
+    gathers them again (_scatter_pair_grad). An id outside [0, rows)
+    raises ValueError, where numpy indexing would wrap a negative one.
     """
     xv = x.values
-    rows = xv.shape[0]
-    u, v = _pair_ids(u, rows), _pair_ids(v, rows)
+    u, v = _pair_ids(u, xv.shape[0]), _pair_ids(v, xv.shape[0])
     out = xv[u]
     out *= xv[v]
 
     def backward_fn(g, nx):
-        for dst, src in ((u, v), (v, u)):
-            part = xv[src]
-            part *= g
-            nx._accumulate(_scatter_rows(part, dst, rows))
-            del part
+        _scatter_pair_grad(nx, g, xv, u, v)
 
     return _make(out, (x,), backward_fn, "pair_product")
+
+
+def _bias_grad(g, shape):
+    """A bias's share of g; a copy when that is g itself (one row), since
+    the rule goes on reading g after handing the share over."""
+    gb = _unbroadcast(g, shape)
+    return g.copy() if gb is g else gb
+
+
+def pair_mlp(x, u, v, w1, b1, w2, b2):
+    """relu((x[u] * x[v]) w1 + b1) w2 + b2, one row per pair (u[j], v[j]),
+    as one op: the link MLP over pair_product's rows.
+
+    Equal to add(matmul(relu(add(matmul(pair_product(x, u, v), w1), b1)),
+    w2), b2), bit for bit in both passes, but its rule keeps only x's
+    values, the two index arrays and the four parameter arrays, not the
+    (k, d) product rows and the (k, h) hidden layer that the composition's
+    matmul rules save. Backward rebuilds both with the forward's
+    expressions (recomputation, Chen et al. 2016: one extra (k x d)(d x h)
+    GEMM) and then runs the arithmetic of the six rules it replaces in
+    their order: b2, w2, the ReLU mask, b1, w1, then x's rows u and rows v.
+    x and the parameters share one dtype, as every module's do. An id
+    outside [0, rows) raises ValueError.
+    """
+    xv, w1v, b1v, w2v = x.values, w1.values, b1.values, w2.values
+    u, v = _pair_ids(u, xv.shape[0]), _pair_ids(v, xv.shape[0])
+    b1_shape, b2_shape = b1.shape, b2.shape
+
+    def layers():
+        """The product rows and the hidden layer, as the forward built them."""
+        rows = xv[u]
+        rows *= xv[v]
+        hidden = rows @ w1v
+        hidden += b1v
+        return rows, np.maximum(hidden, 0.0, out=hidden)
+
+    out = layers()[1] @ w2v
+    out += b2.values
+
+    def backward_fn(g, nx, nw1, nb1, nw2, nb2):
+        rows, hidden = layers()
+        if nb2 is not None:
+            nb2._accumulate(_bias_grad(g, b2_shape))
+        if nw2 is not None:
+            nw2._accumulate(hidden.T @ g)
+        # hidden > 0 exactly where the pre-activation is, as in relu's rule
+        dh = g @ w2v.T
+        dh *= hidden > 0.0
+        del hidden
+        if nb1 is not None:
+            nb1._accumulate(_bias_grad(dh, b1_shape))
+        if nw1 is not None:
+            nw1._accumulate(rows.T @ dh)
+        del rows
+        if nx is not None:
+            _scatter_pair_grad(nx, dh @ w1v.T, xv, u, v)
+
+    return _make(out, (x, w1, b1, w2, b2), backward_fn, "pair_mlp")
 
 
 def mask_diagonal(x, fill=-np.inf):

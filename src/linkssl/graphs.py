@@ -65,7 +65,8 @@ class Graph:
     The constructor is the one canonicalizer: it range-checks n and the raw
     pairs and keeps `keys`, the sorted distinct int64 u * n + v (u < v) of
     the non-loop pairs, which `edges` decodes; `from_keys` takes canonical
-    keys as they are. The normalized adjacency is cached on first use.
+    keys as they are. The normalized adjacency is cached per dtype on
+    first use.
     """
 
     __slots__ = ("n", "edges", "keys", "features", "_norm_adj")
@@ -98,7 +99,7 @@ class Graph:
         self.features = features if features is not None else FeatureMatrix.identity(n)
         if self.features.n_rows != self.n:
             raise ValueError("feature row count must equal n")
-        self._norm_adj = None
+        self._norm_adj = {}
 
     @property
     def num_edges(self):
@@ -223,12 +224,21 @@ def random_link_split(g, fractions, seed):
                      test_pos=test.edges, seed=int(seed))
 
 
-def normalized_adjacency(g):
+def normalized_adjacency(g, dtype=np.float64):
     """Symmetrically normalized propagation matrix D^-1/2 (A + I) D^-1/2.
 
-    Computed once per graph and cached on it; callers must not modify it.
+    Built once per graph in float64 and cached on it; another `dtype` is
+    that matrix cast once and cached next to it, so the encoder's float32
+    products read the same values without a cast per call. Callers must
+    not modify it.
     """
-    if g._norm_adj is None:
+    dtype = np.dtype(dtype)
+    cached = g._norm_adj.get(dtype)
+    if cached is not None:
+        return cached
+    if dtype != np.float64:
+        cached = normalized_adjacency(g).astype(dtype)
+    else:
         n, (u, v) = g.n, g.edges.T
         # both orientations and the self-loops as row-major keys r * n + c
         keys = np.sort(np.concatenate([g.keys, v * n + u,
@@ -238,9 +248,10 @@ def normalized_adjacency(g):
         d_half = 1.0 / np.sqrt(counts)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        g._norm_adj = sparse.csr_matrix(
+        cached = sparse.csr_matrix(
             (d_half[rows] * d_half[cols], cols, indptr), shape=(n, n))
-    return g._norm_adj
+    g._norm_adj[dtype] = cached
+    return cached
 
 
 def _member(sorted_keys, keys):

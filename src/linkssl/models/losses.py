@@ -17,6 +17,10 @@ The views' rows are stacked before one row_l2_normalize, whose output is
 the array the denominator reads; the positive scores come from row_slice
 views of it. Rows are normalized independently, so stacking first gives
 the per-view bits, and the graph keeps one copy of the normalized rows.
+The link rows come from autodiff.pair_mlp, whose graph keeps only the
+node embeddings and parameters it reads, so once lgrace_loss has stacked
+a link set nothing keeps its rows: the graph holds only the normalized
+stacked rows.
 """
 
 from __future__ import annotations
@@ -101,8 +105,13 @@ def lgrace_loss(z1_pos, z2_pos, z1_neg, z2_neg, tau):
         raise ValueError("no positive links to contrast")
     if z1_pos.shape[0] != z1_neg.shape[0]:
         raise ValueError("need one negative per positive link")
+    # the graph keeps only the stacked rows, so each link set dies once
+    # it is stacked (the caller passes them as argument expressions)
     anchors = _stacked_unit_rows(z1_pos, z2_pos)
-    den = ad.nce_denominator(anchors, _stacked_unit_rows(z1_neg, z2_neg), tau)
+    del z1_pos, z2_pos
+    contrasted = _stacked_unit_rows(z1_neg, z2_neg)
+    del z1_neg, z2_neg
+    den = ad.nce_denominator(anchors, contrasted, tau)
     return _nce_gap(den, anchors, tau)
 
 

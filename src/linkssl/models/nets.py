@@ -119,7 +119,7 @@ class GCNEncoder:
             raise ValueError("feature shape does not match encoder input")
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown encoder mode {mode!r}")
-        adj = normalized_adjacency(view).astype(self.dtype, copy=False)
+        adj = normalized_adjacency(view, self.dtype)
         h = None
         for layer in range(self.cfg.n_layers):
             w = self.weights[layer].tensor
@@ -209,13 +209,21 @@ class Decoder:
         return ad.sigmoid(ad.Tensor(self.logits(z).values.astype(np.float64)))
 
 
+def _pair_columns(pairs):
+    """The (u, v) id columns of a pair list."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def link_representation(h, edges, mlp):
-    """Row per edge: MLP(h_u * h_v). Symmetric in (u, v)."""
-    return mlp.forward(hadamard_pairs(h, edges))
+    """Row per edge: MLP(h_u * h_v), one autodiff.pair_mlp, whose graph
+    keeps neither the product rows nor the hidden layer. Symmetric in
+    (u, v); ids outside [0, n) raise."""
+    return ad.pair_mlp(h, *_pair_columns(edges), mlp.w1.tensor,
+                       mlp.b1.tensor, mlp.w2.tensor, mlp.b2.tensor)
 
 
 def hadamard_pairs(h, pairs):
-    """h_u * h_v rows, one per (u, v) pair: link representation inputs,
-    decoder batches and scored pairs. Ids outside [0, n) raise."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return ad.pair_product(h, pairs[:, 0], pairs[:, 1])
+    """h_u * h_v rows, one per (u, v) pair: decoder batches and scored
+    pairs. Ids outside [0, n) raise."""
+    return ad.pair_product(h, *_pair_columns(pairs))

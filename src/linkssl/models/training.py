@@ -149,8 +149,11 @@ def _encoder_terms(state, v1, v2, edge_pos, edge_neg, cfg):
     two bootstrapped branches, the second built only after `_descend` has
     differentiated and dropped the first. Both target rows come first and
     need no graph; the branches are yielded as expressions, so no local
-    name keeps the first one's graph alive. Each encoder still sees v1
-    before v2, so its batch-norm statistics update in that order."""
+    name keeps the first one's graph alive. L-GRACE's four link sets are
+    argument expressions too, so once lgrace_loss has stacked them nothing
+    holds their rows (on CPython >= 3.11, which moves call arguments into
+    the callee's frame). Each encoder still sees v1 before v2, so its
+    batch-norm statistics update in that order."""
     if state.model in BOOTSTRAPPED:
         t1, t2 = (_rows(state.target_encoder.forward(v, mode="train"),
                         edge_pos, state.target_link_mlp) for v in (v1, v2))
@@ -159,13 +162,13 @@ def _encoder_terms(state, v1, v2, edge_pos, edge_neg, cfg):
         return
     h1 = state.encoder.forward(v1, mode="train")
     h2 = state.encoder.forward(v2, mode="train")
-    z1 = _rows(h1, edge_pos, state.link_mlp)
-    z2 = _rows(h2, edge_pos, state.link_mlp)
     if state.model in LINK_MODELS:
-        yield lgrace_loss(z1, z2, _rows(h1, edge_neg, state.link_mlp),
+        yield lgrace_loss(_rows(h1, edge_pos, state.link_mlp),
+                          _rows(h2, edge_pos, state.link_mlp),
+                          _rows(h1, edge_neg, state.link_mlp),
                           _rows(h2, edge_neg, state.link_mlp), cfg.tau)
     else:
-        yield grace_loss(z1, z2, state.projector, cfg.tau)
+        yield grace_loss(h1, h2, state.projector, cfg.tau)
 
 
 def train_encoder(split, spec, model, cfg, seed):

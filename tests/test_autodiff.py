@@ -1,5 +1,6 @@
 """Gradient checks and frozen-value oracles for the autodiff core."""
 
+import copy
 import gc
 import math
 import os
@@ -23,6 +24,7 @@ from scipy import sparse
 import linkssl.autodiff as ad
 from linkssl import process
 from linkssl.autodiff import Tensor, backward, grad_check
+from linkssl.models.nets import MLP
 from linkssl.optim import Parameter, adam_step, ema_update
 
 
@@ -135,6 +137,10 @@ OP_CASES = [
         ad.sigmoid(ad.gather_rows(a, [0, 2, 2, 1]))), [(4, 3)]),
     ("pair_product", lambda a: ad.tensor_sum(ad.sigmoid(
         ad.pair_product(a, [0, 2, 2, 1, 3], [1, 2, 0, 3, 0]))), [(4, 3)]),
+    # a repeated pair and a (u, u) pair
+    ("pair_mlp", lambda x, w1, b1, w2, b2: ad.tensor_sum(ad.sigmoid(
+        ad.pair_mlp(x, [0, 2, 2, 1, 0], [1, 2, 0, 3, 1], w1, b1, w2, b2))),
+     [(4, 3), (3, 5), (1, 5), (5, 2), (1, 2)]),
     ("row_slice", lambda a: ad.tensor_sum(ad.sigmoid(ad.elementwise_mul(
         ad.row_slice(a, 0, 2), ad.row_slice(a, 3, 5)))), [(6, 3)]),
     ("mask_diagonal", lambda a: ad.tensor_sum(
@@ -706,6 +712,123 @@ def test_pair_product_rejects_ids_outside_the_rows(bad):
         ad.pair_product(x, [0, 1], [bad, 2])
 
 
+def _link_mlp(rng, d, hidden, dtype):
+    """A link head in `dtype` whose four parameters are all nonzero."""
+    mlp = MLP(d, hidden, d, rng, name="link", dtype=dtype)
+    for p in (mlp.b1, mlp.b2):
+        p.tensor.values[...] = rng.normal(size=p.shape) * 0.1
+    return mlp
+
+
+def _pair_mlp_rows(x, u, v, mlp):
+    return ad.pair_mlp(x, u, v, mlp.w1.tensor, mlp.b1.tensor, mlp.w2.tensor,
+                       mlp.b2.tensor)
+
+
+@pytest.mark.parametrize("k", [1, 9])
+def test_pair_mlp_keeps_the_bits_of_the_composition(k, rng):
+    # float32, as training runs it: one x feeds two link sets and a third
+    # use under one backward, so the order in which each op adds into x's
+    # and the parameters' grads counts; k = 1 gives one-row bias shares
+    n, d, hidden = 6, 4, 8
+    xv = rng.normal(size=(n, d)).astype(np.float32)
+    other = rng.normal(size=(n, d)).astype(np.float32)
+    mlp = _link_mlp(rng, d, hidden, np.float32)
+    sets = [rng.integers(0, n, size=(2, k)) for _ in range(2)]
+    if k > 1:
+        sets[0][:, 1] = sets[0][:, 0]  # a repeated pair
+        sets[1][1, 2] = sets[1][0, 2]  # a (u, u) pair
+    ups = [rng.normal(size=(k, d)).astype(np.float32) for _ in sets]
+
+    def run(link_rows):
+        head = copy.deepcopy(mlp)
+        x = Tensor(xv.copy(), requires_grad=True)
+        rows = [link_rows(x, u, v, head) for u, v in sets]
+        loss = ad.tensor_sum(ad.elementwise_mul(x, Tensor(other)))
+        for r, g in zip(rows, ups):
+            loss = ad.add(loss, ad.tensor_sum(ad.elementwise_mul(r,
+                                                                 Tensor(g))))
+        backward(loss)
+        grads = [x.grad] + [p.grad for p in head.parameters()]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(grads) for b in grads[:i])
+        return [r.values for r in rows] + grads
+
+    got = run(_pair_mlp_rows)
+    want = run(lambda x, u, v, head: head.forward(ad.pair_product(x, u, v)))
+    assert len(got) == len(want) == 7
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_pair_mlp_hands_each_parent_its_own_bias_gradient():
+    # at k = 1 a bias's share of g is g itself; with one (1, 1) tensor in
+    # every role, a bias grad that adopted g would be added into before
+    # the rule reads g again
+    def grad(link_rows):
+        t = Tensor([[0.7]], requires_grad=True)
+        backward(ad.tensor_sum(ad.elementwise_mul(link_rows(t),
+                                                  Tensor([[1.3]]))))
+        return t.grad
+
+    got = grad(lambda t: ad.pair_mlp(t, [0], [0], t, t, t, t))
+    want = grad(lambda t: ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(
+        ad.pair_product(t, [0], [0]), t), t)), t), t))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_pair_mlp_rejects_ids_outside_the_rows(bad, rng):
+    x = Tensor(np.ones((5, 2)))
+    mlp = _link_mlp(rng, 2, 3, np.float64)
+    for u, v in (([0, bad], [1, 2]), ([0, 1], [bad, 2])):
+        with pytest.raises(ValueError, match=rf"pair id {bad} .*n = 5"):
+            _pair_mlp_rows(x, u, v, mlp)
+
+
+def test_pair_mlp_graph_keeps_no_link_row(rng):
+    # the composition's graph keeps the (k, d) product rows and the (k, h)
+    # hidden layer for its matmul rules; the op's keeps only x, the ids
+    # and the parameters, and a forward that needs no grad keeps nothing
+    n, d, hidden, k = 7, 4, 6, 11
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    mlp = _link_mlp(rng, d, hidden, np.float64)
+    u, v = rng.integers(0, n, size=(2, k))
+    wide = {(k, d), (k, hidden)}
+
+    composed = mlp.forward(ad.pair_product(x, u, v))
+    kept = {a.shape for a in _reachable(composed._node)[1]}
+    assert wide <= kept
+
+    refs = []
+    real_maximum = np.maximum
+
+    def maximum(*args, **kwargs):  # the op's hidden layer, in its forward
+        out = real_maximum(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad.np, "maximum", maximum)
+        out = _pair_mlp_rows(x, u, v, mlp)
+    assert len(refs) == 1 and refs[0]() is None
+    # the parents' values and grads (a Parameter starts at a zero grad)
+    leaves = [x.values, u.base] + [a for p in mlp.parameters()
+                                   for a in (p.tensor.values, p.grad)]
+    saved = _reachable(out._node)[1]
+    assert {id(a) for a in saved} == {id(a) for a in leaves}
+    backward(ad.tensor_sum(out))
+    assert x.grad.shape == (n, d) and mlp.w1.grad.shape == (d, hidden)
+
+    target = copy.deepcopy(mlp)  # as the bootstrapped target's copy
+    for p in target.parameters():
+        p.tensor.requires_grad = False
+    frozen = _pair_mlp_rows(Tensor(x.values), u, v, target)
+    assert frozen._node is None and not frozen.requires_grad
+    assert np.array_equal(frozen.values, out.values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 40), d=st.integers(1, 6),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), training=st.booleans(),
@@ -897,22 +1020,27 @@ def test_shared_leaf_gradient_equals_copies(build, rng):
 # --- what a graph holds -------------------------------------------------------
 
 
-def _reachable_tensors(root):
-    """Tensors reachable from `root` through tensors, backward nodes,
-    tuples, lists and backward rules' closure cells."""
-    found, seen, stack = [], set(), [root]
+def _reachable(root):
+    """(tensors, base arrays) reachable from `root` through tensors,
+    backward nodes, tuples, lists and backward rules' closure cells; each
+    array is the base array it views."""
+    tensors, arrays, seen, stack = [], {}, set(), [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
         if isinstance(obj, Tensor):
-            found.append(obj)
-        if isinstance(obj, types.FunctionType):
+            tensors.append(obj)
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj
+        elif isinstance(obj, types.FunctionType):
             stack.extend(c.cell_contents for c in obj.__closure__ or ())
         elif isinstance(obj, (Tensor, ad._Node, tuple, list)):
             stack.extend(gc.get_referents(obj))
-    return found
+    return tensors, list(arrays.values())
 
 
 def _norm_case(norm):
@@ -943,7 +1071,7 @@ def test_graph_holds_no_intermediate_tensor(name, fn, shapes, rng):
     # not the op outputs the case's ops take as their inputs
     inputs = [leaf(rng, s) for s in shapes]
     loss = fn(*(ad.scalar_mul(t, 1.0) for t in inputs))
-    reached = {id(t) for t in _reachable_tensors(loss)}
+    reached = {id(t) for t in _reachable(loss)[0]}
     assert reached <= {id(loss)} | {id(t) for t in inputs}
     assert reached >= {id(t) for t in inputs}
 

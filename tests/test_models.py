@@ -7,6 +7,8 @@ Frozen constants below were computed by hand from the loss definitions
 import dataclasses
 import gc
 import importlib.util
+import sys
+import tracemalloc
 import types
 import warnings
 import weakref
@@ -24,9 +26,9 @@ from linkssl.augment import make_views
 from linkssl.config import ExperimentConfig
 from linkssl.datasets import load_dataset
 from linkssl.graphs import FeatureMatrix, Graph, random_link_split
-from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
-                            Predictor, Projector, bgrl_loss, embed,
-                            grace_loss, lgrace_loss,
+from linkssl.models import (MLP, Decoder, EncoderConfig, GCNEncoder,
+                            LinkMLP, Predictor, Projector, bgrl_loss, embed,
+                            grace_loss, hadamard_pairs, lgrace_loss,
                             link_representation, predict_scores,
                             select_link_sets, train_decoder, train_encoder,
                             train_supervised_gcn)
@@ -336,18 +338,24 @@ def test_bgrl_loss_grad_check():
     assert ad.grad_check(f, [x, w1, b1, w2, b2]) < 1e-4
 
 
+def _float64_link_head(rng, dim=3, hidden=4):
+    return MLP(dim, hidden, dim, rng, name="link", dtype=np.float64)
+
+
 def test_lbgrl_loss_grad_check():
     # bgrl_loss over link rows, differentiated into the node embeddings
+    # and the link head's parameters
     rng = np.random.default_rng(13)
     h = ad.Tensor(rng.normal(size=(5, 3)))
+    head = _float64_link_head(rng)
     edges = [(0, 1), (1, 2), (0, 4), (3, 4), (2, 3), (1, 4)]
     target = ad.Tensor(rng.normal(size=(6, 3)))
 
-    def f(t):
-        return bgrl_loss(link_representation(t, edges, IdentityHead()),
-                         target)
+    def f(t, *_):
+        return bgrl_loss(link_representation(t, edges, head), target)
 
-    assert ad.grad_check(f, [h]) < 1e-4
+    params = [p.tensor for p in head.parameters()]
+    assert ad.grad_check(f, [h] + params) < 1e-4
 
 
 # ------------------------------------------------------------ link set pick
@@ -557,18 +565,25 @@ def test_encoder_end_to_end_grace_grad_check():
 
 def test_link_representation_hadamard_rows():
     h = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]))
-    out = link_representation(h, [(0, 1)], IdentityHead())
-    assert np.allclose(out.values, [[3.0, 8.0]])
-    swapped = link_representation(h, [(1, 0)], IdentityHead())
+    assert np.allclose(hadamard_pairs(h, [(0, 1)]).values, [[3.0, 8.0]])
+    assert np.allclose(hadamard_pairs(h, [(2, 1)]).values, [[0.0, 0.0]])
+    head = _float64_link_head(np.random.default_rng(2), dim=2)
+    out = link_representation(h, [(0, 1)], head)
+    assert np.array_equal(out.values,
+                          head.forward(hadamard_pairs(h, [(0, 1)])).values)
+    swapped = link_representation(h, [(1, 0)], head)
     assert np.array_equal(out.values, swapped.values)
-    zeroed = link_representation(h, [(2, 1)], IdentityHead())
-    assert np.allclose(zeroed.values, [[0.0, 0.0]])
+    zeroed = link_representation(h, [(2, 1)], head)
+    assert np.array_equal(zeroed.values,
+                          head.forward(ad.Tensor(np.zeros((1, 2)))).values)
 
 
 def test_link_representation_rejects_out_of_range():
     h = ad.Tensor(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        link_representation(h, [(0, 3)], IdentityHead())
+    head = _float64_link_head(np.random.default_rng(2), dim=2)
+    for pair in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            link_representation(h, [pair], head)
 
 
 # ----------------------------------------------------------- graph retention
@@ -659,7 +674,7 @@ def _usair_twin(root):
 
 def test_one_lgrace_step_keeps_each_link_row_once(monkeypatch, tmp_path):
     # the first step of the usair-lgrace bench seed (run seed 1): each
-    # link set's rows are one pair_product, and both views' rows are
+    # link set's rows are one pair_mlp, and both views' rows are
     # normalized stacked, so the graph keeps neither the gathered (k, d)
     # endpoints nor a concatenated copy of the normalized rows
     graph = _usair_twin(tmp_path)
@@ -699,13 +714,47 @@ def test_one_lgrace_step_keeps_each_link_row_once(monkeypatch, tmp_path):
         assert sum(np.array_equal(a, part) for a in saved
                    for part in (rows, rows[:k], rows[k:])
                    if a.shape == part.shape) == 1
-    # measured: 21,816,200 B (20.81 MiB) with pair_product and stacked
-    # normalization, 32,797,576 B (31.28 MiB) with gather_rows +
-    # elementwise_mul link rows and per-part normalization + concat_rows;
-    # parameters, their grads and the sparse adjacency included
-    assert sum(a.nbytes for a in saved) < 21 * 2 ** 20
+    # measured: 7,040,736 B (6.71 MiB) with pair_mlp link rows, and
+    # 12,871,392 B (12.28 MiB) when each link set's graph kept its (k, d)
+    # product rows and (k, h) hidden layer; the InfoNCE op's two (2k, d)
+    # gradients, the parameters, their grads and the sparse adjacency are
+    # included in both
+    assert sum(a.nbytes for a in saved) < 8 * 2 ** 20
     ad.backward(loss)
     assert np.any(state.link_mlp.w1.grad != 0.0)
+
+
+def test_one_lgrace_step_keeps_no_link_mlp_activation():
+    # tracemalloc peak of one L-GRACE step above its start, in units of one
+    # link set's (k, d) float32 rows; on _planted_split (k = 199, d = h =
+    # 64) it measured 25.3 units, 29.3 with the four link sets held by the
+    # caller until lgrace_loss returns (CPython < 3.11 keeps call arguments
+    # on the caller's stack), and 41.4 with the link-MLP composition,
+    # whose graph keeps each set's (k, d) product rows and (k, h) hidden
+    # layer (45.5 with the sets also held)
+    split = _planted_split()
+    cfg = toy_cfg(model="lgrace", encoder=EncoderConfig(
+        n_layers=2, layer_size=64, norm="batch"))
+    state = _init_state("lgrace", split.train_graph.features.n_cols, cfg,
+                        seed=3)
+    v1, v2 = make_views(split.train_graph, AugmentationSpec(), None, seed=3)
+    edge_pos, edge_neg = select_link_sets(v1, v2, 5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = _descend(_encoder_terms(state, v1, v2, edge_pos, edge_neg,
+                                        cfg),
+                         0, "lgrace", cfg.weight_decay,
+                         (state.online_parameters(), cfg.gnn_lr))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    unit = len(edge_pos) * cfg.encoder.layer_size * 4
+    assert len(edge_pos) > 150 and cfg.proj_hidden == 64
+    assert peak < 33 * unit
+    if sys.version_info >= (3, 11):
+        assert peak < 27.5 * unit
 
 
 def test_bgrl_graph_drops_the_cosine_product(monkeypatch):
@@ -751,9 +800,9 @@ def test_bootstrapped_branch_graph_dies_before_the_next_branch(model,
                      (state.online_parameters(), cfg.gnn_lr))
     assert np.isfinite(value)
     assert len(alive_at_forward) == len(alive_at_backward) == 2
-    # the target rows' ReLUs (L-BGRL's link MLP) come first and need no graph
-    targets = 2 if model in LINK_MODELS else 0
-    assert alive_at_forward[0] == [False] * targets
+    # the target rows come first and need no graph; L-BGRL's link MLP is
+    # one pair_mlp op, whose ReLU is inside the op, so no ReLU ran yet
+    assert alive_at_forward[0] == []
     first = alive_at_backward[0]
     assert first[-1]  # branch 1's predictor ReLU, read by its backward
     assert len(alive_at_forward[1]) == len(first)
@@ -796,10 +845,16 @@ def test_train_encoder_bit_identical_repeat(model):
 
 
 # The compositions that built link rows and the InfoNCE losses before
-# autodiff.pair_product and the stacked normalization, kept as references.
+# autodiff.pair_mlp, autodiff.pair_product and the stacked normalization,
+# kept as references.
 
 def _gathered_pair_product(x, u, v):
     return ad.elementwise_mul(ad.gather_rows(x, u), ad.gather_rows(x, v))
+
+
+def _composed_link_representation(h, edges, mlp):
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return mlp.forward(_gathered_pair_product(h, pairs[:, 0], pairs[:, 1]))
 
 
 def _per_part_gap(den, rows1, rows2, tau):
@@ -859,15 +914,15 @@ def test_training_keeps_the_bits_of_the_per_part_compositions(model,
             return fn(*args)
         return spy
 
-    monkeypatch.setattr(ad, "pair_product",
-                        reference(_gathered_pair_product))
+    monkeypatch.setattr(training, "link_representation",
+                        reference(_composed_link_representation))
     monkeypatch.setattr(training, "grace_loss",
                         reference(_per_part_grace_loss))
     monkeypatch.setattr(training, "lgrace_loss",
                         reference(_per_part_lgrace_loss))
     before = trajectory()
     assert called and (model == "grace") == (
-        "_gathered_pair_product" not in called)
+        "_composed_link_representation" not in called)
     assert len(now) == len(before)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(now, before))
     assert not np.isnan(before[-1][:, 1]).any()
