@@ -22,13 +22,17 @@ one _accumulate call and keeps no reference to it, so the first
 contribution a node receives becomes its grad without a copy and later
 ones are added into it in place. `add` is the one op whose upstream
 gradient can reach two parents unchanged; it copies for the second.
-pair_mlp hands a bias its share of the upstream gradient, which for one
-row is that gradient itself, and copies it then, since its rule goes on
-reading the gradient.
-`row_slice` adds its gradient into rows of the parent's grad in place
-(_accumulate_rows), which the same ownership makes safe.
+mlp and pair_mlp hand a bias its share of the upstream gradient, which
+for one row is that gradient itself, and copy it then, since their rule
+goes on reading the gradient. The same ownership lets a rule write its
+input's gradient over the grad flowing in, which no other node reads:
+relu, prelu, the normalizations (fused or not), row_l2_normalize and
+row_cosine_similarity do. `row_slice` adds its gradient into rows of the
+parent's grad in place (_accumulate_rows), which is safe for the same
+reason.
 
-The per-element kernels (prelu, batch_norm, row_l2_normalize) are
+The per-element kernels (relu, prelu, batch_norm, layer_norm,
+row_l2_normalize, row_cosine_similarity and mlp's ReLU mask) are
 branch-free: they use min/max and arithmetic on masks rather than
 np.where over data-dependent signs, and write into arrays they own.
 
@@ -36,24 +40,39 @@ Graph lifetime: the graph links backward nodes, not tensors. An op
 output that needs grad points to its node, which holds the op's rule, the
 nodes of its parents and the grad flowing in; the rule's closure holds
 only the arrays it reads (operands for matmul, elementwise_mul, logaddexp
-and prelu, the output for relu, sigmoid and the normalizations, the
-(n, d) input and the two index arrays for pair_product, those and the
-four parameter arrays for pair_mlp, the inputs and the gradients it built
-for nce_denominator, shapes, bounds or indices for the rest). So an op
-output's values die with the tensor unless a rule saved them, and the
-graph, which lives as long as the loss's node, holds just the nodes and
-the saved arrays. backward() frees only intermediate grads, so backward
-on the same loss can run again. The training steps pass each loss term
-straight into the call that differentiates it, and build a step's next
-term only after the last one is dropped, so no graph outlives its term.
+and prelu, the output for relu, sigmoid and row_l2_normalize, x̂ for the
+normalizations, the unit rows â for row_cosine_similarity, the input and
+the four parameter arrays for mlp, the (n, d) input and the two index
+arrays for pair_product, those and the parameters for pair_mlp, the inputs
+and the gradients it built for nce_denominator, shapes, bounds or indices
+for the rest). So an op output's values die with the tensor unless a rule
+saved them, and the graph, which lives as long as the loss's node, holds
+just the nodes and the saved arrays. backward() frees only intermediate
+grads, so backward on the same loss can run again. The training steps
+pass each loss term straight into the call that differentiates it, and
+build a step's next term only after the last one is dropped, so no graph
+outlives its term.
 
-A link set's graph keeps only its endpoints. pair_product builds the
-rows x[u] * x[v] and gathers the (k, d) endpoints again in backward
-instead of saving them (recomputation, Chen et al. 2016,
-arXiv:1604.06174). pair_mlp, the link MLP over those rows, recomputes
-the rows and its (k, h) hidden layer in backward the same way, at one
-extra (k x d)(d x h) GEMM per link set, so an L-GRACE step's graph holds
-no link-MLP activation. row_slice returns a view, so the InfoNCE losses
+A graph keeps only what its rules read, and rebuilds the rest in backward
+with the forward's expressions (recomputation, Chen et al. 2016,
+arXiv:1604.06174), so the bits are those of the composition each op
+replaces:
+- batch_norm and layer_norm given a PReLU slope return prelu of the norm
+  as one op (In-Place Activated BatchNorm, Rota Bulò et al. 2018,
+  arXiv:1712.02616): the graph keeps x̂ and rebuilds y = gamma x̂ + beta,
+  where the composition also keeps y for prelu's rule. A GCN layer's graph
+  thus holds x̂ and the layer output, which the next matmul or head reads.
+- mlp, a two-layer head, keeps its input and rebuilds its (n, h) hidden
+  layer, at one extra (n x d)(d x h) GEMM per backward.
+- row_cosine_similarity keeps â and, where b needs no grad (BGRL's
+  target), only a reference to b's values, from which it rebuilds b̂.
+- pair_product builds the rows x[u] * x[v] and gathers the (k, d)
+  endpoints again in backward instead of saving them; pair_mlp, the link
+  MLP over those rows, rebuilds the rows and its hidden layer, so a link
+  set's graph keeps only its endpoints.
+The rules of the fused norms, mlp and the cosine keep their scratch
+within two (n, d) or (n, h) arrays and a sign mask beyond the grad flowing
+in. row_slice returns a view, so the InfoNCE losses
 normalize both views' rows as one stacked array and read the positive
 pairs from views of it.
 
@@ -373,33 +392,48 @@ def relu(x):
 
     def backward_fn(g, nx):
         # out > 0 exactly where x > 0, NaN included, so x need not be kept
-        nx._accumulate(g * (out > 0.0))
+        g *= out > 0.0
+        nx._accumulate(g)
 
     return _make(out, (x,), backward_fn, "relu")
+
+
+def _prelu_forward(xv, s, out=None):
+    """min(x, 0) * s + max(x, 0) for a scalar slope s; `out` may be xv."""
+    pos = np.maximum(xv, 0.0)
+    out = np.minimum(xv, 0.0, out=out)
+    out *= s
+    out += pos
+    return out
+
+
+def _prelu_backward(g, xv, s, nslope, work=None):
+    """PReLU's rule at inputs xv: hand the slope sum(g * min(x, 0)), then
+    scale g in place by s where x < 0 and by 1 elsewhere, and return it.
+    `work`, when given, is scratch of xv's shape and may be xv itself."""
+    neg = xv < 0.0
+    if nslope is not None:
+        # fmin maps NaN to 0 like the negative-part mask does
+        work = np.fmin(xv, 0.0, out=work)
+        work *= g
+        nslope._accumulate(np.sum(work, keepdims=True).reshape(1, 1))
+    scale = np.multiply(neg, s, out=work)
+    scale += ~neg
+    g *= scale
+    return g
 
 
 def prelu(x, slope):
     """PReLU with a learnable (1, 1) slope tensor for the negative part."""
     xv = x.values
     s = slope.values[0, 0]
-    out = np.minimum(xv, 0.0)
-    out *= s
-    out += np.maximum(xv, 0.0)
 
     def backward_fn(g, nx, nslope):
-        if nslope is not None:
-            # fmin maps NaN to 0 like the negative-part mask does
-            work = np.fmin(xv, 0.0)
-            work *= g
-            nslope._accumulate(np.sum(work, keepdims=True).reshape(1, 1))
+        g = _prelu_backward(g, xv, s, nslope)
         if nx is not None:
-            neg = xv < 0.0
-            dx = np.multiply(neg, s)
-            dx += ~neg
-            dx *= g
-            nx._accumulate(dx)
+            nx._accumulate(g)
 
-    return _make(out, (x, slope), backward_fn, "prelu")
+    return _make(_prelu_forward(xv, s), (x, slope), backward_fn, "prelu")
 
 
 def sigmoid(x):
@@ -411,23 +445,35 @@ def sigmoid(x):
     return _make(out, (x,), backward_fn, "sigmoid")
 
 
+def _unit_rows(values):
+    """(values / denom, norms, denom): each row scaled to unit L2 norm,
+    its norm, and the norm floored at EPS."""
+    norms = np.sqrt(np.sum(values ** 2, axis=1, keepdims=True))
+    denom = np.maximum(norms, EPS)
+    return values / denom, norms, denom
+
+
+def _unit_rows_backward(g, out, norms, denom):
+    """row_l2_normalize's rule at output `out`, written over g: d(x/n)/dx
+    applied to g is g/n - out*(out.g)/n, without the curvature term on
+    degenerate rows, where the denominator is the EPS floor."""
+    work = np.multiply(out, g)
+    np.multiply(out, np.sum(work, axis=1, keepdims=True), out=work)
+    degenerate = ~(norms[:, 0] > EPS)
+    if degenerate.any():
+        work[degenerate] = 0.0
+    g -= work
+    del work
+    g /= denom
+    return g
+
+
 def row_l2_normalize(x):
     """Scale each row to unit L2 norm; rows with norm below EPS divide by EPS."""
-    norms = np.sqrt(np.sum(x.values ** 2, axis=1, keepdims=True))
-    denom = np.maximum(norms, EPS)
-    out = x.values / denom
+    out, norms, denom = _unit_rows(x.values)
 
     def backward_fn(g, nx):
-        # d(x/n)/dx applied to g is g/n - out*(out.g)/n; drop the curvature
-        # term on degenerate rows where the denominator is the EPS floor.
-        work = np.multiply(out, g)
-        np.multiply(out, np.sum(work, axis=1, keepdims=True), out=work)
-        degenerate = ~(norms[:, 0] > EPS)
-        if degenerate.any():
-            work[degenerate] = 0.0
-        np.subtract(g, work, out=work)
-        work /= denom
-        nx._accumulate(work)
+        nx._accumulate(_unit_rows_backward(g, out, norms, denom))
 
     return _make(out, (x,), backward_fn, "row_l2_normalize")
 
@@ -443,10 +489,38 @@ def row_sum(x):
 
 
 def row_cosine_similarity(a, b):
-    """Per-row cosine similarity, returned as an (n, 1) tensor."""
+    """Per-row cosine similarity, returned as an (n, 1) tensor.
+
+    Equal to row_sum(elementwise_mul(row_l2_normalize(a),
+    row_l2_normalize(b))), bit for bit in both passes, as one op. Its rule
+    keeps the unit rows â and b̂, as the composition does, except where b
+    needs no grad (BGRL's stop-gradient target): then it keeps â and a
+    reference to b's values, and rebuilds b̂ with the forward's expression
+    only when it forms a's gradient. a's gradient is handed over before
+    b's, as the composition's rules run, so cos(v, v) keeps its bits.
+    """
     if a.shape != b.shape:
         raise ValueError("row_cosine_similarity requires equal shapes")
-    return row_sum(elementwise_mul(row_l2_normalize(a), row_l2_normalize(b)))
+    bv = b.values
+    ahat, a_norms, a_denom = _unit_rows(a.values)
+    bhat, b_norms, b_denom = _unit_rows(bv)
+    out = np.sum(ahat * bhat, axis=1, keepdims=True)
+    if _node_of(b) is None:
+        bhat = None  # rebuilt from bv when a's gradient is formed
+
+    def backward_fn(g, na, nb):
+        if na is not None:
+            if bhat is None:
+                da = _unit_rows(bv)[0]
+                da *= g
+            else:
+                da = bhat * g
+            na._accumulate(_unit_rows_backward(da, ahat, a_norms, a_denom))
+        if nb is not None:
+            nb._accumulate(_unit_rows_backward(ahat * g, bhat, b_norms,
+                                               b_denom))
+
+    return _make(out, (a, b), backward_fn, "row_cosine_similarity")
 
 
 def logsumexp_rows(x):
@@ -759,29 +833,29 @@ def _bias_grad(g, shape):
     return g.copy() if gb is g else gb
 
 
-def pair_mlp(x, u, v, w1, b1, w2, b2):
-    """relu((x[u] * x[v]) w1 + b1) w2 + b2, one row per pair (u[j], v[j]),
-    as one op: the link MLP over pair_product's rows.
+def _mlp(x, pairs, w1, b1, w2, b2, op):
+    """relu(rows w1 + b1) w2 + b2 over x's rows, or over the rows
+    x[u] * x[v] for pairs = (u, v): the one rule body of mlp and pair_mlp.
 
-    Equal to add(matmul(relu(add(matmul(pair_product(x, u, v), w1), b1)),
-    w2), b2), bit for bit in both passes, but its rule keeps only x's
-    values, the two index arrays and the four parameter arrays, not the
-    (k, d) product rows and the (k, h) hidden layer that the composition's
-    matmul rules save. Backward rebuilds both with the forward's
-    expressions (recomputation, Chen et al. 2016: one extra (k x d)(d x h)
-    GEMM) and then runs the arithmetic of the six rules it replaces in
-    their order: b2, w2, the ReLU mask, b1, w1, then x's rows u and rows v.
-    x and the parameters share one dtype, as every module's do. An id
-    outside [0, rows) raises ValueError.
+    The rule keeps x's values, the ids and the four parameter arrays, and
+    rebuilds the rows and the hidden layer in backward with the forward's
+    expressions (one extra (n x d)(d x h) GEMM). It then runs the
+    arithmetic of the composed rules in their order: b2, w2, the ReLU mask,
+    b1, w1, then x (for pairs, x's rows u and then rows v). Its scratch is
+    one (n, h) array, the hidden layer and then its gradient, with the ReLU
+    mask and x's gradient, and the rows for pairs. x and the parameters
+    share one dtype, as every module's do.
     """
     xv, w1v, b1v, w2v = x.values, w1.values, b1.values, w2.values
-    u, v = _pair_ids(u, xv.shape[0]), _pair_ids(v, xv.shape[0])
     b1_shape, b2_shape = b1.shape, b2.shape
 
     def layers():
-        """The product rows and the hidden layer, as the forward built them."""
-        rows = xv[u]
-        rows *= xv[v]
+        """The input rows and the hidden layer, as the forward built them."""
+        if pairs is None:
+            rows = xv
+        else:
+            rows = xv[pairs[0]]
+            rows *= xv[pairs[1]]
         hidden = rows @ w1v
         hidden += b1v
         return rows, np.maximum(hidden, 0.0, out=hidden)
@@ -795,19 +869,55 @@ def pair_mlp(x, u, v, w1, b1, w2, b2):
             nb2._accumulate(_bias_grad(g, b2_shape))
         if nw2 is not None:
             nw2._accumulate(hidden.T @ g)
-        # hidden > 0 exactly where the pre-activation is, as in relu's rule
-        dh = g @ w2v.T
-        dh *= hidden > 0.0
+        # hidden > 0 exactly where the pre-activation is, as in relu's
+        # rule; the hidden layer's gradient is written over it
+        mask = hidden > 0.0
+        dh = np.matmul(g, w2v.T, out=hidden)
         del hidden
+        dh *= mask
+        del mask
         if nb1 is not None:
             nb1._accumulate(_bias_grad(dh, b1_shape))
         if nw1 is not None:
             nw1._accumulate(rows.T @ dh)
         del rows
-        if nx is not None:
-            _scatter_pair_grad(nx, dh @ w1v.T, xv, u, v)
+        if nx is None:
+            return
+        dx = dh @ w1v.T
+        del dh
+        if pairs is None:
+            nx._accumulate(dx)
+        else:
+            _scatter_pair_grad(nx, dx, xv, *pairs)
 
-    return _make(out, (x, w1, b1, w2, b2), backward_fn, "pair_mlp")
+    return _make(out, (x, w1, b1, w2, b2), backward_fn, op)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """relu(x w1 + b1) w2 + b2 as one op: a two-layer head.
+
+    Equal to add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), bit for
+    bit in both passes, but its rule keeps only x's values and the four
+    parameter arrays, not the (n, h) hidden layer that the composition's
+    second matmul rule saves (recomputation, Chen et al. 2016); see _mlp.
+    """
+    return _mlp(x, None, w1, b1, w2, b2, "mlp")
+
+
+def pair_mlp(x, u, v, w1, b1, w2, b2):
+    """relu((x[u] * x[v]) w1 + b1) w2 + b2, one row per pair (u[j], v[j]),
+    as one op: the link MLP over pair_product's rows.
+
+    Equal to mlp(pair_product(x, u, v), w1, b1, w2, b2), and so to the
+    composition of pair_product, matmul, add and relu, bit for bit in both
+    passes, but its rule keeps only x's values, the two index arrays and
+    the four parameter arrays: it rebuilds the (k, d) product rows as well
+    as the hidden layer in backward (see _mlp). An id outside [0, rows)
+    raises ValueError.
+    """
+    rows = x.shape[0]
+    pairs = (_pair_ids(u, rows), _pair_ids(v, rows))
+    return _mlp(x, pairs, w1, b1, w2, b2, "pair_mlp")
 
 
 def mask_diagonal(x, fill=-np.inf):
@@ -853,34 +963,55 @@ def _standardize_backward(dxhat, xhat, inv_std, axis, work=None):
     return dxhat
 
 
-def _scale_shift(x, xhat, inv_std, gamma, beta, op, axis):
+def _scale_shift(x, xhat, inv_std, gamma, beta, op, axis, slope=None):
     """gamma * x̂ + beta with the backward of x̂ = standardize(x) along
-    `axis`, or of a fixed-statistics x̂ = (x - c) * inv_std for axis None."""
-    gamma_v = gamma.values
-    out = xhat * gamma_v
-    out += beta.values
+    `axis`, or of a fixed-statistics x̂ = (x - c) * inv_std for axis None.
 
-    def backward_fn(g, nx, ngamma, nbeta):
+    With a (1, 1) `slope` tensor the op returns prelu(gamma * x̂ + beta,
+    slope), the norm and its activation fused (In-Place Activated
+    BatchNorm, Rota Bulò et al. 2018): the rule keeps x̂ and rebuilds
+    y = gamma * x̂ + beta with the forward's expression, where the
+    composition keeps y as well. It runs prelu's arithmetic and then the
+    norm's, handing out gradients in the composition's order: slope, gamma,
+    beta, x. The rule writes x's gradient over its incoming one, and its
+    scratch is y (reused for gamma's and the standardization's products)
+    and prelu's sign mask.
+    """
+    gamma_v, beta_v = gamma.values, beta.values
+    out = xhat * gamma_v
+    out += beta_v
+    parents, s = (x, gamma, beta), None
+    if slope is not None:
+        s = slope.values[0, 0]
+        out = _prelu_forward(out, s, out=out)
+        parents += (slope,)
+
+    def backward_fn(g, nx, ngamma, nbeta, nslope=None):
         work = None
+        if slope is not None:
+            work = xhat * gamma_v  # y, rebuilt as the forward built it
+            work += beta_v
+            g = _prelu_backward(g, work, s, nslope, work=work)
         if ngamma is not None:
-            work = np.multiply(g, xhat)
+            work = np.multiply(g, xhat, out=work)
             ngamma._accumulate(np.sum(work, axis=0, keepdims=True))
         if nbeta is not None:
             nbeta._accumulate(np.sum(g, axis=0, keepdims=True))
         if nx is None:
             return
-        dxhat = g * gamma_v
+        g *= gamma_v
         if axis is None:
-            dxhat *= inv_std
+            g *= inv_std
         else:
-            _standardize_backward(dxhat, xhat, inv_std, axis, work)
-        nx._accumulate(dxhat)
+            _standardize_backward(g, xhat, inv_std, axis, work)
+        nx._accumulate(g)
 
-    return _make(out, (x, gamma, beta), backward_fn, op)
+    return _make(out, parents, backward_fn, op)
 
 
-def batch_norm(x, gamma, beta, state, momentum, training):
-    """Batch normalization over rows with running statistics.
+def batch_norm(x, gamma, beta, state, momentum, training, slope=None):
+    """Batch normalization over rows with running statistics; with a (1, 1)
+    `slope` tensor, prelu of it as one op (see _scale_shift).
 
     `state` is a dict holding 'running_mean' and 'running_var' (1, d) arrays,
     updated in place during training with
@@ -890,19 +1021,21 @@ def batch_norm(x, gamma, beta, state, momentum, training):
         inv_std = 1.0 / np.sqrt(state["running_var"] + _NORM_EPS)
         xhat = x.values - state["running_mean"]
         xhat *= inv_std
-        return _scale_shift(x, xhat, inv_std, gamma, beta, "batch_norm", None)
+        return _scale_shift(x, xhat, inv_std, gamma, beta, "batch_norm",
+                            None, slope)
     xhat, mu, var, inv_std = _standardize(x.values, axis=0)
     state["running_mean"] *= momentum
     state["running_mean"] += (1.0 - momentum) * mu
     state["running_var"] *= momentum
     state["running_var"] += (1.0 - momentum) * var
-    return _scale_shift(x, xhat, inv_std, gamma, beta, "batch_norm", 0)
+    return _scale_shift(x, xhat, inv_std, gamma, beta, "batch_norm", 0, slope)
 
 
-def layer_norm(x, gamma, beta):
-    """Per-row normalization with learnable (1, d) scale and shift."""
+def layer_norm(x, gamma, beta, slope=None):
+    """Per-row normalization with learnable (1, d) scale and shift; with a
+    (1, 1) `slope` tensor, prelu of it as one op (see _scale_shift)."""
     xhat, _, _, inv_std = _standardize(x.values, axis=1)
-    return _scale_shift(x, xhat, inv_std, gamma, beta, "layer_norm", 1)
+    return _scale_shift(x, xhat, inv_std, gamma, beta, "layer_norm", 1, slope)
 
 
 def standardize_cols(w):

@@ -21,6 +21,11 @@ The link rows come from autodiff.pair_mlp, whose graph keeps only the
 node embeddings and parameters it reads, so once lgrace_loss has stacked
 a link set nothing keeps its rows: the graph holds only the normalized
 stacked rows.
+
+bgrl_loss takes its cosine from one op, autodiff.row_cosine_similarity.
+Its target rows need no grad, so the graph keeps the prediction's unit
+rows and a reference to the target's values, and no normalized target;
+the bootstrapped step holds the target rows for both branches anyway.
 """
 
 from __future__ import annotations
@@ -120,6 +125,8 @@ def bgrl_loss(online_pred, target_emb):
 
     The target embedding must be a constant tensor (no gradient is defined
     with respect to it); gradients flow into the online prediction only.
+    The cosine op rebuilds the target's unit rows in backward rather than
+    keeping them.
     """
     if online_pred.shape != target_emb.shape:
         raise ValueError("prediction and target must align row-for-row")

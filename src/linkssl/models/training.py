@@ -283,18 +283,32 @@ def _decoder_batches(split, cfg, seed, epochs, dim):
             yield epoch, np.concatenate([pos, neg]), labels, mask
 
 
+def _epoch_means(batches, step):
+    """(epoch, mean of step(pairs, labels, mask, epoch) over the epoch's
+    batches) for each epoch of the `_decoder_batches` stream."""
+    for epoch, epoch_batches in itertools.groupby(batches, lambda b: b[0]):
+        values = [step(pairs, labels, mask, epoch)
+                  for _, pairs, labels, mask in epoch_batches]
+        yield epoch, float(np.mean(values))
+
+
 def train_decoder(state, split, cfg, seed):
     """Decoder stage: 100 epochs of batched link classification on frozen
     embeddings; positives from train_pos, fresh negatives per batch, batch
-    size clamped to the positive count; optional input masking."""
+    size clamped to the positive count; optional input masking. The
+    decoder's loss_history holds each epoch's mean batch loss."""
     h = ad.Tensor(embed(state, split.train_graph))
     decoder = Decoder(h.shape[1], state.encoder.cfg.layer_size,
                       derive_rng(seed, "decoder_init"))
     params = decoder.parameters()
-    for epoch, pairs, labels, mask in _decoder_batches(
-            split, cfg, seed, DECODER_EPOCHS, h.shape[1]):
-        _descend((_pair_loss(decoder, h, pairs, labels, mask),), epoch,
-                 "decoder", cfg.weight_decay, (params, cfg.pred_lr))
+
+    def step(pairs, labels, mask, epoch):
+        return _descend((_pair_loss(decoder, h, pairs, labels, mask),),
+                        epoch, "decoder", cfg.weight_decay,
+                        (params, cfg.pred_lr))
+
+    decoder.loss_history.extend(_epoch_means(_decoder_batches(
+        split, cfg, seed, DECODER_EPOCHS, h.shape[1]), step))
     return decoder
 
 
@@ -309,17 +323,17 @@ def train_supervised_gcn(split, cfg, seed):
                       derive_rng(seed, "decoder_init"))
     enc_params = state.encoder.parameters()
     dec_params = decoder.parameters()
-    batches = _decoder_batches(split, cfg, seed, cfg.ct_epochs,
-                               cfg.encoder.layer_size)
-    for epoch, epoch_batches in itertools.groupby(batches, lambda b: b[0]):
-        values = []
-        for _, pairs, labels, mask in epoch_batches:
-            values.append(_descend(
-                (_pair_loss(decoder, state.encoder.forward(graph, mode="train"),
-                            pairs, labels, mask),),
-                epoch, "gcn_supervised", cfg.weight_decay,
-                (enc_params, cfg.gnn_lr), (dec_params, cfg.pred_lr)))
-        state.loss_history.append((epoch, float(np.mean(values))))
+
+    def step(pairs, labels, mask, epoch):
+        return _descend(
+            (_pair_loss(decoder, state.encoder.forward(graph, mode="train"),
+                        pairs, labels, mask),),
+            epoch, "gcn_supervised", cfg.weight_decay,
+            (enc_params, cfg.gnn_lr), (dec_params, cfg.pred_lr))
+
+    for epoch, value in _epoch_means(_decoder_batches(
+            split, cfg, seed, cfg.ct_epochs, cfg.encoder.layer_size), step):
+        state.loss_history.append((epoch, value))
         state.epoch = epoch + 1
     return state, decoder
 

@@ -6,6 +6,9 @@ Layout under the output directory:
     <dataset>/<model>_<aug>/<seed>/metrics.csv     single row
     <dataset>/<model>_<aug>/<seed>/config.txt      config snapshot
     <dataset>/<model>_<aug>/<seed>/loss.csv        (epoch, loss)
+    <dataset>/<model>_<aug>/<seed>/decoder_loss.csv
+                                                   (epoch, mean batch loss) of
+                                                   the decoder stage
     <dataset>/<model>_<aug>/<seed>/params.npz      parameter dump
     <dataset>/<model>_<aug>/<seed>/run.txt         seed lineage + diagnostics
                                                    (detection, threads)
@@ -49,6 +52,9 @@ class RunResult:
     # where unknown) and nce_denominator's budget
     blas_threads: int | None = None
     nce_threads: int = 1
+    # the frozen-encoder decoder stage's (epoch, mean batch loss); empty
+    # for gcn_supervised, whose loss_history is its decoder loss
+    decoder_loss_history: list = field(default_factory=list)
 
 
 def format_row(row):
@@ -100,7 +106,8 @@ def _result(seed, row, state, decoder, lineage):
                                  + decoder.parameters()},
                      lineage=lineage, detected_blocks=state.detected_blocks,
                      blas_threads=process.blas_threads(),
-                     nce_threads=process.nce_thread_budget())
+                     nce_threads=process.nce_thread_budget(),
+                     decoder_loss_history=list(decoder.loss_history))
 
 
 def run_single(graph, cfg, seed, k=HITS_K):
@@ -116,6 +123,13 @@ def run_single(graph, cfg, seed, k=HITS_K):
     return _result(seed, row, state, decoder, lineage)
 
 
+def _write_losses(path, history):
+    with open(path, "w") as fh:
+        fh.write("epoch,loss\n")
+        for epoch, value in history:
+            fh.write(f"{epoch},{value!r}\n")
+
+
 def write_run_dir(out_dir, cfg, result):
     """Persist one seed's artifacts under <dataset>/<label>/<seed>/."""
     seed_dir = os.path.join(out_dir, cfg.dataset, cfg.label(),
@@ -126,10 +140,10 @@ def write_run_dir(out_dir, cfg, result):
             fh.write(CSV_HEADER + "\n" + format_row(result.row) + "\n")
     with open(os.path.join(seed_dir, "config.txt"), "w") as fh:
         fh.write(serialize_config(cfg))
-    with open(os.path.join(seed_dir, "loss.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, value in result.loss_history:
-            fh.write(f"{epoch},{value!r}\n")
+    _write_losses(os.path.join(seed_dir, "loss.csv"), result.loss_history)
+    if result.decoder_loss_history:
+        _write_losses(os.path.join(seed_dir, "decoder_loss.csv"),
+                      result.decoder_loss_history)
     if result.parameters:
         np.savez(os.path.join(seed_dir, "params.npz"), **result.parameters)
     with open(os.path.join(seed_dir, "run.txt"), "w") as fh:

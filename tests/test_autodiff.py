@@ -720,6 +720,12 @@ def _link_mlp(rng, d, hidden, dtype):
     return mlp
 
 
+def _composed_mlp(x, mlp):
+    """The matmul/add/relu composition that autodiff.mlp replaces."""
+    hidden = ad.relu(ad.add(ad.matmul(x, mlp.w1.tensor), mlp.b1.tensor))
+    return ad.add(ad.matmul(hidden, mlp.w2.tensor), mlp.b2.tensor)
+
+
 def _pair_mlp_rows(x, u, v, mlp):
     return ad.pair_mlp(x, u, v, mlp.w1.tensor, mlp.b1.tensor, mlp.w2.tensor,
                        mlp.b2.tensor)
@@ -755,7 +761,8 @@ def test_pair_mlp_keeps_the_bits_of_the_composition(k, rng):
         return [r.values for r in rows] + grads
 
     got = run(_pair_mlp_rows)
-    want = run(lambda x, u, v, head: head.forward(ad.pair_product(x, u, v)))
+    want = run(lambda x, u, v, head: _composed_mlp(ad.pair_product(x, u, v),
+                                                   head))
     assert len(got) == len(want) == 7
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.float32
@@ -797,7 +804,7 @@ def test_pair_mlp_graph_keeps_no_link_row(rng):
     u, v = rng.integers(0, n, size=(2, k))
     wide = {(k, d), (k, hidden)}
 
-    composed = mlp.forward(ad.pair_product(x, u, v))
+    composed = _composed_mlp(ad.pair_product(x, u, v), mlp)
     kept = {a.shape for a in _reachable(composed._node)[1]}
     assert wide <= kept
 
@@ -827,6 +834,285 @@ def test_pair_mlp_graph_keeps_no_link_row(rng):
     frozen = _pair_mlp_rows(Tensor(x.values), u, v, target)
     assert frozen._node is None and not frozen.requires_grad
     assert np.array_equal(frozen.values, out.values)
+
+
+# --- fused ops: one op in place of a composition -----------------------------
+#
+# batch_norm and layer_norm with a slope, mlp and row_cosine_similarity each
+# replace a composition of simpler ops. Each gives the composition's bits in
+# float32, value and every gradient, and its graph keeps less.
+
+NORM_KINDS = ["train", "eval", "layer"]
+
+
+def _norm(kind, x, gamma, beta, state, slope=None):
+    """Batch norm on batch ("train") or running ("eval") statistics, or
+    layer norm ("layer"); prelu-fused when given a slope."""
+    if kind == "layer":
+        return ad.layer_norm(x, gamma, beta, slope=slope)
+    return ad.batch_norm(x, gamma, beta, state, 0.9, kind == "train",
+                         slope=slope)
+
+
+def _norm_inputs(rng, d, dtype):
+    """(gamma, beta, state) in `dtype`, gamma and beta away from 1 and 0."""
+    gamma = rng.uniform(0.5, 1.5, size=(1, d)).astype(dtype)
+    beta = (rng.normal(size=(1, d)) * 0.3).astype(dtype)
+    state = {"running_mean": (rng.normal(size=(1, d)) * 0.2).astype(dtype),
+             "running_var": rng.uniform(0.5, 2.0, size=(1, d)).astype(dtype)}
+    return gamma, beta, state
+
+
+@pytest.mark.parametrize("s", [0.25, -0.5])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_fused_norm_gradient(kind, s, rng):
+    x = leaf(rng, (6, 4))
+    gv, bv, state = _norm_inputs(rng, 4, np.float64)
+
+    def fn(a, gamma, beta, slope):
+        fresh = {k: v.copy() for k, v in state.items()}
+        return ad.tensor_sum(ad.sigmoid(_norm(kind, a, gamma, beta, fresh,
+                                              slope=slope)))
+
+    inputs = [x, Tensor(gv), Tensor(bv), Tensor([[s]])]
+    assert grad_check(fn, inputs) < 1e-6
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_fused_norm_keeps_the_bits_of_the_composition(kind, rng):
+    # float32, as training runs it: the two views of GRACE share the slope,
+    # gamma and beta, and the first view's input feeds a third op, so the
+    # order in which each rule adds into a grad counts
+    n, d = 7, 5
+    xs = [rng.normal(loc=0.3, size=(n, d)).astype(np.float32)
+          for _ in range(2)]
+    gv, bv, state = _norm_inputs(rng, d, np.float32)
+    other = rng.normal(size=(n, d)).astype(np.float32)
+    ups = [rng.normal(size=(n, d)).astype(np.float32) for _ in xs]
+
+    def run(layer):
+        x1, x2 = (Tensor(v.copy(), requires_grad=True) for v in xs)
+        gamma, beta = (Tensor(v.copy(), requires_grad=True)
+                       for v in (gv, bv))
+        slope = Tensor(np.full((1, 1), 0.25, dtype=np.float32),
+                       requires_grad=True)
+        running = {k: v.copy() for k, v in state.items()}
+        outs = [layer(x, gamma, beta, running, slope) for x in (x1, x2)]
+        loss = ad.tensor_sum(ad.elementwise_mul(x1, Tensor(other)))
+        for out, up in zip(outs, ups):
+            loss = ad.add(loss, ad.tensor_sum(ad.elementwise_mul(
+                out, Tensor(up))))
+        backward(loss)
+        grads = [t.grad for t in (x1, x2, gamma, beta, slope)]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(grads) for b in grads[:i])
+        return ([o.values for o in outs] + grads
+                + [running[k] for k in sorted(running)])
+
+    got = run(lambda x, g, b, st, s: _norm(kind, x, g, b, st, slope=s))
+    want = run(lambda x, g, b, st, s: ad.prelu(_norm(kind, x, g, b, st), s))
+    assert len(got) == len(want) == 9
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_fused_norm_graph_keeps_xhat_but_not_the_norm_output(kind, rng,
+                                                             monkeypatch):
+    # the composition's graph keeps the norm output y for prelu's rule; the
+    # fused op's keeps only x̂, and y never exists apart from the output
+    gv, bv, state = _norm_inputs(rng, 4, np.float64)
+    gamma, beta = Tensor(gv, requires_grad=True), Tensor(bv)
+    slope = Tensor([[0.25]], requires_grad=True)
+    xhats = []
+
+    def scale_shift(x, xhat, *args, _scale_shift=ad._scale_shift):
+        xhats.append(weakref.ref(xhat))
+        return _scale_shift(x, xhat, *args)
+
+    monkeypatch.setattr(ad, "_scale_shift", scale_shift)
+    x = leaf(rng, (6, 4))
+    normed = _norm(kind, x, gamma, beta, state)
+    y = weakref.ref(normed.values)
+    loss = ad.tensor_sum(ad.prelu(normed, slope))
+    del normed
+    assert y() is not None
+
+    out = _norm(kind, x, gamma, beta, state, slope=slope)
+    fused = [weakref.ref(out.values), xhats[-1]]
+    loss = ad.tensor_sum(out)
+    del out
+    assert fused[0]() is None and fused[1]() is not None
+    backward(loss)
+    assert x.grad.shape == (6, 4) and slope.grad.shape == (1, 1)
+    del loss
+    assert y() is None and fused[1]() is None
+
+
+def _composed_cosine(a, b):
+    """The composition that autodiff.row_cosine_similarity replaces."""
+    return ad.row_sum(ad.elementwise_mul(ad.row_l2_normalize(a),
+                                         ad.row_l2_normalize(b)))
+
+
+def test_row_cosine_gradient_with_one_tensor_as_both_rows(rng):
+    # cos(v, v) is 1 on every row, so its gradient is 0; the row sums give
+    # the check a gradient to compare
+    fn = lambda v: ad.tensor_sum(ad.elementwise_mul(
+        ad.row_cosine_similarity(v, v), ad.row_sum(v)))
+    assert grad_check(fn, [leaf(rng, (4, 3))]) < 1e-6
+
+
+def test_row_cosine_gradient_against_a_constant_target(rng):
+    # BGRL's case: b needs no grad. One target row is below the EPS
+    # floor, so it divides by EPS, and one is zero, so its unit row is 0
+    # and the prediction's row gets no gradient
+    bv = rng.normal(size=(5, 3))
+    bv[1] = 0.0
+    bv[3] *= 1e-14
+    fn = lambda a: ad.tensor_sum(ad.sigmoid(ad.row_cosine_similarity(
+        a, Tensor(bv))))
+    a = leaf(rng, (5, 3))
+    assert grad_check(fn, [a]) < 1e-6
+    assert not a.grad[1].any() and a.grad[3].any()
+
+
+@pytest.mark.parametrize("case", ["distinct", "same", "constant_b"])
+def test_row_cosine_keeps_the_bits_of_the_composition(case, rng):
+    # float32: a feeds two cosines and a third op under one backward; a
+    # zero row and a row below the EPS floor on each side
+    n, d = 6, 5
+    av, bv, cv, other = (rng.normal(size=(n, d)).astype(np.float32)
+                         for _ in range(4))
+    av[1] = 0.0
+    av[3] *= 1e-14
+    bv[2] = 0.0
+    bv[4] *= 1e-14
+    ups = [rng.normal(size=(n, 1)).astype(np.float32) for _ in range(2)]
+
+    def run(cos):
+        a = Tensor(av.copy(), requires_grad=True)
+        b, c = (Tensor(v.copy(), requires_grad=case == "distinct")
+                for v in (bv, cv))
+        if case == "same":
+            b = a
+        outs = [cos(a, b), cos(c, a)]
+        loss = ad.tensor_sum(ad.elementwise_mul(a, Tensor(other)))
+        for out, up in zip(outs, ups):
+            loss = ad.add(loss, ad.tensor_sum(ad.elementwise_mul(
+                out, Tensor(up))))
+        backward(loss)
+        grads = [t.grad for t in ((a, c) if b is a else (a, b, c))
+                 if t.requires_grad]
+        return [o.values for o in outs] + grads
+
+    got = run(ad.row_cosine_similarity)
+    want = run(_composed_cosine)
+    assert len(got) == len(want) == (5 if case == "distinct" else 3)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("b_grad", [False, True])
+def test_row_cosine_graph_keeps_no_unit_target(b_grad, rng, monkeypatch):
+    # the graph keeps â; it keeps b̂ only where b needs a gradient, and
+    # otherwise a reference to b's values, from which backward rebuilds b̂
+    units = []
+
+    def unit_rows(values, _unit_rows=ad._unit_rows):
+        out = _unit_rows(values)
+        units.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(ad, "_unit_rows", unit_rows)
+    a = leaf(rng, (5, 3))
+    b = Tensor(rng.normal(size=(5, 3)), requires_grad=b_grad)
+    loss = ad.tensor_sum(ad.row_cosine_similarity(a, b))
+    a_unit, b_unit = units
+    assert a_unit() is not None
+    assert (b_unit() is not None) == b_grad
+    assert any(v is b.values for v in _reachable(loss._node)[1])
+    backward(loss)
+    assert len(units) == (2 if b_grad else 3)
+    if not b_grad:  # the rebuilt b̂, turned in place into a's gradient
+        assert units[-1]() is a.grad
+    del loss
+    assert a_unit() is None and b_unit() is None
+
+
+def test_mlp_gradient(rng):
+    fn = lambda x, w1, b1, w2, b2: ad.tensor_sum(ad.sigmoid(
+        ad.mlp(x, w1, b1, w2, b2)))
+    shapes = [(5, 3), (3, 4), (1, 4), (4, 2), (1, 2)]
+    inputs = [leaf(rng, s) for s in shapes]
+    inputs[2].values += 0.3  # more hidden units active
+    assert grad_check(fn, inputs) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_mlp_keeps_the_bits_of_the_composition(n, rng):
+    # float32: one head over two inputs, as the bootstrapped predictor's
+    # two branches would be under one backward, with x feeding a third op;
+    # n = 1 gives one-row bias shares
+    d, hidden = 4, 8
+    xv, other = (rng.normal(size=(n, d)).astype(np.float32)
+                 for _ in range(2))
+    mlp = _link_mlp(rng, d, hidden, np.float32)
+    ups = [rng.normal(size=(n, d)).astype(np.float32) for _ in range(2)]
+
+    def run(head_rows):
+        head = copy.deepcopy(mlp)
+        x = Tensor(xv.copy(), requires_grad=True)
+        outs = [head_rows(x, head), head_rows(ad.scalar_mul(x, -0.5), head)]
+        loss = ad.tensor_sum(ad.elementwise_mul(x, Tensor(other)))
+        for out, up in zip(outs, ups):
+            loss = ad.add(loss, ad.tensor_sum(ad.elementwise_mul(
+                out, Tensor(up))))
+        backward(loss)
+        grads = [x.grad] + [p.grad for p in head.parameters()]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(grads) for b in grads[:i])
+        return [o.values for o in outs] + grads
+
+    got = run(lambda x, head: ad.mlp(x, *(p.tensor
+                                          for p in head.parameters())))
+    want = run(_composed_mlp)
+    assert len(got) == len(want) == 7
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_mlp_graph_keeps_its_input_but_no_hidden_layer(rng):
+    # the composition's graph keeps the (n, h) ReLU output for its second
+    # matmul's rule; the op's keeps x's values and the parameters only
+    n, d, hidden = 9, 4, 6
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    mlp = _link_mlp(rng, d, hidden, np.float64)
+    params = [p.tensor for p in mlp.parameters()]
+    composed = _composed_mlp(x, mlp)
+    assert (n, hidden) in {a.shape for a in _reachable(composed._node)[1]}
+
+    refs = []
+    real_maximum = np.maximum
+
+    def maximum(*args, **kwargs):  # the op's hidden layer, in its forward
+        out = real_maximum(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad.np, "maximum", maximum)
+        out = ad.mlp(x, *params)
+    assert len(refs) == 1 and refs[0]() is None
+    leaves = [x.values] + [a for p in mlp.parameters()
+                           for a in (p.tensor.values, p.grad)]
+    saved = _reachable(out._node)[1]
+    assert {id(a) for a in saved} == {id(a) for a in leaves}
+    backward(ad.tensor_sum(out))
+    assert x.grad.shape == (n, d) and mlp.w2.grad.shape == (hidden, d)
 
 
 @settings(max_examples=150, deadline=None)

@@ -377,6 +377,43 @@ def test_run_experiment_layout_and_aggregate(tmp_path):
         assert load_config(seed_dir / "config.txt") == cfg
 
 
+@pytest.mark.parametrize("model", ["grace", "gcn_supervised"])
+def test_run_dir_records_the_decoder_stage_loss(model, tmp_path,
+                                                 monkeypatch):
+    # one row per decoder epoch, the mean of that epoch's batch losses;
+    # gcn_supervised has no separate decoder stage (its loss.csv is the
+    # decoder loss), so it writes no decoder_loss.csv
+    from linkssl.models import training
+
+    batches = []
+
+    def descend(terms, epoch, name, *args, _descend=training._descend):
+        value = _descend(terms, epoch, name, *args)
+        if name == "decoder":
+            batches.append((epoch, value))
+        return value
+
+    monkeypatch.setattr(training, "_descend", descend)
+    cfg = cheap_cfg(model=model, seeds=(1,))
+    # about 300 training positives: two decoder batches an epoch
+    result = runner.run_single(clique_graph(4, 15), cfg, seed=1, k=5)
+    runner.write_run_dir(tmp_path, cfg, result)
+    seed_dir = tmp_path / "toy" / cfg.label() / "1"
+    assert (seed_dir / "loss.csv").exists()
+    path = seed_dir / "decoder_loss.csv"
+    if model == "gcn_supervised":
+        assert not batches and not path.exists()
+        return
+    lines = path.read_text().splitlines()
+    assert lines[0] == "epoch,loss"
+    rows = [(int(e), float(v)) for e, v in
+            (line.split(",") for line in lines[1:])]
+    assert [e for e, _ in rows] == list(range(training.DECODER_EPOCHS))
+    assert len(batches) > len(rows)  # several batches an epoch
+    for epoch, value in rows:
+        assert value == np.mean([v for e, v in batches if e == epoch])
+
+
 def test_run_experiment_rerun_is_byte_identical(tmp_path):
     g = clique_graph()
     cfg = cheap_cfg()

@@ -26,8 +26,8 @@ from linkssl.augment import make_views
 from linkssl.config import ExperimentConfig
 from linkssl.datasets import load_dataset
 from linkssl.graphs import FeatureMatrix, Graph, random_link_split
-from linkssl.models import (MLP, Decoder, EncoderConfig, GCNEncoder,
-                            LinkMLP, Predictor, Projector, bgrl_loss, embed,
+from linkssl.models import (Decoder, EncoderConfig, GCNEncoder, LinkMLP,
+                            Predictor, Projector, bgrl_loss, embed,
                             grace_loss, hadamard_pairs, lgrace_loss,
                             link_representation, predict_scores,
                             select_link_sets, train_decoder, train_encoder,
@@ -339,7 +339,25 @@ def test_bgrl_loss_grad_check():
 
 
 def _float64_link_head(rng, dim=3, hidden=4):
-    return MLP(dim, hidden, dim, rng, name="link", dtype=np.float64)
+    return LinkMLP(dim, hidden, rng, dtype=np.float64)
+
+
+def test_bgrl_loss_grad_check_through_a_float64_predictor():
+    # the predictor is one autodiff.mlp; every parameter of a real float64
+    # Predictor is checked, its biases moved off zero
+    rng = np.random.default_rng(14)
+    pred = Predictor(3, 5, rng, dtype=np.float64)
+    for p in (pred.b1, pred.b2):
+        p.tensor.values[...] = rng.normal(size=p.shape) * 0.3
+    x = ad.Tensor(rng.normal(size=(6, 3)))
+    target = ad.Tensor(rng.normal(size=(6, 3)))
+
+    def f(t, *_):
+        return bgrl_loss(pred.forward(t), target)
+
+    params = [p.tensor for p in pred.parameters()]
+    assert all(p.values.dtype == np.float64 for p in params)
+    assert ad.grad_check(f, [x] + params) < 1e-4
 
 
 def test_lbgrl_loss_grad_check():
@@ -606,20 +624,25 @@ def _output_values(monkeypatch, *ops):
     return refs
 
 
-def test_mlp_graph_keeps_only_the_relu_output(monkeypatch):
+def test_mlp_graph_keeps_only_its_input(monkeypatch):
+    # a head is one autodiff.mlp: its graph keeps the input rows, which the
+    # first weight's gradient reads, and rebuilds the ReLU output in
+    # backward instead of keeping it
     rng = np.random.default_rng(0)
     mlp = Projector(8, 16, rng)
-    refs = _output_values(monkeypatch, "matmul", "add", "relu")
-    loss = ad.tensor_sum(mlp.forward(ad.Tensor(rng.normal(size=(5, 8)))))
-    first, second = refs["matmul"]
-    assert first() is None and second() is None
-    assert [ref() for ref in refs["add"]] == [None, None]
-    (hidden,) = refs["relu"]
-    assert hidden() is not None  # the second matmul's rule reads it
+    refs = _output_values(monkeypatch, "mlp")
+    x = ad.Tensor(rng.normal(size=(5, 8)).astype(np.float32))
+    rows = weakref.ref(x.values)
+    loss = ad.tensor_sum(mlp.forward(x))
+    del x
+    (out,) = refs["mlp"]
+    assert out() is None
+    assert rows() is not None  # the rule reads it
+    assert not any(a.shape == (5, 16) for a in _saved_buffers(loss))
     ad.backward(loss)
     assert np.any(mlp.w1.grad != 0.0)
     del loss
-    assert hidden() is None
+    assert rows() is None
 
 
 @pytest.mark.parametrize("norm", ["batch", "layer"])
@@ -757,14 +780,55 @@ def test_one_lgrace_step_keeps_no_link_mlp_activation():
         assert peak < 27.5 * unit
 
 
+def test_one_bgrl_step_keeps_no_head_activation():
+    # tracemalloc peak of one BGRL step above its start, in units of one
+    # (n, d) float32 embedding; on _planted_split (n = 90, d = 64, the
+    # predictor's hidden width 256) it measured 16.8 units, 17.7 when the
+    # step is the process's first, and 26.5 (27.4) when the graph kept each
+    # GCN layer's norm output, the predictor's (n, 256) ReLU output and the
+    # target's unit rows. The margin covers the first-step allocations and
+    # CPython < 3.11, which keeps the prediction on the caller's stack
+    # while the cosine is built (about one unit).
+    split = _planted_split()
+    cfg = toy_cfg(model="bgrl", proj_hidden=256, encoder=EncoderConfig(
+        n_layers=2, layer_size=64, norm="batch"))
+    state = _init_state("bgrl", split.train_graph.features.n_cols, cfg,
+                        seed=3)
+    v1, v2 = make_views(split.train_graph, AugmentationSpec(), None, seed=3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = _descend(_encoder_terms(state, v1, v2, None, None, cfg), 0,
+                         "bgrl", cfg.weight_decay,
+                         (state.online_parameters(), cfg.gnn_lr))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    unit = split.train_graph.n * cfg.encoder.layer_size * 4
+    assert split.train_graph.n == 90
+    assert peak < 20 * unit
+
+
 def test_bgrl_graph_drops_the_cosine_product(monkeypatch):
+    # the cosine is one op: its graph keeps the prediction's unit rows and
+    # a reference to the target's values, not the row products and not the
+    # target's unit rows, which backward rebuilds
     rng = np.random.default_rng(5)
     pred = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     target = ad.Tensor(rng.normal(size=(6, 3)))
-    refs = _output_values(monkeypatch, "elementwise_mul", "row_sum")
+    refs = _output_values(monkeypatch, "row_cosine_similarity")
     loss = bgrl_loss(pred, target)
-    (product,), (cos,) = refs["elementwise_mul"], refs["row_sum"]
-    assert product() is None and cos() is None
+    (cos,) = refs["row_cosine_similarity"]
+    assert cos() is None
+    unit = [v / np.linalg.norm(v, axis=1, keepdims=True)
+            for v in (pred.values, target.values)]
+    kept = [a for a in _saved_buffers(loss) if a.shape == (6, 3)]
+    assert len(kept) == 3  # the two leaves' values and pred's unit rows
+    assert any(a is target.values for a in kept)
+    assert any(np.allclose(a, unit[0]) for a in kept)
+    assert not any(np.allclose(a, unit[1]) or np.allclose(a, unit[0] * unit[1])
+                   for a in kept)
     ad.backward(loss)
     assert pred.grad.shape == (6, 3)
 
@@ -772,8 +836,8 @@ def test_bgrl_graph_drops_the_cosine_product(monkeypatch):
 @pytest.mark.parametrize("model", BOOTSTRAPPED)
 def test_bootstrapped_branch_graph_dies_before_the_next_branch(model,
                                                                monkeypatch):
-    # the predictor's ReLU output is saved for its second matmul's rule, so
-    # it lives as long as its branch's graph: alive at that branch's
+    # the predictor's input rows are saved for its first weight's gradient,
+    # so they live as long as their branch's graph: alive at that branch's
     # backward, dead when the second branch's online forward starts
     split = _planted_split()
     cfg = toy_cfg(model=model)
@@ -781,16 +845,21 @@ def test_bootstrapped_branch_graph_dies_before_the_next_branch(model,
     v1, v2 = make_views(split.train_graph, AugmentationSpec(), None, seed=3)
     edge_pos = (select_link_sets(v1, v2, None)[0] if model in LINK_MODELS
                 else None)
-    refs = _output_values(monkeypatch, "relu")
-    relus = refs["relu"]
+    inputs = []  # the predictor's inputs, one per branch
+
+    def head(x, *params, _mlp=ad.mlp):
+        inputs.append(weakref.ref(x.values))
+        return _mlp(x, *params)
+
+    monkeypatch.setattr(ad, "mlp", head)
     alive_at_forward, alive_at_backward = [], []
 
     def forward(view, mode="train", _forward=state.encoder.forward):
-        alive_at_forward.append([ref() is not None for ref in relus])
+        alive_at_forward.append([ref() is not None for ref in inputs])
         return _forward(view, mode)
 
     def backward(loss, _backward=ad.backward):
-        alive_at_backward.append([ref() is not None for ref in relus])
+        alive_at_backward.append([ref() is not None for ref in inputs])
         return _backward(loss)
 
     monkeypatch.setattr(state.encoder, "forward", forward)
@@ -800,14 +869,14 @@ def test_bootstrapped_branch_graph_dies_before_the_next_branch(model,
                      (state.online_parameters(), cfg.gnn_lr))
     assert np.isfinite(value)
     assert len(alive_at_forward) == len(alive_at_backward) == 2
-    # the target rows come first and need no graph; L-BGRL's link MLP is
-    # one pair_mlp op, whose ReLU is inside the op, so no ReLU ran yet
+    # the target rows come first and need no predictor; L-BGRL's link MLP
+    # is a pair_mlp op, not the heads' mlp, so no head input was seen yet
     assert alive_at_forward[0] == []
     first = alive_at_backward[0]
-    assert first[-1]  # branch 1's predictor ReLU, read by its backward
+    assert first == [True]  # branch 1's predictor input, read by backward
     assert len(alive_at_forward[1]) == len(first)
     assert not any(alive_at_forward[1])
-    assert not any(ref() is not None for ref in relus)
+    assert not any(ref() is not None for ref in inputs)
 
 
 # ---------------------------------------------------------------- train loops
