@@ -3,9 +3,10 @@
 Every value is a Tensor holding a float32 or float64 matrix of shape
 (rows, cols). Scalars are (1, 1) matrices and vectors are single-row or
 single-column matrices. Operations record a backward closure; backward()
-walks the graph once in reverse topological order and accumulates
-gradients into leaf tensors. Gradients persist across backward calls
-until zeroed, so calling backward twice doubles them.
+walks the graph once in reverse topological order, accumulates gradients
+into leaf tensors and consumes the graph. Leaf gradients persist across
+backward calls until zeroed, so two losses that reach one leaf add their
+contributions into its grad.
 
 The ops are dtype-generic. A Tensor keeps float32 values and casts
 anything else to float64; an op fed float32 returns float32 and its rule
@@ -26,10 +27,10 @@ mlp and pair_mlp hand a bias its share of the upstream gradient, which
 for one row is that gradient itself, and copy it then, since their rule
 goes on reading the gradient. The same ownership lets a rule write its
 input's gradient over the grad flowing in, which no other node reads:
-relu, prelu, the normalizations (fused or not), row_l2_normalize and
-row_cosine_similarity do. `row_slice` adds its gradient into rows of the
-parent's grad in place (_accumulate_rows), which is safe for the same
-reason.
+relu, prelu, the normalizations (fused or not), standardize_cols,
+mask_diagonal, row_l2_normalize and row_cosine_similarity do. `row_slice`
+adds its gradient into rows of the parent's grad in place
+(_accumulate_rows), which is safe for the same reason.
 
 The per-element kernels (relu, prelu, batch_norm, layer_norm,
 row_l2_normalize, row_cosine_similarity and mlp's ReLU mask) are
@@ -46,12 +47,18 @@ the four parameter arrays for mlp, the (n, d) input and the two index
 arrays for pair_product, those and the parameters for pair_mlp, the inputs
 and the gradients it built for nce_denominator, shapes, bounds or indices
 for the rest). So an op output's values die with the tensor unless a rule
-saved them, and the graph, which lives as long as the loss's node, holds
-just the nodes and the saved arrays. backward() frees only intermediate
-grads, so backward on the same loss can run again. The training steps
-pass each loss term straight into the call that differentiates it, and
-build a step's next term only after the last one is dropped, so no graph
-outlives its term.
+saved them, and the graph holds just the nodes and the saved arrays until
+backward() consumes it. backward hands each node's grad to its rule, as
+the rule's only reference on CPython >= 3.11 (so a rule that is done with
+it frees it, as mlp's does once it has formed the hidden layer's
+gradient), and drops the node's rule, parents and grad as soon as the
+rule returns. The arrays a rule saved thus die before the rules after it
+run (BGRL's â before the predictor's rule), and a graph is single-use: a
+second backward that reaches a consumed node raises RuntimeError (PyTorch
+frees a graph on backward the same way, Paszke et al. 2019,
+arXiv:1912.01703). The training steps pass each loss term straight into
+the call that differentiates it, and build a step's next term only after
+the last one is dropped, so no graph outlives its term.
 
 A graph keeps only what its rules read, and rebuilds the rest in backward
 with the forward's expressions (recomputation, Chen et al. 2016,
@@ -119,7 +126,7 @@ class AllocationTracker:
     tensor storage (auxiliary op caches included). Each array counts as
     live until the array itself is collected, so a tensor's values that a
     backward rule saved stay counted after the tensor is dropped, until
-    the graph holding the rule dies.
+    backward consumes the rule or the graph holding it dies.
 
     It counts only tensor values and registered op caches. Scratch that an
     op allocates and frees within one call, such as `nce_denominator`'s
@@ -178,8 +185,10 @@ class _Node:
     """The backward node of an op output: the op's rule, its parents' nodes
     (None for a parent that needs no grad) and the grad flowing into it.
 
-    backward() calls the rule as rule(grad, *parents). The rule's closure
-    holds only the arrays it reads, never the op's input or output tensors.
+    backward() calls the rule as rule(grad, parents), handing it the grad,
+    and then drops the rule and the parents, which marks the node consumed.
+    The rule's closure holds only the arrays it reads, never the op's input
+    or output tensors.
     """
 
     __slots__ = ("grad", "_backward_fn", "_parents")
@@ -188,6 +197,10 @@ class _Node:
         self.grad = None
         self._backward_fn = backward_fn
         self._parents = parents
+
+    def _take_grad(self):
+        g, self.grad = self.grad, None
+        return g
 
     def _accumulate(self, contribution):
         if self.grad is None:
@@ -265,8 +278,12 @@ def backward(loss):
     """Populate grads of every tensor reachable from `loss` that requires grad.
 
     Each graph node is visited exactly once (iterative topological order),
-    so shared subexpressions cost no extra work. Intermediate node grads
-    are freed as soon as they have been propagated.
+    so shared subexpressions cost no extra work. backward consumes the
+    graph: it hands each node's grad to the node's rule and drops the
+    node's rule, parents and grad as soon as the rule returns, so the
+    arrays a rule saved die before the rules after it run, and a rule that
+    deletes its grad frees it. A second backward that reaches a consumed
+    node raises RuntimeError; build the loss again instead.
     """
     if loss.values.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -284,6 +301,9 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise RuntimeError("backward reached a graph that an earlier "
+                               "backward consumed; build the loss again")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -292,10 +312,15 @@ def backward(loss):
 
     root._accumulate(np.ones((1, 1), dtype=loss.values.dtype))
     for node in reversed(order):
-        if node._backward_fn is None or node.grad is None:
-            continue  # a leaf keeps its grad; an unreached node has none
-        node._backward_fn(node.grad, *node._parents)
-        node.grad = None  # free intermediate storage
+        rule, parents = node._backward_fn, node._parents
+        if rule is None:
+            continue  # a leaf keeps its grad
+        node._backward_fn = node._parents = None
+        if node.grad is not None:  # an unreached node has none
+            # a call's positional arguments move into the callee's frame
+            # (CPython >= 3.11), so the rule holds the only reference to
+            # its grad; rule(g, *parents) would keep it in the args tuple
+            rule(node._take_grad(), parents)
 
 
 def _unbroadcast(grad, shape):
@@ -320,7 +345,8 @@ def _unbroadcast(grad, shape):
 def matmul(a, b):
     av, bv = a.values, b.values
 
-    def backward_fn(g, na, nb):
+    def backward_fn(g, nodes):
+        na, nb = nodes
         if na is not None:
             na._accumulate(g @ bv.T)
         if nb is not None:
@@ -333,7 +359,8 @@ def sparse_matmul(adjacency, x):
     """adjacency (scipy sparse, constant) times dense tensor x."""
     adj_t = adjacency.T
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(adj_t @ g)
 
     return _make(adjacency @ x.values, (x,), backward_fn, "sparse_matmul")
@@ -342,7 +369,8 @@ def sparse_matmul(adjacency, x):
 def add(a, b):
     a_shape, b_shape = a.shape, b.shape
 
-    def backward_fn(g, na, nb):
+    def backward_fn(g, nodes):
+        na, nb = nodes
         if na is not None:
             na._accumulate(_unbroadcast(g, a_shape))
         if nb is not None:
@@ -357,7 +385,8 @@ def add(a, b):
 def sub(a, b):
     a_shape, b_shape = a.shape, b.shape
 
-    def backward_fn(g, na, nb):
+    def backward_fn(g, nodes):
+        na, nb = nodes
         if na is not None:
             na._accumulate(_unbroadcast(g, a_shape))
         if nb is not None:
@@ -369,7 +398,8 @@ def sub(a, b):
 def elementwise_mul(a, b):
     av, bv = a.values, b.values
 
-    def backward_fn(g, na, nb):
+    def backward_fn(g, nodes):
+        na, nb = nodes
         if na is not None:
             na._accumulate(_unbroadcast(g * bv, av.shape))
         if nb is not None:
@@ -381,7 +411,8 @@ def elementwise_mul(a, b):
 def scalar_mul(a, c):
     c = float(c)
 
-    def backward_fn(g, na):
+    def backward_fn(g, nodes):
+        (na,) = nodes
         na._accumulate(g * c)
 
     return _make(a.values * c, (a,), backward_fn, "scalar_mul")
@@ -390,7 +421,8 @@ def scalar_mul(a, c):
 def relu(x):
     out = np.maximum(x.values, 0.0)
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         # out > 0 exactly where x > 0, NaN included, so x need not be kept
         g *= out > 0.0
         nx._accumulate(g)
@@ -428,7 +460,8 @@ def prelu(x, slope):
     xv = x.values
     s = slope.values[0, 0]
 
-    def backward_fn(g, nx, nslope):
+    def backward_fn(g, nodes):
+        nx, nslope = nodes
         g = _prelu_backward(g, xv, s, nslope)
         if nx is not None:
             nx._accumulate(g)
@@ -439,7 +472,8 @@ def prelu(x, slope):
 def sigmoid(x):
     out = 1.0 / (1.0 + np.exp(-x.values))
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(g * out * (1.0 - out))
 
     return _make(out, (x,), backward_fn, "sigmoid")
@@ -472,7 +506,8 @@ def row_l2_normalize(x):
     """Scale each row to unit L2 norm; rows with norm below EPS divide by EPS."""
     out, norms, denom = _unit_rows(x.values)
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(_unit_rows_backward(g, out, norms, denom))
 
     return _make(out, (x,), backward_fn, "row_l2_normalize")
@@ -481,7 +516,8 @@ def row_l2_normalize(x):
 def row_sum(x):
     shape = x.shape
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(np.broadcast_to(g, shape).copy())
 
     return _make(np.sum(x.values, axis=1, keepdims=True), (x,), backward_fn,
@@ -508,7 +544,8 @@ def row_cosine_similarity(a, b):
     if _node_of(b) is None:
         bhat = None  # rebuilt from bv when a's gradient is formed
 
-    def backward_fn(g, na, nb):
+    def backward_fn(g, nodes):
+        na, nb = nodes
         if na is not None:
             if bhat is None:
                 da = _unit_rows(bv)[0]
@@ -535,7 +572,8 @@ def logsumexp_rows(x):
     if _tracker is not None:
         _tracker.record_array(softmax)
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(g * softmax)
 
     return _make(out, (x,), backward_fn, "logsumexp_rows")
@@ -546,7 +584,8 @@ def logaddexp(a, b):
     av, bv = a.values, b.values
     out = np.logaddexp(av, bv)
 
-    def backward_fn(g, na, nb):
+    def backward_fn(g, nodes):
+        na, nb = nodes
         with np.errstate(invalid="ignore"):
             if na is not None:
                 wa = np.exp(av - out)
@@ -638,15 +677,19 @@ def nce_denominator(anchor, other, tau):
     receives the anchor's gradient, then the other's. The blocks run on
     _nce_threads threads, so the scratch is O(T x NCE_BLOCK_ROWS x r) and
     no r x r array ever exists. The graph holds the (r, d) gradients until
-    backward scales them by the upstream scalar and hands them over; a
-    second backward on the same loss runs the pass again.
+    backward scales them by the upstream scalar and hands them over, once,
+    as backward consumes the graph.
 
     The bits do not depend on T. Each block writes its own rows of the
     log-denominators and of the anchor's gradient, every GEMM has the shape
-    it has on one thread (splitting a block's score GEMM into row halves
-    changed bits), and the other's gradient gains block b's part only
-    after block b-1's, in NCE_BLOCK_ROWS-row chunks that keep the
-    reduction over the block's rows whole.
+    it has on one thread, and the other's gradient gains block b's part
+    only after block b-1's, in NCE_BLOCK_ROWS-row chunks that keep the
+    reduction over the block's rows whole. Splitting a block's score GEMM
+    in halves changed bits only in float64: dgemm row or column halves did
+    at 4 of 5 (m, d, r) shapes tried, (256, 128, 1902) and (100, 16, 300)
+    among them, while float32 row and column halves kept the bits at all
+    5 (scipy-openblas 0.3.31, one thread, a 2-core Intel Xeon). The op
+    splits no GEMM, so T keeps the bits in both dtypes.
     """
     if anchor.shape != other.shape:
         raise ValueError(f"nce_denominator needs equal shapes, got "
@@ -661,49 +704,41 @@ def nce_denominator(anchor, other, tau):
               for lo in range(0, r, NCE_BLOCK_ROWS)]
     # the mean's gradient constant, built as tensor_mean's rule builds it
     scale = np.full((1, 1), a.dtype.type(1) / r, dtype=a.dtype) / tau
-    na, no = _node_of(anchor), _node_of(other)
+    out = np.empty((r, 1), dtype=a.dtype)
+    da = None if _node_of(anchor) is None else np.empty_like(a)
+    do = None if _node_of(other) is None else np.zeros_like(o)
 
-    def run_pass():
-        out = np.empty((r, 1), dtype=a.dtype)
-        da = None if na is None else np.empty_like(a)
-        do = None if no is None else np.zeros_like(o)
+    def block(lo, hi):
+        s = a[lo:hi] @ o.T
+        s *= 1.0 / tau
+        np.fill_diagonal(s[:, lo:hi], -np.inf)
+        m = np.max(s, axis=1, keepdims=True)
+        for i in range(0, hi - lo, NCE_EXP_ROWS):
+            rows = slice(i, i + NCE_EXP_ROWS)
+            e = s[rows] - m[rows]
+            np.exp(e, out=e)
+            out[lo:hi][rows] = m[rows] + np.log(
+                np.sum(e, axis=1, keepdims=True))
+        s -= out[lo:hi]
+        np.exp(s, out=s)
+        s *= scale
+        if da is not None:
+            np.matmul(s, o, out=da[lo:hi])
+        return s
 
-        def block(lo, hi):
-            s = a[lo:hi] @ o.T
-            s *= 1.0 / tau
-            np.fill_diagonal(s[:, lo:hi], -np.inf)
-            m = np.max(s, axis=1, keepdims=True)
-            for i in range(0, hi - lo, NCE_EXP_ROWS):
-                rows = slice(i, i + NCE_EXP_ROWS)
-                e = s[rows] - m[rows]
-                np.exp(e, out=e)
-                out[lo:hi][rows] = m[rows] + np.log(
-                    np.sum(e, axis=1, keepdims=True))
-            s -= out[lo:hi]
-            np.exp(s, out=s)
-            s *= scale
-            if da is not None:
-                np.matmul(s, o, out=da[lo:hi])
-            return s
+    def add_to_do(lo, hi, w):
+        for j0, j1 in blocks:
+            do[j0:j1] += w[:, j0:j1].T @ a[lo:hi]
 
-        def add_to_do(lo, hi, w):
-            for j0, j1 in blocks:
-                do[j0:j1] += w[:, j0:j1].T @ a[lo:hi]
-
-        _run_blocks(blocks, _nce_threads(len(blocks)), block,
-                    None if do is None else add_to_do)
-        return out, da, do
-
-    out, *grads = run_pass()
+    _run_blocks(blocks, _nce_threads(len(blocks)), block,
+                None if do is None else add_to_do)
     if _tracker is not None:  # the graph holds them until backward
-        for grad in grads:
+        for grad in (da, do):
             if grad is not None:
                 _tracker.record_array(grad)
 
-    def backward_fn(g, na, no):
-        da, do = grads or run_pass()[1:]  # an earlier backward took them
-        grads.clear()
-        for node, grad in ((na, da), (no, do)):
+    def backward_fn(g, nodes):
+        for node, grad in zip(nodes, (da, do)):
             if node is not None:
                 grad *= g
                 node._accumulate(grad)
@@ -715,7 +750,8 @@ def nce_denominator(anchor, other, tau):
 def tensor_sum(x):
     shape, dtype = x.shape, x.values.dtype
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(np.full(shape, g[0, 0], dtype=dtype))
 
     return _make(np.sum(x.values).reshape(1, 1), (x,), backward_fn, "sum")
@@ -724,7 +760,8 @@ def tensor_sum(x):
 def tensor_mean(x):
     shape, size, dtype = x.shape, x.values.size, x.values.dtype
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(np.full(shape, g[0, 0] / size, dtype=dtype))
 
     return _make((np.sum(x.values) / size).reshape(1, 1), (x,), backward_fn,
@@ -735,7 +772,7 @@ def concat_rows(tensors):
     parts = [t.values for t in tensors]
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
-    def backward_fn(g, *nodes):
+    def backward_fn(g, nodes):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if node is not None:
                 node._accumulate(g[lo:hi])
@@ -749,14 +786,16 @@ def row_slice(x, lo, hi):
     output keeps no copy. Backward adds g into those rows of x's grad."""
     rows = x.shape[0]
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate_rows(lo, hi, g, rows)
 
     return _make(x.values[lo:hi], (x,), backward_fn, "row_slice")
 
 
 def transpose(x):
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(g.T)
 
     return _make(x.values.T.copy(), (x,), backward_fn, "transpose")
@@ -777,7 +816,8 @@ def gather_rows(x, indices):
     idx = np.asarray(indices, dtype=np.intp)
     rows = x.shape[0]
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         nx._accumulate(_scatter_rows(g, idx, rows))
 
     return _make(x.values[idx], (x,), backward_fn, "gather_rows")
@@ -820,7 +860,8 @@ def pair_product(x, u, v):
     out = xv[u]
     out *= xv[v]
 
-    def backward_fn(g, nx):
+    def backward_fn(g, nodes):
+        (nx,) = nodes
         _scatter_pair_grad(nx, g, xv, u, v)
 
     return _make(out, (x,), backward_fn, "pair_product")
@@ -863,7 +904,8 @@ def _mlp(x, pairs, w1, b1, w2, b2, op):
     out = layers()[1] @ w2v
     out += b2.values
 
-    def backward_fn(g, nx, nw1, nb1, nw2, nb2):
+    def backward_fn(g, nodes):
+        nx, nw1, nb1, nw2, nb2 = nodes
         rows, hidden = layers()
         if nb2 is not None:
             nb2._accumulate(_bias_grad(g, b2_shape))
@@ -873,7 +915,7 @@ def _mlp(x, pairs, w1, b1, w2, b2, op):
         # rule; the hidden layer's gradient is written over it
         mask = hidden > 0.0
         dh = np.matmul(g, w2v.T, out=hidden)
-        del hidden
+        del hidden, g  # the rule owns g: see backward
         dh *= mask
         del mask
         if nb1 is not None:
@@ -927,10 +969,10 @@ def mask_diagonal(x, fill=-np.inf):
     out = x.values.copy()
     np.fill_diagonal(out, fill)
 
-    def backward_fn(g, nx):
-        gc = g.copy()
-        np.fill_diagonal(gc, 0.0)
-        nx._accumulate(gc)
+    def backward_fn(g, nodes):
+        (nx,) = nodes
+        np.fill_diagonal(g, 0.0)
+        nx._accumulate(g)
 
     return _make(out, (x,), backward_fn, "mask_diagonal")
 
@@ -986,7 +1028,9 @@ def _scale_shift(x, xhat, inv_std, gamma, beta, op, axis, slope=None):
         out = _prelu_forward(out, s, out=out)
         parents += (slope,)
 
-    def backward_fn(g, nx, ngamma, nbeta, nslope=None):
+    def backward_fn(g, nodes):
+        nx, ngamma, nbeta, nslope = nodes if slope is not None else (
+            *nodes, None)
         work = None
         if slope is not None:
             work = xhat * gamma_v  # y, rebuilt as the forward built it
@@ -1044,8 +1088,9 @@ def standardize_cols(w):
     time when weight standardization is enabled."""
     what, _, _, inv_std = _standardize(w.values, axis=0)
 
-    def backward_fn(g, nw):
-        nw._accumulate(_standardize_backward(g.copy(), what, inv_std, 0))
+    def backward_fn(g, nodes):
+        (nw,) = nodes
+        nw._accumulate(_standardize_backward(g, what, inv_std, 0))
 
     return _make(what, (w,), backward_fn, "standardize_cols")
 

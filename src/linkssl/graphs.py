@@ -59,6 +59,12 @@ def _pairs(keys, n):
     return pairs
 
 
+def _pair_columns(pairs):
+    """The (u, v) int64 id columns of a pair list."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 class Graph:
     """Immutable undirected simple graph.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import sample_negative_pairs
+from .graphs import _pair_columns, sample_negative_pairs
 from .seeding import derive_seed
 
 
@@ -74,11 +74,6 @@ def average_precision(s):
     positions = np.flatnonzero(hits) + 1
     precisions = cum_pos[positions - 1] / positions
     return float(precisions.sum() / n_pos)
-
-
-def _pair_columns(pairs):
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
 
 
 def planted_block_scorer(counts):

@@ -25,7 +25,8 @@ stacked rows.
 bgrl_loss takes its cosine from one op, autodiff.row_cosine_similarity.
 Its target rows need no grad, so the graph keeps the prediction's unit
 rows and a reference to the target's values, and no normalized target;
-the bootstrapped step holds the target rows for both branches anyway.
+the bootstrapped step builds each branch's target rows with the branch, so
+they die when backward consumes the branch's graph.
 """
 
 from __future__ import annotations

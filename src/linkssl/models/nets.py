@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import autodiff as ad
-from ..graphs import normalized_adjacency
+from ..graphs import _pair_columns, normalized_adjacency
 from ..optim import Parameter
 
 TRAIN_DTYPE = np.float32  # every module's default dtype
@@ -230,12 +230,6 @@ class Decoder:
 
     def scores(self, z):
         return ad.sigmoid(ad.Tensor(self.logits(z).values.astype(np.float64)))
-
-
-def _pair_columns(pairs):
-    """The (u, v) id columns of a pair list."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
 
 
 def link_representation(h, edges, mlp):

@@ -31,7 +31,7 @@ from .config import serialize_config
 from .datasets import load_dataset
 from .graphs import random_link_split, split_sizes
 from .metrics import evaluate_split
-from .models import (predict_scores, train_decoder, train_encoder,
+from .models import (decoder_scorer, train_decoder, train_encoder,
                      train_supervised_gcn)
 from .seeding import derive_seed
 
@@ -92,10 +92,10 @@ def _train_stages(graph, cfg, seed):
 
 def _score(split, state, decoder, lineage, positives, k):
     """The trained model's (hits@k, AP, AUC) on `positives` of its split,
-    against negatives drawn from the lineage's evaluate seed."""
-    scorer = partial(predict_scores, state, decoder, split.train_graph)
-    return evaluate_split(scorer, split, positives, k,
-                          dict(lineage)["evaluate"])
+    against negatives drawn from the lineage's evaluate seed; positives and
+    negatives are scored from one embedding of the train graph."""
+    return evaluate_split(decoder_scorer(state, decoder, split.train_graph),
+                          split, positives, k, dict(lineage)["evaluate"])
 
 
 def _result(seed, row, state, decoder, lineage):

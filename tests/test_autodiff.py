@@ -250,10 +250,10 @@ def test_nce_denominator_two_rows_is_the_other_score():
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_nce_denominator_repeated_backward_leaves_output_intact(symmetric,
                                                                 rng):
-    # the first backward hands over the gradients the forward built; the
-    # second runs the pass again and adds the same arrays: the anchor's
-    # gradient, then the other's, which for one tensor passed twice are
-    # the arrays two distinct tensors of its values receive
+    # backward hands over the gradients the forward built and consumes the
+    # graph: a second backward raises and leaves the output and the grads
+    # as they were. For one tensor passed twice the grad is the sum of the
+    # arrays two distinct tensors of its values receive.
     values = rng.normal(size=(2 * ad.NCE_BLOCK_ROWS + 7, 3))
     a, o = (Tensor(values, requires_grad=True) for _ in range(2))
     out = ad.nce_denominator(a, o, 0.3)
@@ -268,13 +268,29 @@ def test_nce_denominator_repeated_backward_leaves_output_intact(symmetric,
         loss = ad.tensor_sum(ad.sigmoid(out))
         backward(loss)
         assert np.array_equal(a.grad, da + do)
-    backward(loss)
+    grads = [t.grad.copy() for t in (a, o)]
+    with pytest.raises(RuntimeError, match="consumed"):
+        backward(loss)
     assert out.values.tobytes() == kept.tobytes()
-    if symmetric:
-        assert np.array_equal(a.grad, (da + do) + da + do)
-    else:
-        assert np.array_equal(a.grad, 2.0 * da)
-        assert np.array_equal(o.grad, 2.0 * do)
+    assert all(np.array_equal(t.grad, g) for t, g in zip((a, o), grads))
+
+
+def test_second_backward_on_a_consumed_loss_raises(rng):
+    # backward consumes the graph: a second backward on the loss, or on
+    # another loss that reaches a consumed node, raises and leaves the
+    # grads as the first left them
+    x = leaf(rng, (4, 3))
+    h = ad.relu(x)
+    loss = ad.tensor_sum(h)
+    backward(loss)
+    kept = x.grad.copy()
+    for again in (loss, ad.tensor_mean(h)):
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(again)
+        assert np.array_equal(x.grad, kept)
+    # a leaf is never consumed: a new graph that reaches it adds its part
+    backward(ad.tensor_sum(x))
+    assert np.array_equal(x.grad, kept + 1.0)
 
 
 def test_nce_denominator_records_no_square_array(rng):
@@ -1266,30 +1282,31 @@ def test_adam_step_matches_formula_over_three_steps(rng):
 
 
 def test_add_gives_each_parent_its_own_gradient(rng):
+    # backward consumes a graph, so the second accumulation, which must add
+    # into the grads a and b adopted and never alias them, builds its own
     a, b = leaf(rng, (3, 4)), leaf(rng, (3, 4))
-    loss, g = _upstream(ad.add(a, b), rng)
-    backward(loss)
-    assert a.grad is not b.grad
-    assert not np.shares_memory(a.grad, b.grad)
-    assert np.array_equal(a.grad, g) and np.array_equal(b.grad, g)
-    backward(loss)
-    assert np.array_equal(a.grad, 2.0 * g)
-    assert np.array_equal(b.grad, 2.0 * g)
+    g = rng.normal(size=(3, 4))
+    for times in (1, 2):
+        backward(ad.tensor_sum(ad.elementwise_mul(ad.add(a, b), Tensor(g))))
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, times * g), times
+        assert np.array_equal(b.grad, times * g), times
 
 
 def _shared_and_split(build, shape, rng):
     """Gradients of one leaf used twice by `build`, against the sum of the
-    gradients of two independent copies, after one and two backwards."""
+    gradients of two independent copies, after one and two backwards (each
+    through a graph of its own, since backward consumes the graph)."""
     xv = rng.normal(size=shape)
     # small integer upstream gradients keep every sum exact
     w = rng.integers(-4, 5, size=build(Tensor(xv), Tensor(xv)).shape)
     x = Tensor(xv.copy(), requires_grad=True)
     x1, x2 = (Tensor(xv.copy(), requires_grad=True) for _ in range(2))
-    shared = ad.tensor_sum(ad.elementwise_mul(build(x, x), Tensor(w)))
-    split = ad.tensor_sum(ad.elementwise_mul(build(x1, x2), Tensor(w)))
     for times in (1, 2):
-        backward(shared)
-        backward(split)
+        backward(ad.tensor_sum(ad.elementwise_mul(build(x, x), Tensor(w))))
+        backward(ad.tensor_sum(ad.elementwise_mul(build(x1, x2),
+                                                  Tensor(w))))
         assert np.array_equal(x.grad, x1.grad + x2.grad), times
 
 
